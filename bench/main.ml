@@ -926,15 +926,10 @@ let a14 () =
       ("greedy-trap", Case_studies.greedy_trap);
     ]
 
-(* --- A16: shared-visited parallel search -------------------------------- *)
+(* --- A17: subsumption-pruned symbolic class engine ---------------------- *)
 
-(* worker domains for A16, settable with --domains N *)
-let bench_domains = ref 2
-
-(* A deterministic generated spec whose search is large (tight deadlines
-   force heavy backtracking into an exhaustive infeasibility proof), so
-   fixed parallel overheads — domain spawn, table striping — amortize
-   over tens of thousands of stored states. *)
+(* A deterministic generated spec whose search is large: tight deadlines
+   force heavy backtracking into an exhaustive infeasibility proof. *)
 let large_tight_spec =
   let periods = [| 25; 50; 100 |] in
   let tasks =
@@ -948,85 +943,6 @@ let large_tight_spec =
           ~period ())
   in
   Spec.make ~name:"large-tight-8" ~tasks ()
-
-let a16 () =
-  section "A16" "Shared-visited parallel search (work-stealing DFS)";
-  let domains = !bench_domains in
-  Format.printf "worker domains: %d (recommended on this machine: %d)@."
-    domains
-    (Domain.recommended_domain_count ());
-  (* wall-clock comparisons take the minimum of 3 runs per engine: the
-     point is the engines' cost, not the host scheduler's mood *)
-  let runs = 3 in
-  let min_by_snd xs =
-    List.fold_left
-      (fun acc x -> if snd x < snd acc then x else acc)
-      (List.hd xs) (List.tl xs)
-  in
-  List.iter
-    (fun (name, spec) ->
-      let model = Translate.translate spec in
-      let (seq_outcome, seq_m), seq_ms =
-        min_by_snd
-          (List.init runs (fun _ ->
-               let outcome, m = Search.find_schedule model in
-               ((outcome, m), ms m)))
-      in
-      let par, par_ms =
-        min_by_snd
-          (List.init runs (fun _ ->
-               let r = Par_search.find_schedule ~domains model in
-               (r, r.Par_search.metrics.Search.elapsed_s *. 1000.)))
-      in
-      let pm = par.Par_search.metrics in
-      let speedup = seq_ms /. max 1e-9 par_ms in
-      let verdicts_agree =
-        Result.is_ok seq_outcome = Result.is_ok par.Par_search.outcome
-      in
-      let certified =
-        match par.Par_search.outcome with
-        | Ok schedule ->
-          Result.is_ok
-            (Validator.check model (Timeline.of_schedule model schedule))
-        | Error _ -> false
-      in
-      Format.printf
-        "%-14s seq %8d st %8.1f ms | par %8d st %8.1f ms on %d domain(s), \
-         %d steal(s), %d shared hit(s) | speedup %.2fx, verdicts agree: %b%s@."
-        name seq_m.Search.stored seq_ms pm.Search.stored par_ms
-        par.Par_search.domains_used par.Par_search.steals
-        par.Par_search.shared_hits speedup verdicts_agree
-        (if Result.is_ok par.Par_search.outcome then
-           Printf.sprintf ", certified: %b" certified
-         else "");
-      add_json ("A16_parallel_" ^ name)
-        [
-          ("spec", jstr name);
-          ("domains_requested", jint domains);
-          ("domains_used", jint par.Par_search.domains_used);
-          ("runs", jint runs);
-          ("feasible", jbool (Result.is_ok par.Par_search.outcome));
-          ("verdicts_agree_sequential", jbool verdicts_agree);
-          ("certified", jbool certified);
-          ("stored_states", jint pm.Search.stored);
-          ("sequential_stored_states", jint seq_m.Search.stored);
-          ("steals", jint par.Par_search.steals);
-          ("shared_table_hits", jint par.Par_search.shared_hits);
-          ("replayed_fires", jint par.Par_search.replayed_fires);
-          ( "table_entries",
-            jint par.Par_search.table.Packed_state.Sharded.entries );
-          ( "table_contended",
-            jint par.Par_search.table.Packed_state.Sharded.contended );
-          ("sequential_elapsed_ms", jfloat seq_ms);
-          ("parallel_elapsed_ms", jfloat par_ms);
-          ("speedup", jfloat speedup);
-        ])
-    [
-      ("mine-pump", Case_studies.mine_pump);
-      ("large-tight-8", large_tight_spec);
-    ]
-
-(* --- A17: subsumption-pruned symbolic class engine ---------------------- *)
 
 (* Relation-heavy infeasible spec (five tasks, near-complete exclusion
    clique plus one precedence): the search exhausts the class graph,
@@ -1053,8 +969,7 @@ let relations_spec =
     ()
 
 let a17 () =
-  section "A17" "Class engine: hash-consed store, subsumption, parallel search";
-  let domains = !bench_domains in
+  section "A17" "Class engine: hash-consed store, subsumption";
   let runs = 3 in
   let min_by_snd xs =
     List.fold_left
@@ -1077,28 +992,16 @@ let a17 () =
                let r = Class_search.find_schedule ~subsume:false model in
                (r, cls_ms (snd r))))
       in
-      let par, par_ms =
-        min_by_snd
-          (List.init runs (fun _ ->
-               let r = Par_class.find_schedule ~domains model in
-               (r, cls_ms r.Par_class.metrics)))
-      in
       let classes_per_s =
         float_of_int m.Class_search.visited /. max 1e-9 m.Class_search.elapsed_s
       in
-      let speedup = on_ms /. max 1e-9 par_ms in
-      let verdicts_agree =
-        Result.is_ok outcome = Result.is_ok par.Par_class.outcome
-      in
       Format.printf
         "%-14s %s: %5d stored (%4d subsumed) %8.1f ms, %8.0f classes/s | \
-         no-subsume %5d stored %8.1f ms | par %8.1f ms on %d domain(s), %d \
-         steal(s), speedup %.2fx, verdicts agree: %b@."
+         no-subsume %5d stored %8.1f ms@."
         name
         (if Result.is_ok outcome then "feasible" else "infeasible")
         m.Class_search.stored m.Class_search.subsumed on_ms classes_per_s
-        m_off.Class_search.stored off_ms par_ms par.Par_class.domains_used
-        par.Par_class.steals speedup verdicts_agree;
+        m_off.Class_search.stored off_ms;
       add_json ("A17_class_" ^ name)
         [
           ("spec", jstr name);
@@ -1111,16 +1014,6 @@ let a17 () =
           ("classes_per_s", jfloat classes_per_s);
           ("elapsed_ms", jfloat on_ms);
           ("no_subsume_elapsed_ms", jfloat off_ms);
-          ("domains_requested", jint domains);
-          ("domains_used", jint par.Par_class.domains_used);
-          ("steals", jint par.Par_class.steals);
-          ("parallel_elapsed_ms", jfloat par_ms);
-          ("parallel_speedup", jfloat speedup);
-          ("verdicts_agree_parallel", jbool verdicts_agree);
-          ( "store_entries",
-            jint par.Par_class.store.Class_store.entries );
-          ( "store_contended",
-            jint par.Par_class.store.Class_store.contended );
         ])
     [
       ("mine-pump", Case_studies.mine_pump);
@@ -1294,14 +1187,8 @@ let a20 () =
           ~options:{ Search.default_options with por }
           model
       in
-      let par por =
-        Par_search.find_schedule
-          ~options:{ Search.default_options with por }
-          ~domains:!bench_domains model
-      in
       let o_on, m_on = run true in
       let o_off, m_off = run false in
-      let p_on = par true and p_off = par false in
       let certified = function
         | Ok schedule ->
           Result.is_ok
@@ -1312,37 +1199,24 @@ let a20 () =
         failwith
           (Printf.sprintf "A20: %s: sequential verdict differs (%s vs %s)"
              name (verdict o_on) (verdict o_off));
-      if verdict p_on.Par_search.outcome <> verdict p_off.Par_search.outcome
-      then
-        failwith
-          (Printf.sprintf "A20: %s: parallel verdict differs (%s vs %s)" name
-             (verdict p_on.Par_search.outcome)
-             (verdict p_off.Par_search.outcome));
       if Result.is_ok o_on && not (certified o_on && certified o_off) then
         failwith ("A20: " ^ name ^ ": schedule fails certification");
       let ratio on off = float_of_int off /. float_of_int (max 1 on) in
       let seq_ratio = ratio m_on.Search.visited m_off.Search.visited in
-      let par_ratio =
-        ratio p_on.Par_search.metrics.Search.visited
-          p_off.Par_search.metrics.Search.visited
-      in
       if expect_2x then begin
         if m_on.Search.por_reduced = 0 then
           failwith ("A20: " ^ name ^ ": reduction never fired");
-        if seq_ratio < 2.0 || par_ratio < 2.0 then
+        if seq_ratio < 2.0 then
           failwith
             (Printf.sprintf
-               "A20: %s: expected >= 2x visited-state reduction, got \
-                %.2fx seq / %.2fx par"
-               name seq_ratio par_ratio)
+               "A20: %s: expected >= 2x visited-state reduction, got %.2fx"
+               name seq_ratio)
       end;
       Format.printf
-        "%-14s %-10s | seq %8d -> %8d visited (%.2fx) | par %8d -> %8d \
-         (%.2fx) | %d reduced, %d fallback@."
+        "%-14s %-10s | seq %8d -> %8d visited (%.2fx) | %d reduced, %d \
+         fallback@."
         name (verdict o_on) m_off.Search.visited m_on.Search.visited
-        seq_ratio p_off.Par_search.metrics.Search.visited
-        p_on.Par_search.metrics.Search.visited par_ratio
-        m_on.Search.por_reduced m_on.Search.por_fallback;
+        seq_ratio m_on.Search.por_reduced m_on.Search.por_fallback;
       add_json ("A20_por_" ^ name)
         [
           ("spec", jstr name);
@@ -1351,9 +1225,6 @@ let a20 () =
           ("seq_visited_on", jint m_on.Search.visited);
           ("seq_visited_off", jint m_off.Search.visited);
           ("seq_reduction", jfloat seq_ratio);
-          ("par_visited_on", jint p_on.Par_search.metrics.Search.visited);
-          ("par_visited_off", jint p_off.Par_search.metrics.Search.visited);
-          ("par_reduction", jfloat par_ratio);
           ("por_reduced", jint m_on.Search.por_reduced);
           ("por_fallback", jint m_on.Search.por_fallback);
           ("por_skipped", jint m_on.Search.por_skipped);
@@ -1543,7 +1414,7 @@ let bechamel_suite () =
 
 (* Compares the entries just written against a committed baseline
    (BASELINE.json): verdicts must match exactly; stored_states may grow
-   by at most 25% (plus a small absolute allowance for racy parallel
+   by at most 25% (plus a small absolute allowance for racy portfolio
    counts); states_per_s — and specs_per_s for the lint experiment —
    may drop to no less than 40% of the baseline: hosts differ,
    order-of-magnitude slowdowns are what the guard is for.  Lint
@@ -1625,8 +1496,8 @@ let check_against ~require_all ~current path =
     exit 1
 
 (* The harness takes the same observability flags as ezrt: --trace FILE,
-   --metrics FILE and --progress — plus --domains N (A16 worker count),
-   --smoke (CI subset: E1, A14, A16, A17, A18, A19, A20, A21) and
+   --metrics FILE and --progress — plus
+   --smoke (CI subset: E1, A14, A17, A18, A19, A20, A21) and
    --check BASELINE.json (regression guard, applied to the entries the
    run just wrote).  No cmdliner here — a
    hand scan of argv keeps bench dependency-free. *)
@@ -1656,12 +1527,6 @@ let obs_setup () =
         Format.printf "metrics written to %s@." path)
   | None -> ());
   if has "--progress" then Obs_progress.install (Obs_progress.create ());
-  (match value_of "--domains" with
-  | Some d -> (
-    match int_of_string_opt d with
-    | Some d when d >= 1 -> bench_domains := d
-    | Some _ | None -> ())
-  | None -> ());
   (has "--smoke", value_of "--check")
 
 let () =
@@ -1671,7 +1536,6 @@ let () =
   if smoke then begin
     e1 ();
     a14 ();
-    a16 ();
     a17 ();
     a18 ();
     a19 ();
@@ -1702,7 +1566,6 @@ let () =
     a13 ();
     a14 ();
     a15 ();
-    a16 ();
     a17 ();
     a18 ();
     a19 ();

@@ -73,24 +73,24 @@ let engine_arg =
   let engine_conv =
     Arg.enum
       [ ("discrete", `Discrete); ("classes", `Classes);
-        ("portfolio", `Portfolio); ("parallel", `Parallel) ]
+        ("portfolio", `Portfolio) ]
   in
   Arg.(value & opt engine_conv `Discrete & info [ "engine" ] ~docv:"ENGINE"
          ~doc:"Search engine: discrete (integer-clock TLTS), classes \
-               (dense-time state classes), portfolio (race every \
+               (dense-time state classes), or portfolio (race every \
                policy and engine on parallel domains, first feasible \
-               schedule wins), or parallel (work-stealing DFS over one \
-               search problem with a shared visited table).")
+               schedule wins).")
 
 let domains_arg =
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Worker domains for the parallel, classes and portfolio \
-               engines (default: from the host's recommended domain \
-               count; classes defaults to 1).")
+         ~doc:"Cap on the portfolio's worker domains, each running \
+               whole configurations of the race (default: from the host's \
+               recommended domain count).  Only the portfolio engine reads \
+               it.")
 
 let no_subsume_arg =
   Arg.(value & flag & info [ "no-subsume" ]
-         ~doc:"Disable inclusion-based subsumption in the class engines \
+         ~doc:"Disable inclusion-based subsumption in the class engine \
                (exact visited-set pruning only).")
 
 let no_analysis_arg =

@@ -238,23 +238,9 @@ let schedule_cmd =
           let model = Translate.translate spec in
           let subsume = not no_subsume in
           let por = not no_por in
-          let outcome, metrics, par_note =
-            match domains with
-            | Some d when d > 1 ->
-              let r =
-                Par_class.find_schedule ~max_stored:max_states ~subsume ~por
-                  ~domains:d ~cancel model
-              in
-              ( r.Par_class.outcome,
-                r.Par_class.metrics,
-                Printf.sprintf ", %d domain(s) used, %d steals"
-                  r.Par_class.domains_used r.Par_class.steals )
-            | Some _ | None ->
-              let outcome, metrics =
-                Class_search.find_schedule ~max_stored:max_states ~subsume ~por
-                  ~cancel model
-              in
-              (outcome, metrics, "")
+          let outcome, metrics =
+            Class_search.find_schedule ~max_stored:max_states ~subsume ~por
+              ~cancel model
           in
           match outcome with
           | Ok schedule ->
@@ -269,10 +255,9 @@ let schedule_cmd =
               let table = Table.of_segments segments in
               Format.printf
                 "class engine: %d classes stored (%d pruned eagerly, %d \
-                 subsumed), %d backtracks%s, %.1f ms@."
+                 subsumed), %d backtracks, %.1f ms@."
                 metrics.Class_search.stored metrics.Class_search.eager
                 metrics.Class_search.subsumed metrics.Class_search.backtracks
-                par_note
                 (metrics.Class_search.elapsed_s *. 1000.);
               Format.printf "schedule table:@.%a" (Table.pp model) table;
               if gantt then Format.printf "@.%s" (Chart.render model segments);
@@ -288,36 +273,6 @@ let schedule_cmd =
             | _ -> ());
             prerr_endline ("ezrt: " ^ Class_search.failure_to_string f);
             exit 1)
-        | `Parallel -> (
-          let model = Translate.translate spec in
-          let options = search_options policy no_po latest max_states no_por in
-          let r = Par_search.find_schedule ~options ?domains ~cancel model in
-          match r.Par_search.outcome with
-          | Ok schedule -> (
-            let segments = Timeline.of_schedule model schedule in
-            match Validator.check model segments with
-            | Error vs ->
-              prerr_endline
-                ("ezrt: schedule failed certification: "
-                ^ Validator.violation_to_string (List.hd vs));
-              exit 1
-            | Ok () ->
-              let table = Table.of_segments segments in
-              let m = r.Par_search.metrics in
-              Format.printf
-                "parallel search: %d domain(s) used, %d states stored, %d \
-                 steals, %d shared-table hits, %.1f ms@."
-                r.Par_search.domains_used m.Search.stored r.Par_search.steals
-                r.Par_search.shared_hits
-                (m.Search.elapsed_s *. 1000.);
-              Format.printf "schedule table:@.%a" (Table.pp model) table;
-              if gantt then Format.printf "@.%s" (Chart.render model segments);
-              (match vcd with
-              | Some path ->
-                Vcd.save_file path model segments;
-                Printf.printf "VCD written to %s\n" path
-              | None -> ()))
-          | Error f -> die_search_failure f)
         | `Portfolio -> (
           let model = Translate.translate spec in
           let race =
@@ -700,25 +655,18 @@ let fuzz_cmd =
   let engines_arg =
     Arg.(value & opt (some string) None & info [ "engines" ] ~docv:"NAMES"
            ~doc:"Comma-separated engine filter (reference, incremental, \
-                 latest-release, classes, portfolio, parallel, analysis, \
-                 no-por, classes-no-por); \
+                 latest-release, classes, portfolio, analysis, no-por, \
+                 classes-no-por); \
                  only these engines run and cross-check — e.g. \
                  $(b,--engines analysis,classes,reference) cross-checks the \
                  analytic pre-pass against search engines, and \
-                 $(b,--engines parallel,reference) bisects parallel-only \
+                 $(b,--engines classes,reference) bisects class-engine \
                  divergences.")
   in
   let quiet_arg =
     Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the summary line.")
   in
-  let fuzz_domains_arg =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
-           ~doc:"Worker domains for the classes engine; above 1 the \
-                 campaign cross-checks the work-stealing parallel class \
-                 searcher against the other engines.")
-  in
-  let run () seed count smoke corpus max_stored no_shrink engines domains
-      quiet =
+  let run () seed count smoke corpus max_stored no_shrink engines quiet =
     let profile = if smoke then Spec_gen.smoke else Spec_gen.default in
     let count =
       match count with Some c -> c | None -> if smoke then 60 else 200
@@ -742,7 +690,7 @@ let fuzz_cmd =
     in
     let stats =
       try
-        Fuzz.run ~profile ~max_stored ~class_domains:domains ?engines
+        Fuzz.run ~profile ~max_stored ?engines
           ~shrink:(not no_shrink) ?log ~seed ~count ()
       with Invalid_argument msg ->
         prerr_endline ("ezrt: " ^ msg);
@@ -779,8 +727,7 @@ let fuzz_cmd =
        ~doc:"Differentially fuzz the synthesis engines on random \
              specifications.")
     Term.(const run $ obs_term $ seed_arg $ count_arg $ smoke_arg $ corpus_arg
-          $ fuzz_max_states_arg $ no_shrink_arg $ engines_arg
-          $ fuzz_domains_arg $ quiet_arg)
+          $ fuzz_max_states_arg $ no_shrink_arg $ engines_arg $ quiet_arg)
 
 (* --- serve ----------------------------------------------------------- *)
 

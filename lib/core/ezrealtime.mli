@@ -64,8 +64,6 @@ module Vcd = Ezrt_sched.Vcd
 module Class_search = Ezrt_sched.Class_search
 module Optimize = Ezrt_sched.Optimize
 module Portfolio = Ezrt_sched.Portfolio
-module Par_search = Ezrt_sched.Par_search
-module Par_class = Ezrt_sched.Par_class
 module Class_store = Ezrt_tpn.Class_store
 module Target = Ezrt_codegen.Target
 module Emit = Ezrt_codegen.Emit

@@ -4,8 +4,6 @@ module Translate = Ezrt_blocks.Translate
 module Search = Ezrt_sched.Search
 module Class_search = Ezrt_sched.Class_search
 module Portfolio = Ezrt_sched.Portfolio
-module Par_search = Ezrt_sched.Par_search
-module Par_class = Ezrt_sched.Par_class
 module Schedule = Ezrt_sched.Schedule
 module Validator = Ezrt_sched.Validator
 module Sim = Ezrt_baseline.Sim
@@ -113,10 +111,9 @@ let feasible = function Feasible _ -> true | Infeasible | Unknown _ -> false
 
 let builtin_engines =
   [ "reference"; "incremental"; "latest-release"; "classes"; "portfolio";
-    "parallel"; "analysis"; "no-por"; "classes-no-por" ]
+    "analysis"; "no-por"; "classes-no-por" ]
 
-let check ?(max_stored = 50_000) ?(class_domains = 1) ?engines ?(extra = [])
-    spec =
+let check ?(max_stored = 50_000) ?engines ?(extra = []) spec =
   (match engines with
   | Some names ->
     List.iter
@@ -184,12 +181,7 @@ let check ?(max_stored = 50_000) ?(class_domains = 1) ?engines ?(extra = [])
       in
       let classes =
         run "classes" (fun () ->
-            of_class
-              (if class_domains > 1 then
-                 (Par_class.find_schedule ~max_stored ~domains:class_domains
-                    model)
-                   .Par_class.outcome
-               else fst (Class_search.find_schedule ~max_stored model)))
+            of_class (fst (Class_search.find_schedule ~max_stored model)))
       in
       (* POR-off baselines: the default rows above run with the
          stubborn-set reduction on, so these two re-run the incremental
@@ -224,15 +216,6 @@ let check ?(max_stored = 50_000) ?(class_domains = 1) ?engines ?(extra = [])
             | Error Search.Budget_exhausted ->
               Unknown "stored-state budget exhausted")
       in
-      let parallel =
-        run "parallel" (fun () ->
-            let r =
-              Par_search.find_schedule
-                ~options:{ Search.default_options with max_stored }
-                ~domains:2 model
-            in
-            of_search r.Par_search.outcome)
-      in
       let analysis =
         run "analysis" (fun () ->
             match Schedulability.analyze model with
@@ -264,7 +247,6 @@ let check ?(max_stored = 50_000) ?(class_domains = 1) ?engines ?(extra = [])
             ("latest-release", latest);
             ("classes", classes);
             ("portfolio", portfolio);
-            ("parallel", parallel);
             ("analysis", analysis);
             ("no-por", no_por);
             ("classes-no-por", classes_no_por);
@@ -314,22 +296,6 @@ let check ?(max_stored = 50_000) ?(class_domains = 1) ?engines ?(extra = [])
         mismatch "reference" a "incremental" b
           "the two discrete engines must explore the same tree"
       | None, _ | _, None -> ());
-      (* the parallel engine explores the same discrete choice space as
-         the sequential engines but subtree completion order is racy:
-         decisive verdicts must agree, schedules may differ (its
-         feasible schedules are still certified by (a) above) *)
-      let sequential_discrete =
-        match reference with
-        | Some v -> Some ("reference", v)
-        | None -> Option.map (fun v -> ("incremental", v)) incremental
-      in
-      (match sequential_discrete, parallel with
-      | Some (name, (Feasible _ as a)), Some (Infeasible as b)
-      | Some (name, (Infeasible as a)), Some (Feasible _ as b) ->
-        mismatch name a "parallel" b
-          "the parallel engine explores the same choice space: verdicts \
-           must agree even though schedules may differ"
-      | _ -> ());
       (* extra engines claim default discrete semantics *)
       List.iter
         (fun (name, verdict) ->

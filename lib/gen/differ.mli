@@ -15,12 +15,6 @@
       configuration schedules, it must too;
     - the sequential portfolio subsumes its member engines' verdicts
       in both directions;
-    - the work-stealing parallel engine ({!Ezrt_sched.Par_search})
-      explores the same discrete choice space as the sequential
-      engines: decisive verdicts must agree, while the {e specific}
-      schedule may legitimately differ (subtree completion order is
-      racy) — so only the verdict is compared, and its schedules are
-      certified like any other;
     - the stubborn-set partial-order reduction ({!Ezrt_tpn.Indep})
       preserves the feasibility verdict: the [no-por] and
       [classes-no-por] rows re-run the incremental discrete and the
@@ -95,8 +89,8 @@ type report = {
 
 val builtin_engines : string list
 (** [["reference"; "incremental"; "latest-release"; "classes";
-    "portfolio"; "parallel"; "analysis"]] — the names accepted by
-    [?engines].  [analysis] is {!Ezrt_analysis.Schedulability}: its
+    "portfolio"; "analysis"; "no-por"; "classes-no-por"]] — the names
+    accepted by [?engines].  [analysis] is {!Ezrt_analysis.Schedulability}: its
     quick-reject witnesses are re-evaluated (an untrue witness is an
     {!Analysis_witness_invalid} divergence), its [Infeasible] verdict
     contradicts any engine's feasible schedule, and its quick-accept
@@ -106,20 +100,16 @@ val builtin_engines : string list
 
 val check :
   ?max_stored:int ->
-  ?class_domains:int ->
   ?engines:string list ->
   ?extra:(string * (max_stored:int -> Ezrt_blocks.Translate.t -> verdict)) list ->
   Ezrt_spec.Spec.t ->
   report
 (** Run every engine (bounded by [max_stored], default 50_000) and
-    every cross-check on one spec.  [class_domains] (default 1) runs
-    the classes engine through the work-stealing parallel searcher
-    when greater than one, cross-checking the shared class store
-    against every other engine.  [engines] restricts the built-in
+    every cross-check on one spec.  [engines] restricts the built-in
     engines that run (default: all of {!builtin_engines}; unknown
     names raise [Invalid_argument]); cross-checks needing a skipped
     engine are skipped too, which lets a campaign bisect e.g. just
-    [["parallel"; "reference"]].  [extra] engines claim default
+    [["classes"; "reference"]].  [extra] engines claim default
     discrete search semantics: their verdict is compared against the
     reference engine's and their schedules must certify — the hook the
     tests use to prove an injected engine bug is caught. *)

@@ -48,8 +48,7 @@ let obs_spec_result (report : Differ.report) =
       (Metrics.counter ~help:"Fuzzed specifications that diverged"
          "ezrt_fuzz_divergent_total")
 
-let run ?(profile = Spec_gen.default) ?max_stored ?class_domains ?engines
-    ?(shrink = true) ?log ~seed ~count () =
+let run ?(profile = Spec_gen.default) ?max_stored ?engines ?(shrink = true) ?log ~seed ~count () =
   let started = Unix.gettimeofday () in
   let feasible = ref 0 and infeasible = ref 0 and unknown = ref 0 in
   let divergent = ref [] in
@@ -73,7 +72,7 @@ let run ?(profile = Spec_gen.default) ?max_stored ?class_domains ?engines
       ~args:[ ("index", Ezrt_obs.Trace.Int index) ]
       "fuzz-spec";
     let spec = Spec_gen.spec_at ~profile ~seed index in
-    let report = Differ.check ?max_stored ?class_domains ?engines spec in
+    let report = Differ.check ?max_stored ?engines spec in
     obs_spec_result report;
     (match log with Some f -> f index spec report | None -> ());
     (match class_verdict report with
@@ -87,7 +86,7 @@ let run ?(profile = Spec_gen.default) ?max_stored ?class_domains ?engines
         if shrink then
           Shrink.minimize
             ~failing:(fun s ->
-              (Differ.check ?max_stored ?class_domains ?engines s)
+              (Differ.check ?max_stored ?engines s)
                 .Differ.divergences
               <> [])
             spec

@@ -27,7 +27,6 @@ type stats = {
 val run :
   ?profile:Spec_gen.profile ->
   ?max_stored:int ->
-  ?class_domains:int ->
   ?engines:string list ->
   ?shrink:bool ->
   ?log:(int -> Ezrt_spec.Spec.t -> Differ.report -> unit) ->
@@ -36,11 +35,9 @@ val run :
   unit ->
   stats
 (** Generate [count] specs from [seed] and {!Differ.check} each.
-    [class_domains] is forwarded to {!Differ.check} — greater than one
-    runs the classes engine through the parallel searcher.
     [engines] restricts which built-in engines run and cross-check
-    (see {!Differ.builtin_engines}) — e.g. [["parallel"; "reference"]]
-    bisects parallel-only divergences quickly; shrinking uses the same
+    (see {!Differ.builtin_engines}) — e.g. [["classes"; "reference"]]
+    bisects class-engine divergences quickly; shrinking uses the same
     restriction so the minimized spec still exhibits the restricted
     divergence.  Divergent specs are minimized with {!Shrink.minimize}
     unless [shrink:false].  [log] observes every checked spec (for

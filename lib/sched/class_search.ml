@@ -280,10 +280,11 @@ let to_search_metrics (m : metrics) =
     por_skipped = m.por_skipped;
   }
 
-(* Both class engines flush through {!Search.flush_metrics} (so the
+(* The class engine flushes through {!Search.flush_metrics} (so the
    ezrt_search_*/ezrt_por_* series mean the same thing under every
    engine label) plus the class-store extras. *)
-let flush_class_metrics ~engine (m : metrics) (store : Class_store.stats) =
+let flush_class_metrics (m : metrics) (store : Class_store.stats) =
+  let engine = "classes" in
   Search.flush_metrics ~engine (to_search_metrics m);
   let open Ezrt_obs in
   let labels = [ ("engine", engine) ] in
@@ -427,5 +428,5 @@ let find_schedule ?(max_stored = 500_000) ?(subsume = true) ?(por = true)
       por_skipped = counters.c_por_skipped;
     }
   in
-  flush_class_metrics ~engine:"classes" metrics store_stats;
+  flush_class_metrics metrics store_stats;
   (outcome, metrics)

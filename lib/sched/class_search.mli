@@ -59,37 +59,9 @@ val find_schedule :
     {!Ezrt_tpn.Indep.applicable}).  [cancel] is polled at every
     visited class, including forced eager-advance chains (default:
     never); when it returns [true] the search unwinds and reports
-    {!Budget_exhausted} — used by the parallel portfolio to stop
-    losing configurations. *)
-
-(**/**)
-
-(* Shared with the parallel class engine ({!Par_class}). *)
-
-val is_final : Ezrt_blocks.Translate.t -> Ezrt_tpn.State_class.t -> bool
-val is_dead : Ezrt_blocks.Translate.t -> Ezrt_tpn.State_class.t -> bool
-
-val order_candidates :
-  Ezrt_tpn.Pnet.t ->
-  Ezrt_tpn.State_class.t ->
-  Ezrt_tpn.Pnet.transition_id list ->
-  Ezrt_tpn.Pnet.transition_id list
-
-val extract :
-  Ezrt_tpn.Pnet.t -> Ezrt_tpn.Pnet.transition_id list -> Schedule.t option
-
-val apply_por :
-  ind:Ezrt_tpn.Indep.t option ->
-  Ezrt_tpn.Pnet.t ->
-  Ezrt_tpn.State_class.t ->
-  Ezrt_tpn.Pnet.transition_id list ->
-  Ezrt_tpn.Pnet.transition_id list * Search.por_outcome
-(* Class-level reduction gate: urgency is "some enabled transition has
-   delay upper bound 0".  Shared by both class engines. *)
+    {!Budget_exhausted} — used by the portfolio to stop losing
+    configurations. *)
 
 val to_search_metrics : metrics -> Search.metrics
-
-val flush_class_metrics :
-  engine:string -> metrics -> Ezrt_tpn.Class_store.stats -> unit
-
-(**/**)
+(** The class metrics in the discrete engine's shape, minus
+    [subsumed] — how the portfolio reports a class member. *)

@@ -17,8 +17,6 @@ module Meaning = Ezrt_blocks.Meaning
 type engine =
   | Discrete
   | Classes
-  | Parallel of int
-  | Class_parallel of int
 
 type config = {
   engine : engine;
@@ -29,11 +27,6 @@ type config = {
 let config_to_string c =
   match c.engine with
   | Classes -> "classes"
-  | Class_parallel d -> Printf.sprintf "classes-parallel%d" d
-  | Parallel d ->
-    Printf.sprintf "parallel%d/%s%s" d
-      (Priority.to_string c.policy)
-      (if c.latest_release then "+latest-release" else "")
   | Discrete ->
     Printf.sprintf "discrete/%s%s"
       (Priority.to_string c.policy)
@@ -98,19 +91,6 @@ let default_configs model =
   in
   base @ idle
   @ [ { engine = Classes; policy = Priority.Edf; latest_release = false } ]
-  @
-  (* shared-visited parallel members only pay for themselves when the
-     host has domains left over after the portfolio's own workers *)
-  (if Domain.recommended_domain_count () >= 4 then
-     [
-       { engine = Parallel 2; policy = Priority.Edf; latest_release = false };
-       {
-         engine = Class_parallel 2;
-         policy = Priority.Edf;
-         latest_release = false;
-       };
-     ]
-   else [])
 
 let class_metrics = Class_search.to_search_metrics
 
@@ -139,21 +119,6 @@ let run_config ~max_stored ~por ~cancel model cfg =
     in
     { config = cfg; outcome = class_outcome outcome;
       metrics = class_metrics metrics; cancelled = false }
-  | Class_parallel domains ->
-    let r = Par_class.find_schedule ~max_stored ~por ~domains ~cancel model in
-    { config = cfg; outcome = class_outcome r.Par_class.outcome;
-      metrics = class_metrics r.Par_class.metrics; cancelled = false }
-  | Parallel domains ->
-    let options =
-      { Search.default_options with
-        policy = cfg.policy;
-        latest_release = cfg.latest_release;
-        max_stored;
-        por }
-    in
-    let r = Par_search.find_schedule ~options ~domains ~cancel model in
-    { config = cfg; outcome = r.Par_search.outcome;
-      metrics = r.Par_search.metrics; cancelled = false }
 
 (* Race-level accounting: one bulk registry update after the join, so
    losers' work — invisible in the returned schedule — still shows up

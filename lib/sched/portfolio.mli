@@ -12,14 +12,6 @@
 type engine =
   | Discrete  (** {!Search.find_schedule}, incremental engine *)
   | Classes  (** {!Class_search.find_schedule} *)
-  | Parallel of int
-      (** {!Par_search.find_schedule} with this many worker domains —
-          a shared-visited member racing the independent ones with the
-          host's leftover domains *)
-  | Class_parallel of int
-      (** {!Par_class.find_schedule} with this many worker domains —
-          the work-stealing class engine over a shared
-          {!Ezrt_tpn.Class_store} *)
 
 type config = {
   engine : engine;
@@ -84,9 +76,9 @@ val has_release_window : Ezrt_blocks.Translate.t -> bool
 
 val default_configs : Ezrt_blocks.Translate.t -> config list
 (** Every ordering policy on the discrete engine, latest-release
-    variants when {!has_release_window}, the class engine, and — on
-    hosts with at least 4 recommended domains — 2-domain shared-visited
-    parallel members for both the discrete and the class engine. *)
+    variants when {!has_release_window}, then the class engine.  A pure
+    function of the model: the same spec races the same configs on
+    every host. *)
 
 val find_schedule :
   ?configs:config list ->

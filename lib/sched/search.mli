@@ -49,21 +49,6 @@ val failure_to_string : failure -> string
 
 val no_cancel : unit -> bool
 
-val is_immediate : Ezrt_tpn.Pnet.t -> Ezrt_tpn.Pnet.transition_id -> bool
-(** A \[0,0\] transition — the ones the partial-order reduction may
-    fire eagerly when they are the lone candidate. *)
-
-val firing_times :
-  options ->
-  Ezrt_blocks.Translate.t ->
-  Ezrt_tpn.Pnet.transition_id ->
-  int * Ezrt_tpn.Time_interval.bound ->
-  int list
-(** Firing times to branch on within a firing domain: the earliest
-    always, plus the latest of release windows under
-    [latest_release].  Shared by the sequential engines and
-    {!Par_search} so all explore the same choice space. *)
-
 type metrics = {
   stored : int;
       (** search nodes examined — the paper's "states searched" *)
@@ -87,7 +72,7 @@ val flush_metrics : engine:string -> metrics -> unit
     [ezrt_search_{stored_states,visited_states,eager_fires,backtracks}_total]
     and [ezrt_por_{reduced,fallback,skipped}_total] counters, the
     [ezrt_search_duration] timer and the end-of-span GC gauges.  Every
-    engine (sequential, parallel, classes) flushes through this so the
+    engine (sequential, classes) flushes through this so the
     series mean the same thing under every label. *)
 
 val por_context : options -> Ezrt_blocks.Translate.t -> Ezrt_tpn.Indep.t option
@@ -126,5 +111,5 @@ val find_schedule :
 
     [cancel] is polled at every search node (default: never).  When it
     returns [true] the search unwinds and reports
-    {!Budget_exhausted} — the hook the parallel portfolio uses to stop
-    losing configurations. *)
+    {!Budget_exhausted} — the hook the portfolio uses to stop losing
+    configurations. *)

@@ -1,13 +1,11 @@
 (* Lock-striped store of canonical (marking, domain) classes.
 
-   Stripe design mirrors Packed_state.Sharded: 2^k stripes, each an
-   independently-locked hashtable, a key's stripe chosen by the low
-   bits of its hash so every operation on one marking serializes
-   through one mutex.  Unlike the packed-state table the payload here
-   is structured — per marking we keep the list of canonical domains
-   already explored — because subsumption needs to scan the domains
-   under one marking, and that list is exactly the unit the stripe
-   lock protects.
+   2^k stripes, each an independently-locked hashtable, a key's stripe
+   chosen by the low bits of its hash so every operation on one
+   marking serializes through one mutex.  The payload is structured —
+   per marking we keep the list of canonical domains already explored
+   — because subsumption needs to scan the domains under one marking,
+   and that list is exactly the unit the stripe lock protects.
 
    The enabled-transition vector is a function of the marking (classes
    are built by State_class, whose [fire] derives [enabled] from the

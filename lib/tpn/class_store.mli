@@ -1,7 +1,7 @@
 (** Concurrent store of canonical state classes with inclusion-based
     subsumption.
 
-    The symbolic engines' shared visited table: a lock-striped map from
+    The class engine's visited table: a lock-striped map from
     markings to the canonical firing domains already explored under
     that marking.  Domains are hash-consed — one stored copy per
     canonical form, compared hash-first — so duplicate classes cost a

@@ -135,159 +135,3 @@ module Table = struct
       max_bucket = s.Hashtbl.max_bucket_length;
     }
 end
-
-(* ------------------------------------------------------------------ *)
-(* Lock-striped concurrent set of packed states.
-
-   The parallel search's shared visited table: 2^k stripes, each an
-   independently-locked open-addressed table (linear probing over
-   parallel [bytes]/[hash] arrays, grown at ~3/4 load).  A key's stripe
-   is its low hash bits, the probe start its next bits, so all
-   operations on one key serialize through one mutex and the structure
-   is trivially linearizable.  Stripe count is fixed at creation —
-   contention drops as 1/stripes for uniform keys, and the Zobrist
-   hashes are uniform by construction. *)
-
-module Sharded = struct
-  type stripe = {
-    lock : Mutex.t;
-    mutable keys : bytes array;  (* Bytes.empty = free slot *)
-    mutable hashes : int array;
-    mutable count : int;
-    mutable collisions : int;  (* probe steps past the home slot *)
-  }
-
-  type table = {
-    stripes : stripe array;
-    mask : int;  (* stripe count - 1 *)
-    shift : int;  (* bits consumed by stripe selection *)
-    total : int Atomic.t;
-    contended : int Atomic.t;  (* Mutex.try_lock misses *)
-  }
-
-  type stats = {
-    stripes : int;
-    entries : int;
-    capacity : int;
-    load : float;
-    collisions : int;
-    contended : int;
-  }
-
-  let next_pow2 n =
-    let rec go p = if p >= n then p else go (p * 2) in
-    go 1
-
-  let create ?(stripes = 64) ?(expected = 4096) () =
-    let n_stripes = next_pow2 (max 1 stripes) in
-    let shift =
-      let rec bits p acc = if p <= 1 then acc else bits (p / 2) (acc + 1) in
-      bits n_stripes 0
-    in
-    let per_stripe = next_pow2 (max 16 (2 * expected / n_stripes)) in
-    {
-      stripes =
-        Array.init n_stripes (fun _ ->
-            {
-              lock = Mutex.create ();
-              keys = Array.make per_stripe Bytes.empty;
-              hashes = Array.make per_stripe 0;
-              count = 0;
-              collisions = 0;
-            });
-      mask = n_stripes - 1;
-      shift;
-      total = Atomic.make 0;
-      contended = Atomic.make 0;
-    }
-
-  (* Caller holds the stripe lock.  Returns the slot of [key], or the
-     first free slot if absent.  The probe start uses the hash bits
-     above the stripe-selection bits so slots spread within a stripe;
-     occupancy checks compare the stored full hash first. *)
-  let probe st ~hash ~shift ~slot_mask key =
-    let i = ref ((hash lsr shift) land slot_mask) in
-    let steps = ref 0 in
-    let found = ref (-1) in
-    while !found < 0 do
-      let k = st.keys.(!i) in
-      if Bytes.length k = 0 then found := !i
-      else if st.hashes.(!i) = hash && Bytes.equal k key then found := !i
-      else begin
-        incr steps;
-        i := (!i + 1) land slot_mask
-      end
-    done;
-    st.collisions <- st.collisions + !steps;
-    !found
-
-  let grow st ~shift =
-    let old_keys = st.keys and old_hashes = st.hashes in
-    let cap = 2 * Array.length old_keys in
-    st.keys <- Array.make cap Bytes.empty;
-    st.hashes <- Array.make cap 0;
-    let slot_mask = cap - 1 in
-    Array.iteri
-      (fun i k ->
-        if Bytes.length k > 0 then begin
-          let h = old_hashes.(i) in
-          let j = probe st ~hash:h ~shift ~slot_mask k in
-          st.keys.(j) <- k;
-          st.hashes.(j) <- h
-        end)
-      old_keys
-
-  let lock_stripe (t : table) st =
-    if not (Mutex.try_lock st.lock) then begin
-      Atomic.incr t.contended;
-      Mutex.lock st.lock
-    end
-
-  let add (t : table) key =
-    let h = key.hash in
-    let st = t.stripes.(h land t.mask) in
-    lock_stripe t st;
-    let slot_mask = Array.length st.keys - 1 in
-    let i = probe st ~hash:h ~shift:t.shift ~slot_mask key.data in
-    let added = Bytes.length st.keys.(i) = 0 in
-    if added then begin
-      st.keys.(i) <- key.data;
-      st.hashes.(i) <- h;
-      st.count <- st.count + 1;
-      if 4 * st.count > 3 * Array.length st.keys then grow st ~shift:t.shift;
-      Atomic.incr t.total
-    end;
-    Mutex.unlock st.lock;
-    added
-
-  let mem (t : table) key =
-    let h = key.hash in
-    let st = t.stripes.(h land t.mask) in
-    lock_stripe t st;
-    let slot_mask = Array.length st.keys - 1 in
-    let i = probe st ~hash:h ~shift:t.shift ~slot_mask key.data in
-    let present = Bytes.length st.keys.(i) > 0 in
-    Mutex.unlock st.lock;
-    present
-
-  let length (t : table) = Atomic.get t.total
-
-  let stats (t : table) =
-    let capacity = ref 0 and collisions = ref 0 in
-    Array.iter
-      (fun st ->
-        capacity := !capacity + Array.length st.keys;
-        collisions := !collisions + st.collisions)
-      t.stripes;
-    let entries = Atomic.get t.total in
-    {
-      stripes = t.mask + 1;
-      entries;
-      capacity = !capacity;
-      load =
-        (if !capacity = 0 then 0.
-         else float_of_int entries /. float_of_int !capacity);
-      collisions = !collisions;
-      contended = Atomic.get t.contended;
-    }
-end

@@ -54,37 +54,3 @@ module Table : sig
 
   val load_stats : 'a t -> table_stats
 end
-
-(** Lock-striped concurrent set of packed states — the parallel
-    search's shared visited table.  2^k stripes selected by the low
-    hash bits, each an independently-locked open-addressed table
-    (linear probing, grown at ~3/4 load), so all operations on one key
-    serialize through one mutex: the set is linearizable, and
-    contention spreads 1/stripes for the uniform Zobrist hashes. *)
-module Sharded : sig
-  type table
-
-  type stats = {
-    stripes : int;
-    entries : int;
-    capacity : int;  (** total slots across stripes *)
-    load : float;  (** entries / capacity *)
-    collisions : int;  (** probe steps past home slots, cumulative *)
-    contended : int;  (** [Mutex.try_lock] misses across all ops *)
-  }
-
-  val create : ?stripes:int -> ?expected:int -> unit -> table
-  (** [stripes] (default 64) is rounded up to a power of two;
-      [expected] pre-sizes the stripes for that many total entries. *)
-
-  val add : table -> t -> bool
-  (** [add t k] inserts [k]; [true] iff [k] was not already present —
-      the atomic claim the parallel search races on. *)
-
-  val mem : table -> t -> bool
-
-  val length : table -> int
-  (** Exact once all writers have quiesced; monotone under writers. *)
-
-  val stats : table -> stats
-end

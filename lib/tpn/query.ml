@@ -52,7 +52,13 @@ let tokenize s =
         while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
           incr j
         done;
-        go !j (Tint (int_of_string (String.sub s i (!j - i))) :: acc)
+        let lit = String.sub s i (!j - i) in
+        (match int_of_string_opt lit with
+        | Some k -> go !j (Tint k :: acc)
+        | None ->
+          Error
+            (Printf.sprintf
+               "integer literal %s at offset %d does not fit in an int" lit i))
       | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
         let j = ref i in
         let word_char c =

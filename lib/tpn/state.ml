@@ -5,8 +5,9 @@ type t = {
 
 (* Instrumentation: state-vector cell writes per firing engine, used by
    the benchmark harness to compare the copying rule against the
-   incremental one.  Plain ints — approximate under parallel search,
-   exact in the single-domain benchmarks. *)
+   incremental one.  Plain ints — approximate while several domains
+   search at once (a portfolio race), exact in the single-domain
+   benchmarks. *)
 let copy_writes = ref 0
 let incremental_writes = ref 0
 let fires = ref 0

@@ -94,7 +94,7 @@ val write_counters : unit -> int * int * int
 (** [(copy_writes, incremental_writes, fires)] — state-vector cells
     written by the copy-based {!fire} versus {!Incremental.fire}, and
     total firings, since the last {!reset_write_counters}.  Benchmark
-    instrumentation; approximate under parallel search. *)
+    instrumentation; approximate while several domains search at once. *)
 
 (** Incremental firing engine: one mutable state, an undo trail for
     depth-first backtracking, a maintained enabled-set so a firing only

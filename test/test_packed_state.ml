@@ -116,88 +116,6 @@ let test_of_engine_matches_of_state () =
   State.Incremental.fire eng 1 0;
   check_point ()
 
-(* --- sharded table ------------------------------------------------- *)
-
-(* Key multisets with deliberate duplication, so concurrent claims
-   actually race on the same keys. *)
-let arb_key_multiset =
-  let gen =
-    QCheck.Gen.map
-      (fun seed ->
-        let rng = Rng.create seed in
-        let n_places = 1 + Rng.int rng 4 in
-        let n_cells = n_places + 1 + Rng.int rng 4 in
-        let distinct = 1 + Rng.int rng 50 in
-        let keys =
-          Array.init distinct (fun _ ->
-              pack_cells ~n_places
-                (Array.init n_cells (fun _ -> Spec_gen.cell rng)))
-        in
-        (* every key is offered at least once, plus random duplicates
-           so concurrent claims race on the same keys *)
-        let dups = Rng.int rng (3 * distinct) in
-        ( Array.to_list keys,
-          Array.to_list keys
-          @ List.init dups (fun _ -> keys.(Rng.int rng distinct)) ))
-      QCheck.Gen.int
-  in
-  QCheck.make
-    ~print:(fun (keys, ops) ->
-      Printf.sprintf "%d distinct keys, %d ops" (List.length keys)
-        (List.length ops))
-    gen
-
-(* Linearizable-equivalence with a sequential Hashtbl fed the same
-   multiset: however 4 domains interleave their [add]s, every key is
-   claimed exactly once globally, [mem] sees every inserted key, and
-   [length] equals the distinct count — the same observations a
-   sequential run produces. *)
-let prop_sharded_linearizable =
-  qcheck ~count:60 "sharded table: 4-domain adds linearize"
-    arb_key_multiset
-    (fun (keys, ops) ->
-      let distinct =
-        let h = Hashtbl.create 64 in
-        List.iter (fun k -> Hashtbl.replace h k.Packed_state.data ()) keys;
-        Hashtbl.length h
-      in
-      let table = Packed_state.Sharded.create ~stripes:8 ~expected:16 () in
-      let shares = Array.make 4 [] in
-      List.iteri (fun i k -> shares.(i mod 4) <- k :: shares.(i mod 4)) ops;
-      let claims =
-        Array.map
-          (fun share ->
-            Domain.spawn (fun () ->
-                List.fold_left
-                  (fun n k ->
-                    if Packed_state.Sharded.add table k then n + 1 else n)
-                  0 share))
-          shares
-      in
-      let claimed = Array.fold_left (fun n d -> n + Domain.join d) 0 claims in
-      claimed = distinct
-      && Packed_state.Sharded.length table = distinct
-      && List.for_all (fun k -> Packed_state.Sharded.mem table k) keys)
-
-let test_sharded_stats () =
-  let table = Packed_state.Sharded.create ~stripes:4 ~expected:8 () in
-  let keys =
-    List.init 100 (fun i -> pack_cells ~n_places:1 [| i; i * 7; i mod 3 |])
-  in
-  List.iter (fun k -> ignore (Packed_state.Sharded.add table k)) keys;
-  List.iter (fun k -> check_bool "present" true (Packed_state.Sharded.mem table k)) keys;
-  let absent = pack_cells ~n_places:1 [| -1; -2; -3 |] in
-  check_bool "absent key" false (Packed_state.Sharded.mem table absent);
-  let st = Packed_state.Sharded.stats table in
-  check_int "entries" 100 st.Packed_state.Sharded.entries;
-  check_int "stripes" 4 st.Packed_state.Sharded.stripes;
-  check_bool "capacity covers entries" true
-    (st.Packed_state.Sharded.capacity >= 100);
-  check_bool "load in (0, 1)" true
-    (st.Packed_state.Sharded.load > 0.0 && st.Packed_state.Sharded.load < 1.0);
-  check_bool "uncontended when sequential" true
-    (st.Packed_state.Sharded.contended = 0)
-
 let suite =
   [
     prop_roundtrip;
@@ -207,6 +125,4 @@ let suite =
     case "equal states encode to equal bytes" test_equal_states_equal_bytes;
     case "distinct states differ" test_distinct_states_distinct_bytes;
     case "of_engine matches of_state" test_of_engine_matches_of_state;
-    prop_sharded_linearizable;
-    case "sharded table: stats sanity" test_sharded_stats;
   ]

@@ -2,9 +2,9 @@
    wiring through every engine): static-relation sanity and the
    net-level gate, per-state determinism and strictness of [reduce],
    verdict preservation POR-on vs POR-off on hand-built and generated
-   specifications across all four engines, the strict (and growing)
+   specifications across the discrete and class engines, the strict (and growing)
    visited-state reduction on independent task sets, and the unified
-   ezrt_por_* / ezrt_gc_* accounting every engine shares. *)
+   ezrt_por_* / ezrt_gc_* accounting both engines share. *)
 
 open Ezrealtime
 open Test_util
@@ -14,9 +14,7 @@ module Case_studies = Ezrt_spec.Case_studies
 module Spec_gen = Ezrt_gen.Spec_gen
 module Translate = Ezrt_blocks.Translate
 module Search = Ezrt_sched.Search
-module Par_search = Ezrt_sched.Par_search
 module Class_search = Ezrt_sched.Class_search
-module Par_class = Ezrt_sched.Par_class
 module Indep = Ezrt_tpn.Indep
 module State = Ezrt_tpn.State
 
@@ -192,31 +190,6 @@ let test_verdicts_sequential_engines () =
       ("fig3", Case_studies.fig3_precedence);
     ]
 
-let test_verdicts_parallel_engines () =
-  let model = Translate.translate (zero_laxity 6) in
-  let (o_ref, _) = seq model ~por:false in
-  let p_on =
-    Par_search.find_schedule
-      ~options:{ Search.default_options with por = true }
-      ~domains:2 model
-  in
-  let p_off =
-    Par_search.find_schedule
-      ~options:{ Search.default_options with por = false }
-      ~domains:2 model
-  in
-  check_string "parallel on = off" (verdict p_off.Par_search.outcome)
-    (verdict p_on.Par_search.outcome);
-  check_string "parallel = sequential" (verdict o_ref)
-    (verdict p_on.Par_search.outcome);
-  let pc_on = Par_class.find_schedule ~por:true ~domains:2 model in
-  let pc_off = Par_class.find_schedule ~por:false ~domains:2 model in
-  check_string "parallel classes on = off"
-    (class_verdict pc_off.Par_class.outcome)
-    (class_verdict pc_on.Par_class.outcome);
-  check_string "parallel classes = sequential" (verdict o_ref)
-    (class_verdict pc_on.Par_class.outcome)
-
 let test_verdicts_generated_specs () =
   List.iter
     (fun i ->
@@ -266,26 +239,6 @@ let test_reduction_at_least_2x_and_growing () =
     (Printf.sprintf "ratio grows with n (%.2f -> %.2f)" r6 r8)
     true (r8 > r6)
 
-let test_reduction_parallel () =
-  let model = Translate.translate (zero_laxity 8) in
-  let on =
-    Par_search.find_schedule
-      ~options:{ Search.default_options with por = true }
-      ~domains:2 model
-  in
-  let off =
-    Par_search.find_schedule
-      ~options:{ Search.default_options with por = false }
-      ~domains:2 model
-  in
-  check_string "verdicts agree" (verdict off.Par_search.outcome)
-    (verdict on.Par_search.outcome);
-  (* the shared-table race makes exact counts nondeterministic; the
-     reduction is ~2.4x, so well clear of a conservative 1.5x floor *)
-  check_bool "at least 1.5x fewer visited states" true
-    (3 * on.Par_search.metrics.Search.visited
-    <= 2 * off.Par_search.metrics.Search.visited)
-
 let test_reduction_classes () =
   let model = Translate.translate (zero_laxity 8) in
   let o_on, m_on = Class_search.find_schedule ~por:true model in
@@ -297,9 +250,9 @@ let test_reduction_classes () =
 
 (* --- unified accounting ---------------------------------------------- *)
 
-(* Every engine reports the POR triple with the same semantics: with
+(* Both engines report the POR triple with the same semantics: with
    the reduction off all three are zero; with it on, the zero-laxity
-   net yields reductions on every engine; and the ezrt_por_* series
+   net yields reductions on both engines; and the ezrt_por_* series
    carry per-engine labels through one shared flush, alongside the
    end-of-span GC gauges. *)
 let test_unified_por_accounting () =
@@ -310,20 +263,10 @@ let test_unified_por_accounting () =
   check_int "seq off: fallback" 0 m_seq_off.Search.por_fallback;
   check_int "seq off: skipped" 0 m_seq_off.Search.por_skipped;
   let (_, m_seq) = seq model ~por:true in
-  let par =
-    Par_search.find_schedule
-      ~options:{ Search.default_options with por = true }
-      ~domains:2 model
-  in
   let _, m_cls = Class_search.find_schedule ~por:true model in
-  let pc = Par_class.find_schedule ~por:true ~domains:2 model in
   check_bool "seq reduced > 0" true (m_seq.Search.por_reduced > 0);
-  check_bool "par reduced > 0" true
-    (par.Par_search.metrics.Search.por_reduced > 0);
   check_bool "classes reduced > 0" true (m_cls.Class_search.por_reduced > 0);
-  check_bool "par classes reduced > 0" true
-    (pc.Par_class.metrics.Class_search.por_reduced > 0);
-  (* one flush vocabulary: every engine label exports the same series *)
+  (* one flush vocabulary: both engine labels export the same series *)
   List.iter
     (fun engine ->
       check_bool (engine ^ " exports ezrt_por_reduced_total") true
@@ -332,8 +275,7 @@ let test_unified_por_accounting () =
               ~labels:[ ("engine", engine) ]
               "ezrt_por_reduced_total")
         > 0))
-    [ "discrete-incremental"; "discrete-parallel"; "classes";
-      "classes-parallel" ];
+    [ "discrete-incremental"; "classes" ];
   (* the end-of-search GC gauges were flushed by the same path *)
   check_bool "gc minor-words gauge set" true
     (Obs_metrics.gauge_value (Obs_metrics.gauge "ezrt_gc_minor_words") > 0);
@@ -367,14 +309,11 @@ let suite =
       test_reduce_deterministic_and_strict;
     case "verdicts preserved: sequential engines"
       test_verdicts_sequential_engines;
-    slow_case "verdicts preserved: parallel engines"
-      test_verdicts_parallel_engines;
     slow_case "verdicts preserved: seed-42 campaign prefix"
       test_verdicts_generated_specs;
     prop_por_preserves_verdict;
     slow_case "zero-laxity family: >= 2x and growing"
       test_reduction_at_least_2x_and_growing;
-    slow_case "parallel engine reduces too" test_reduction_parallel;
     slow_case "class engine reduces too" test_reduction_classes;
     case "unified ezrt_por_* / ezrt_gc_* accounting"
       test_unified_por_accounting;

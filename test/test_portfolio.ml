@@ -1,5 +1,6 @@
 (* Parallel portfolio search: the winner must certify, sequential mode
-   must be deterministic, and infeasibility needs every config's vote. *)
+   must be deterministic, infeasibility needs every config's vote, and
+   the default config list depends on the model alone. *)
 
 module Translate = Ezrt_blocks.Translate
 module Search = Ezrt_sched.Search
@@ -165,6 +166,38 @@ let test_custom_configs () =
     | Error _ -> Alcotest.fail "direct search disagrees")
   | Error f -> Alcotest.failf "quickstart: %s" (Search.failure_to_string f)
 
+(* The default race is a pure function of the model: the same configs
+   in the same order on every host, whatever its domain count.  The
+   latest-release members appear only when some release window is
+   wider than a point — as on mine-pump, and not on a set of
+   zero-laxity tasks. *)
+let test_default_configs_pinned () =
+  let names spec =
+    List.map Portfolio.config_to_string
+      (Portfolio.default_configs (Translate.translate spec))
+  in
+  let base =
+    [ "discrete/fifo"; "discrete/edf"; "discrete/rm"; "discrete/dm";
+      "discrete/continuity" ]
+  in
+  Alcotest.(check (list string))
+    "mine-pump"
+    (base
+    @ [ "discrete/edf+latest-release"; "discrete/continuity+latest-release";
+        "classes" ])
+    (names Case_studies.mine_pump);
+  let zero_laxity =
+    Spec.make ~name:"zero-laxity"
+      ~tasks:
+        [
+          Task.make ~name:"a" ~wcet:2 ~deadline:2 ~period:10 ();
+          Task.make ~name:"b" ~wcet:3 ~deadline:3 ~period:10 ();
+        ]
+      ()
+  in
+  Alcotest.(check (list string))
+    "zero-laxity" (base @ [ "classes" ]) (names zero_laxity)
+
 let suite =
   [
     case "mine-pump: portfolio wins and certifies" test_mine_pump_wins;
@@ -176,4 +209,5 @@ let suite =
     case "prepass quick-accept certifies without a race" test_prepass_accepts;
     case "no-analysis escape hatch races" test_no_analysis_races;
     case "custom single-config portfolio" test_custom_configs;
+    case "default configs are pinned" test_default_configs_pinned;
   ]

@@ -35,7 +35,8 @@ let test_parse_errors () =
   parse_err "EF (p >= 1";
   parse_err "EF p >= 1 extra";
   parse_err "EF >= 1";
-  parse_err "EF p ~ 1"
+  parse_err "EF p ~ 1";
+  parse_err "AG (p0 <= 99999999999999999999999999)"
 
 let test_to_string_roundtrip () =
   List.iter
