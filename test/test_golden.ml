@@ -6,7 +6,12 @@
      dune exec bin/ezrt.exe -- model test/corpus/feasible-mix.xml \
        -o test/golden/feasible-mix.pnml
      dune exec bin/ezrt.exe -- codegen test/corpus/feasible-mix.xml \
-       -o test/golden/feasible-mix.c *)
+       -o test/golden/feasible-mix.c
+
+   The search-counts golden pins every engine's verdict and search
+   counters on the case studies and the corpus; regenerate it with:
+
+     EZRT_UPDATE_GOLDEN=1 dune test --force *)
 
 open Ezrealtime
 open Test_util
@@ -40,8 +45,95 @@ let test_codegen_golden () =
       (read_file (golden "feasible-mix.c"))
       artifact.c_program
 
+(* --- search counters over every engine ---------------------------- *)
+
+let update_golden = Sys.getenv_opt "EZRT_UPDATE_GOLDEN" <> None
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let discrete_engines =
+  let d = Search.default_options in
+  [
+    ("copying", { d with Search.incremental = false });
+    ("incremental", d);
+    ("latest-release", { d with Search.latest_release = true });
+    ("no-por", { d with Search.por = false });
+  ]
+
+(* elapsed_s is left out: every other field is deterministic *)
+let counts_line ~spec ~engine ~verdict ~stored ~visited ~eager ~backtracks
+    ~max_depth ~subsumed ~por_reduced ~por_fallback ~por_skipped =
+  Printf.sprintf
+    "%s %s: %s stored=%d visited=%d eager=%d backtracks=%d max_depth=%d \
+     subsumed=%d por=%d/%d/%d\n"
+    spec engine verdict stored visited eager backtracks max_depth subsumed
+    por_reduced por_fallback por_skipped
+
+let discrete_line spec engine options model =
+  let outcome, (m : Search.metrics) = Search.find_schedule ~options model in
+  let verdict =
+    match outcome with
+    | Ok _ -> "feasible"
+    | Error Search.Infeasible -> "infeasible"
+    | Error Search.Budget_exhausted -> "budget"
+  in
+  counts_line ~spec ~engine ~verdict ~stored:m.Search.stored
+    ~visited:m.Search.visited ~eager:m.Search.eager
+    ~backtracks:m.Search.backtracks ~max_depth:m.Search.max_depth ~subsumed:0
+    ~por_reduced:m.Search.por_reduced ~por_fallback:m.Search.por_fallback
+    ~por_skipped:m.Search.por_skipped
+
+let class_line spec engine ~subsume model =
+  let outcome, (m : Class_search.metrics) =
+    Class_search.find_schedule ~subsume model
+  in
+  let verdict =
+    match outcome with
+    | Ok _ -> "feasible"
+    | Error Class_search.Infeasible -> "infeasible"
+    | Error Class_search.Budget_exhausted -> "budget"
+    | Error Class_search.Extraction_failed -> "extraction-failed"
+  in
+  counts_line ~spec ~engine ~verdict ~stored:m.Class_search.stored
+    ~visited:m.Class_search.visited ~eager:m.Class_search.eager
+    ~backtracks:m.Class_search.backtracks ~max_depth:m.Class_search.max_depth
+    ~subsumed:m.Class_search.subsumed ~por_reduced:m.Class_search.por_reduced
+    ~por_fallback:m.Class_search.por_fallback
+    ~por_skipped:m.Class_search.por_skipped
+
+let test_search_counts_golden () =
+  let corpus =
+    Sys.readdir "corpus" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".xml")
+    |> List.sort compare
+    |> List.map (fun f ->
+           match Dsl.load_file (Filename.concat "corpus" f) with
+           | Ok spec -> (f, spec)
+           | Error e -> Alcotest.fail (Dsl.error_to_string e))
+  in
+  let lines (name, spec) =
+    let model = Translate.translate spec in
+    List.map
+      (fun (engine, options) -> discrete_line name engine options model)
+      discrete_engines
+    @ [
+        class_line name "classes" ~subsume:true model;
+        class_line name "classes-no-subsume" ~subsume:false model;
+      ]
+  in
+  let actual =
+    String.concat "" (List.concat_map lines (Case_studies.all @ corpus))
+  in
+  let path = golden "search-counts.txt" in
+  if update_golden then write_file path actual
+  else check_string "search counts match the golden file" (read_file path) actual
+
 let suite =
   [
     case "pnml golden" test_pnml_golden;
     case "codegen golden" test_codegen_golden;
+    case "search counts golden" test_search_counts_golden;
   ]
