@@ -214,16 +214,33 @@ let schedule_cmd =
           prerr_endline ("ezrt: " ^ Search.failure_to_string f);
           exit 1
         in
-        let finish artifact =
-          Format.printf "%a" report artifact;
-          if gantt then
-            Format.printf "@.%s"
-              (Chart.render artifact.model artifact.segments);
+        let charts model segments =
+          if gantt then Format.printf "@.%s" (Chart.render model segments);
           match vcd with
           | Some path ->
-            Vcd.save_file path artifact.model artifact.segments;
+            Vcd.save_file path model segments;
             Printf.printf "VCD written to %s\n" path
           | None -> ()
+        in
+        let finish artifact =
+          Format.printf "%a" report artifact;
+          charts artifact.model artifact.segments
+        in
+        (* the class and portfolio engines return a bare schedule:
+           certify it, then print the engine's summary line, the table
+           and the optional chart and waveform *)
+        let finish_schedule model schedule summary =
+          let segments = Timeline.of_schedule model schedule in
+          match Validator.check model segments with
+          | Error vs ->
+            prerr_endline
+              ("ezrt: schedule failed certification: "
+              ^ Validator.violation_to_string (List.hd vs));
+            exit 1
+          | Ok () ->
+            Format.printf "%s@.schedule table:@.%a" summary (Table.pp model)
+              (Table.of_segments segments);
+            charts model segments
         in
         match engine with
         | `Discrete -> (
@@ -244,28 +261,13 @@ let schedule_cmd =
           in
           match outcome with
           | Ok schedule ->
-            let segments = Timeline.of_schedule model schedule in
-            (match Validator.check model segments with
-            | Error vs ->
-              prerr_endline
-                ("ezrt: schedule failed certification: "
-                ^ Validator.violation_to_string (List.hd vs));
-              exit 1
-            | Ok () ->
-              let table = Table.of_segments segments in
-              Format.printf
-                "class engine: %d classes stored (%d pruned eagerly, %d \
-                 subsumed), %d backtracks, %.1f ms@."
-                metrics.Class_search.stored metrics.Class_search.eager
-                metrics.Class_search.subsumed metrics.Class_search.backtracks
-                (metrics.Class_search.elapsed_s *. 1000.);
-              Format.printf "schedule table:@.%a" (Table.pp model) table;
-              if gantt then Format.printf "@.%s" (Chart.render model segments);
-              (match vcd with
-              | Some path ->
-                Vcd.save_file path model segments;
-                Printf.printf "VCD written to %s\n" path
-              | None -> ()))
+            finish_schedule model schedule
+              (Printf.sprintf
+                 "class engine: %d classes stored (%d pruned eagerly, %d \
+                  subsumed), %d backtracks, %.1f ms"
+                 metrics.Class_search.stored metrics.Class_search.eager
+                 metrics.Class_search.subsumed metrics.Class_search.backtracks
+                 (metrics.Class_search.elapsed_s *. 1000.))
           | Error f ->
             (match f with
             | Class_search.Budget_exhausted when deadline_expired deadline ->
@@ -280,39 +282,24 @@ let schedule_cmd =
               ~analysis:(not no_analysis) ~por:(not no_por) ~cancel model
           in
           match race.Portfolio.outcome with
-          | Ok schedule -> (
-            let segments = Timeline.of_schedule model schedule in
-            match Validator.check model segments with
-            | Error vs ->
-              prerr_endline
-                ("ezrt: schedule failed certification: "
-                ^ Validator.violation_to_string (List.hd vs));
-              exit 1
-            | Ok () ->
-              let table = Table.of_segments segments in
+          | Ok schedule ->
+            finish_schedule model schedule
               (match race.Portfolio.winner, race.Portfolio.prepass with
               | None, Portfolio.Prepass_accepted ->
-                Format.printf
+                Printf.sprintf
                   "portfolio: analysis pre-pass decided (certified EDF \
-                   quick-accept, no search ran), %.1f ms@."
+                   quick-accept, no search ran), %.1f ms"
                   (race.Portfolio.elapsed_s *. 1000.)
               | winner, _ ->
-                Format.printf
+                Printf.sprintf
                   "portfolio: %s won on %d domain(s) (%d config(s) started, \
-                   %d finished), %.1f ms@."
+                   %d finished), %.1f ms"
                   (match winner with
                   | Some cfg -> Portfolio.config_to_string cfg
                   | None -> "?")
                   race.Portfolio.domains_used race.Portfolio.configs_started
                   (List.length race.Portfolio.attempts)
-                  (race.Portfolio.elapsed_s *. 1000.));
-              Format.printf "schedule table:@.%a" (Table.pp model) table;
-              if gantt then Format.printf "@.%s" (Chart.render model segments);
-              (match vcd with
-              | Some path ->
-                Vcd.save_file path model segments;
-                Printf.printf "VCD written to %s\n" path
-              | None -> ()))
+                  (race.Portfolio.elapsed_s *. 1000.))
           | Error f ->
             (match race.Portfolio.prepass with
             | Portfolio.Prepass_rejected w ->

@@ -1,7 +1,7 @@
 open Ezrt_tpn
 module Translate = Ezrt_blocks.Translate
 
-type metrics = {
+type metrics = Search.metrics = {
   stored : int;
   visited : int;
   eager : int;
@@ -23,28 +23,6 @@ let failure_to_string = function
   | Infeasible -> "no feasible schedule exists (dense-time class graph)"
   | Budget_exhausted -> "stored-class budget exhausted"
   | Extraction_failed -> "class path could not be realized at integer times"
-
-type counters = {
-  mutable c_stored : int;
-  mutable c_visited : int;
-  mutable c_eager : int;
-  mutable c_backtracks : int;
-  mutable c_max_depth : int;
-  mutable c_por_reduced : int;
-  mutable c_por_fallback : int;
-  mutable c_por_skipped : int;
-}
-
-exception Found of Pnet.transition_id list
-(* reversed transition sequence *)
-
-let is_final model (c : State_class.t) =
-  c.State_class.marking.(model.Translate.final_place) >= 1
-
-let is_dead model (c : State_class.t) =
-  List.exists
-    (fun pdm -> c.State_class.marking.(pdm) > 0)
-    model.Translate.dead_places
 
 (* Fast path: realize the sequence at the earliest legal integer
    times, step by step. *)
@@ -189,8 +167,6 @@ let extract net sequence =
       Ezrt_obs.Trace.instant ~cat:"search" "extract-exact-failed";
       None)
 
-let no_cancel () = false
-
 (* Candidate order: smallest delay lower bound first (ties by id) —
    the dense-time analogue of the discrete engine's earliest-first
    policy. *)
@@ -249,184 +225,73 @@ let subsumption_applicable (model : Translate.t) =
   in
   go (Pnet.transition_count net - 1)
 
-(* Class-level stubborn-set gate: the discrete reduction's urgency
-   condition "min DUB = 0" becomes "some enabled transition has delay
-   upper bound 0" — no time can elapse before the next firing, so the
-   exchange argument of {!Ezrt_tpn.Indep} applies to the class graph
-   verbatim (every delay in scope is the point 0 and the domain is
-   unchanged by commuting independent firings).  Probes are only
-   evaluated when the shared gate in {!Search.apply_por} asks for
-   them. *)
-let apply_por ~ind net (c : State_class.t) firable =
-  let enabled tid =
-    Array.exists (fun t -> t = tid) c.State_class.enabled
-  in
-  let dub_zero tid = snd (State_class.delay_bounds net c tid) = 0 in
-  let urgent () = Array.exists dub_zero c.State_class.enabled in
-  Search.apply_por ~ind ~urgent ~enabled ~dub_zero
-    ~tokens:(fun p -> c.State_class.marking.(p))
-    firable
-
-let to_search_metrics (m : metrics) =
+(* The class semantics for the kernel.  A lone firable transition is
+   forced whatever its interval: the firing time stays symbolic, so no
+   choice is lost.  The stubborn-set urgency condition "min DUB = 0"
+   becomes "some enabled transition has delay upper bound 0" — no time
+   can elapse before the next firing, so the exchange argument of
+   {!Ezrt_tpn.Indep} applies to the class graph verbatim (every delay
+   in scope is the point 0 and the domain is unchanged by commuting
+   independent firings). *)
+let semantics model store =
+  let net = model.Translate.net in
+  let firable = State_class.firable net in
+  let marking (c : State_class.t) = c.State_class.marking in
+  let dub_zero c tid = snd (State_class.delay_bounds net c tid) = 0 in
   {
-    Search.stored = m.stored;
-    visited = m.visited;
-    eager = m.eager;
-    backtracks = m.backtracks;
-    max_depth = m.max_depth;
-    elapsed_s = m.elapsed_s;
-    por_reduced = m.por_reduced;
-    por_fallback = m.por_fallback;
-    por_skipped = m.por_skipped;
+    Search.root = State_class.initial net;
+    is_final = (fun c -> (marking c).(model.Translate.final_place) >= 1);
+    is_dead =
+      (fun c ->
+        List.exists (fun p -> (marking c).(p) > 0) model.Translate.dead_places);
+    claim =
+      (fun c ->
+        match Class_store.visit store c with
+        | Class_store.Fresh -> Search.Fresh
+        | Class_store.Duplicate -> Search.Seen
+        | Class_store.Subsumed -> Search.Subsumed);
+    fireable = firable;
+    forced =
+      (fun c -> match firable c with [ tid ] -> Some tid | [] | _ :: _ -> None);
+    branches = order_candidates net;
+    advance = State_class.fire net;
+    mark = (fun () -> 0);
+    restore = ignore;
+    urgent = (fun c -> Array.exists (dub_zero c) c.State_class.enabled);
+    enabled =
+      (fun c tid -> Array.exists (fun t -> t = tid) c.State_class.enabled);
+    dub_zero;
+    tokens = (fun c p -> (marking c).(p));
   }
 
-(* The class engine flushes through {!Search.flush_metrics} (so the
-   ezrt_search_*/ezrt_por_* series mean the same thing under every
-   engine label) plus the class-store extras. *)
-let flush_class_metrics (m : metrics) (store : Class_store.stats) =
-  let engine = "classes" in
-  Search.flush_metrics ~engine (to_search_metrics m);
-  let open Ezrt_obs in
-  let labels = [ ("engine", engine) ] in
-  let bump name help v = Metrics.add (Metrics.counter ~help ~labels name) v in
+let find_schedule ?(max_stored = 500_000) ?(subsume = true) ?(por = true)
+    ?(cancel = Search.no_cancel) model =
+  let subsume = subsume && subsumption_applicable model in
+  let store = Class_store.create ~subsume () in
+  let outcome, metrics =
+    Search.explore ~engine:"classes"
+      ~args:[ ("subsume", Ezrt_obs.Trace.Str (string_of_bool subsume)) ]
+      ~max_stored ~por
+      ~ind:(Search.por_context { Search.default_options with por } model)
+      ~cancel (semantics model store)
+  in
+  let bump name help v =
+    Ezrt_obs.Metrics.add
+      (Ezrt_obs.Metrics.counter ~help ~labels:[ ("engine", "classes") ] name)
+      v
+  in
   bump "ezrt_class_store_entries_total" "Canonical domains stored"
-    store.Class_store.entries;
-  bump "ezrt_class_store_contended_total"
-    "Class-store stripe locks that had to wait"
-    store.Class_store.contended;
+    (Class_store.length store);
   bump "ezrt_class_subsumed_total"
     "Classes pruned by inclusion in an already-explored domain"
-    store.Class_store.subsumed
-
-let find_schedule ?(max_stored = 500_000) ?(subsume = true) ?(por = true)
-    ?(cancel = no_cancel) model =
-  let net = model.Translate.net in
-  let started = Unix.gettimeofday () in
-  let subsume = subsume && subsumption_applicable model in
-  let ind = Search.por_context { Search.default_options with por } model in
-  Ezrt_obs.Trace.begin_span ~cat:"search"
-    ~args:
-      [
-        ("engine", Ezrt_obs.Trace.Str "classes");
-        ("subsume", Ezrt_obs.Trace.Str (string_of_bool subsume));
-      ]
-    "search";
-  let store = Class_store.create ~subsume () in
-  let counters =
-    { c_stored = 0; c_visited = 0; c_eager = 0; c_backtracks = 0;
-      c_max_depth = 0; c_por_reduced = 0; c_por_fallback = 0;
-      c_por_skipped = 0 }
-  in
-  let progress =
-    let snapshot () =
-      let dt = Unix.gettimeofday () -. started in
-      Printf.sprintf
-        "search[classes]: %d stored, %d visited, depth %d, %.0f classes/s"
-        counters.c_stored counters.c_visited counters.c_max_depth
-        (float_of_int counters.c_visited /. max 1e-9 dt)
-    in
-    fun () -> Ezrt_obs.Progress.tick snapshot
-  in
-  let budget_hit = ref false in
-  (* a lone firable transition leaves no choice: advance without
-     creating a search node.  Cancel is polled here too — chains of
-     forced firings are where a losing portfolio member used to
-     linger after its rivals finished. *)
-  let rec eager_advance path_rev c =
-    if is_final model c || is_dead model c then (path_rev, c)
-    else if cancel () then begin
-      budget_hit := true;
-      (path_rev, c)
-    end
-    else
-      match State_class.firable net c with
-      | [ tid ] ->
-        counters.c_eager <- counters.c_eager + 1;
-        counters.c_visited <- counters.c_visited + 1;
-        eager_advance (tid :: path_rev) (State_class.fire net c tid)
-      | [] | _ :: _ -> (path_rev, c)
-  in
-  (* The store claims a class at FIRST visit (not, as the engine once
-     did, memoizing only fully-exhausted failures): the first claimant
-     explores the whole choice space below the class before the DFS
-     ever reaches a second copy, so skipping duplicates loses no
-     witness, and a class graph cycle terminates instead of recursing
-     forever.  Subsumed classes are skipped on the same argument —
-     their behaviours are a subset of a stored class's (see
-     [subsumption_applicable]). *)
-  let rec dfs depth path_rev c =
-    if depth > counters.c_max_depth then counters.c_max_depth <- depth;
-    if is_final model c then raise (Found path_rev);
-    if cancel () then budget_hit := true;
-    if (not (is_dead model c)) && not !budget_hit then begin
-      if counters.c_stored >= max_stored then budget_hit := true
-      else
-        match Class_store.visit store c with
-        | Class_store.Duplicate | Class_store.Subsumed -> ()
-        | Class_store.Fresh ->
-          counters.c_stored <- counters.c_stored + 1;
-          counters.c_visited <- counters.c_visited + 1;
-          progress ();
-          let firable, por_out = apply_por ~ind net c (State_class.firable net c) in
-          (match por_out with
-          | Search.Por_reduced ->
-            counters.c_por_reduced <- counters.c_por_reduced + 1
-          | Search.Por_fallback ->
-            counters.c_por_fallback <- counters.c_por_fallback + 1
-          | Search.Por_skipped ->
-            if por then counters.c_por_skipped <- counters.c_por_skipped + 1);
-          let candidates = order_candidates net c firable in
-          List.iter
-            (fun tid ->
-              if not !budget_hit then begin
-                let path_rev, c' =
-                  eager_advance (tid :: path_rev) (State_class.fire net c tid)
-                in
-                dfs (depth + 1) path_rev c'
-              end)
-            candidates;
-          counters.c_backtracks <- counters.c_backtracks + 1
-    end
-  in
+    metrics.subsumed;
   let outcome =
-    Fun.protect
-      ~finally:(fun () ->
-        Ezrt_obs.Trace.end_span ~cat:"search"
-          ~args:
-            [
-              ("stored", Ezrt_obs.Trace.Int counters.c_stored);
-              ("visited", Ezrt_obs.Trace.Int counters.c_visited);
-              ("subsumed",
-               Ezrt_obs.Trace.Int (Class_store.stats store).Class_store.subsumed);
-            ]
-          "search")
-      (fun () ->
-        match
-          let path0, c0 = eager_advance [] (State_class.initial net) in
-          if is_final model c0 then raise (Found path0);
-          dfs 0 path0 c0
-        with
-        | () -> Error (if !budget_hit then Budget_exhausted else Infeasible)
-        | exception Found path_rev -> (
-          match extract net (List.rev path_rev) with
-          | Some schedule -> Ok schedule
-          | None -> Error Extraction_failed))
+    match outcome with
+    | Ok path -> (
+      match extract model.Translate.net path with
+      | Some schedule -> Ok schedule
+      | None -> Error Extraction_failed)
+    | Error Search.Infeasible -> Error Infeasible
+    | Error Search.Budget_exhausted -> Error Budget_exhausted
   in
-  let elapsed_s = Unix.gettimeofday () -. started in
-  let store_stats = Class_store.stats store in
-  let metrics =
-    {
-      stored = counters.c_stored;
-      visited = counters.c_visited;
-      eager = counters.c_eager;
-      backtracks = counters.c_backtracks;
-      subsumed = store_stats.Class_store.subsumed;
-      max_depth = counters.c_max_depth;
-      elapsed_s;
-      por_reduced = counters.c_por_reduced;
-      por_fallback = counters.c_por_fallback;
-      por_skipped = counters.c_por_skipped;
-    }
-  in
-  flush_class_metrics metrics store_stats;
   (outcome, metrics)

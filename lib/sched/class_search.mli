@@ -9,7 +9,7 @@
     discrete semantics at the earliest legal times, then handed to the
     same certification pipeline as {!Search} results. *)
 
-type metrics = {
+type metrics = Search.metrics = {
   stored : int;  (** classes examined as search nodes *)
   visited : int;
   eager : int;  (** classes skipped by singleton-chain collapsing *)
@@ -19,12 +19,11 @@ type metrics = {
   max_depth : int;
   elapsed_s : float;
   por_reduced : int;
-      (** expanded classes where the stubborn set pruned ≥ 1 candidate *)
   por_fallback : int;
-      (** urgent classes where no sound strict reduction was found *)
   por_skipped : int;
-      (** expanded classes where the reduction gate did not apply *)
 }
+(** The kernel's metrics, re-exported so [m.Class_search.subsumed]
+    reads as before. *)
 
 type failure =
   | Infeasible
@@ -57,11 +56,7 @@ val find_schedule :
     reduction, gated through {!Search.por_context} exactly like the
     discrete engines (automatically inert on nets failing
     {!Ezrt_tpn.Indep.applicable}).  [cancel] is polled at every
-    visited class, including forced eager-advance chains (default:
-    never); when it returns [true] the search unwinds and reports
-    {!Budget_exhausted} — used by the portfolio to stop losing
-    configurations. *)
-
-val to_search_metrics : metrics -> Search.metrics
-(** The class metrics in the discrete engine's shape, minus
-    [subsumed] — how the portfolio reports a class member. *)
+    visited class, including forced chains (default: never); when it
+    returns [true] the search unwinds and reports {!Budget_exhausted}
+    — used by the portfolio to stop losing configurations.  The
+    search itself is {!Search.explore} over the class semantics. *)

@@ -92,8 +92,6 @@ let default_configs model =
   base @ idle
   @ [ { engine = Classes; policy = Priority.Edf; latest_release = false } ]
 
-let class_metrics = Class_search.to_search_metrics
-
 (* an unrealized class path is inconclusive, not a proof *)
 let class_outcome = function
   | Ok schedule -> Ok schedule
@@ -117,8 +115,8 @@ let run_config ~max_stored ~por ~cancel model cfg =
     let outcome, metrics =
       Class_search.find_schedule ~max_stored ~por ~cancel model
     in
-    { config = cfg; outcome = class_outcome outcome;
-      metrics = class_metrics metrics; cancelled = false }
+    { config = cfg; outcome = class_outcome outcome; metrics;
+      cancelled = false }
 
 (* Race-level accounting: one bulk registry update after the join, so
    losers' work — invisible in the returned schedule — still shows up

@@ -23,11 +23,14 @@ let failure_to_string = function
   | Infeasible -> "no feasible schedule exists for the explored choice space"
   | Budget_exhausted -> "stored-state budget exhausted"
 
+let no_cancel () = false
+
 type metrics = {
   stored : int;
   visited : int;
   eager : int;
   backtracks : int;
+  subsumed : int;
   max_depth : int;
   elapsed_s : float;
   por_reduced : int;
@@ -35,34 +38,53 @@ type metrics = {
   por_skipped : int;
 }
 
-type counters = {
-  mutable c_stored : int;
-  mutable c_visited : int;
-  mutable c_eager : int;
-  mutable c_backtracks : int;
-  mutable c_max_depth : int;
-  mutable c_por_reduced : int;
-  mutable c_por_fallback : int;
-  mutable c_por_skipped : int;
+type claim = Fresh | Seen | Subsumed
+
+type ('node, 'step) semantics = {
+  root : 'node;
+  is_final : 'node -> bool;
+  is_dead : 'node -> bool;
+  claim : 'node -> claim;
+  fireable : 'node -> Pnet.transition_id list;
+  forced : 'node -> 'step option;
+  branches : 'node -> Pnet.transition_id list -> 'step list;
+  advance : 'node -> 'step -> 'node;
+  mark : unit -> int;
+  restore : int -> unit;
+  urgent : 'node -> bool;
+  enabled : 'node -> Pnet.transition_id -> bool;
+  dub_zero : 'node -> Pnet.transition_id -> bool;
+  tokens : 'node -> Pnet.place_id -> int;
 }
 
-(* --- observability ---------------------------------------------------
+let por_context options model =
+  if options.por && not options.latest_release then
+    let ind =
+      Indep.create model.Translate.net
+        ~final_place:model.Translate.final_place
+        ~dead_places:model.Translate.dead_places
+    in
+    if Indep.applicable ind then Some ind else None
+  else None
+
+(* --- the kernel ------------------------------------------------------
    The DFS keeps its own unsynchronized counter record (hot path); the
    Ezrt_obs registry receives the totals in one bulk update per search,
    and the progress reporter renders from the live record only when a
    line is due.  With no sink installed all of this is a branch on
    [None] per stored node. *)
 
-let progress_reporter ~engine (c : counters) =
-  let t0 = Unix.gettimeofday () in
-  let snapshot () =
-    let dt = Unix.gettimeofday () -. t0 in
-    Printf.sprintf
-      "search[%s]: %d stored, %d visited, depth %d, %.0f states/s" engine
-      c.c_stored c.c_visited c.c_max_depth
-      (float_of_int c.c_visited /. max 1e-9 dt)
-  in
-  fun () -> Ezrt_obs.Progress.tick snapshot
+type counters = {
+  mutable c_stored : int;
+  mutable c_visited : int;
+  mutable c_eager : int;
+  mutable c_backtracks : int;
+  mutable c_subsumed : int;
+  mutable c_max_depth : int;
+  mutable c_por_reduced : int;
+  mutable c_por_fallback : int;
+  mutable c_por_skipped : int;
+}
 
 let flush_metrics ~engine (m : metrics) =
   let open Ezrt_obs in
@@ -89,303 +111,257 @@ let flush_metrics ~engine (m : metrics) =
     (max 0.0 m.elapsed_s);
   Metrics.record_gc_gauges ()
 
-let metrics_of_counters (c : counters) elapsed_s =
-  {
-    stored = c.c_stored;
-    visited = c.c_visited;
-    eager = c.c_eager;
-    backtracks = c.c_backtracks;
-    max_depth = c.c_max_depth;
-    elapsed_s;
-    por_reduced = c.c_por_reduced;
-    por_fallback = c.c_por_fallback;
-    por_skipped = c.c_por_skipped;
-  }
-
-(* Shared stubborn-set reduction plumbing: [por_context] decides once
-   per search whether reduction is even on the table, [reduce_fireable]
-   applies the per-state urgency gate and counts the outcome.  Every
-   engine goes through these two so the `ezrt_por_*` counters mean the
-   same thing everywhere. *)
-
-let por_context options model =
-  if options.por && not options.latest_release then
-    let ind =
-      Indep.create model.Translate.net
-        ~final_place:model.Translate.final_place
-        ~dead_places:model.Translate.dead_places
-    in
-    if Indep.applicable ind then Some ind else None
-  else None
-
-type por_outcome =
-  | Por_reduced
-  | Por_fallback
-  | Por_skipped
-
-let apply_por ~ind ~urgent ~enabled ~dub_zero ~tokens fireable =
-  match ind with
-  | Some ind when urgent () -> (
-    match Indep.reduce ind ~enabled ~dub_zero ~tokens fireable with
-    | Indep.Reduced e -> (e, Por_reduced)
-    | Indep.Fallback -> (fireable, Por_fallback))
-  | Some _ | None -> (fireable, Por_skipped)
-
-let reduce_fireable ~ind ~options ~counters:(c : counters) ~urgent ~enabled
-    ~dub_zero ~tokens fireable =
-  let expansion, outcome =
-    apply_por ~ind ~urgent ~enabled ~dub_zero ~tokens fireable
-  in
-  (match outcome with
-  | Por_reduced -> c.c_por_reduced <- c.c_por_reduced + 1
-  | Por_fallback -> c.c_por_fallback <- c.c_por_fallback + 1
-  | Por_skipped ->
-    if options.por then c.c_por_skipped <- c.c_por_skipped + 1);
-  expansion
-
-exception Found of (Pnet.transition_id * int) list
-(* carries the reversed action path *)
-
-let is_immediate net tid =
-  let itv = Pnet.interval net tid in
-  Time_interval.is_point itv && Time_interval.eft itv = 0
-
-(* Firing times to branch on within a domain: the earliest time always,
-   plus the latest time of release windows when inserted idle time is
-   allowed. *)
-let firing_times options model tid (lo, hi) =
-  if
-    options.latest_release
-    && Meaning.is_release model.Translate.meanings.(tid)
-  then
-    match hi with
-    | Time_interval.Finite hi when hi > lo -> [ lo; hi ]
-    | Time_interval.Finite _ | Time_interval.Infinity -> [ lo ]
-  else [ lo ]
-
-(* --- copy-based reference engine ------------------------------------ *)
-(* The seed implementation: immutable states, a [State.Table] memo.
-   Kept as the semantic oracle for the differential tests and the
-   benchmark baseline. *)
-
-let find_schedule_copying ~options ~cancel model counters =
-  let net = model.Translate.net in
-  let ind = por_context options model in
-  let failed = State.Table.create 4096 in
-  let budget_hit = ref false in
-  let progress = progress_reporter ~engine:"discrete-copying" counters in
-  (* Collapse chains of forced immediate firings: when the fireable set
-     is a singleton [0,0] transition, the semantics leaves no choice and
-     no time passes, so the intermediate state need not become a search
-     node. *)
-  let rec eager_advance path_rev s =
-    if
-      options.partial_order
-      && (not (Translate.is_final model s))
-      && not (Translate.is_dead model s)
-    then
-      match State.fireable net s with
-      | [ tid ] when is_immediate net tid ->
-        counters.c_eager <- counters.c_eager + 1;
-        counters.c_visited <- counters.c_visited + 1;
-        eager_advance ((tid, 0) :: path_rev) (State.fire net s tid 0)
-      | [] | _ :: _ -> (path_rev, s)
-    else (path_rev, s)
-  in
-  let rec dfs depth path_rev s =
-    if depth > counters.c_max_depth then counters.c_max_depth <- depth;
-    if Translate.is_final model s then raise (Found path_rev);
-    if cancel () then budget_hit := true;
-    if
-      (not (Translate.is_dead model s))
-      && (not (State.Table.mem failed s))
-      && not !budget_hit
-    then begin
-      if counters.c_stored >= options.max_stored then budget_hit := true
-      else begin
-        counters.c_stored <- counters.c_stored + 1;
-        counters.c_visited <- counters.c_visited + 1;
-        progress ();
-        let fireable =
-          reduce_fireable ~ind ~options ~counters
-            ~urgent:(fun () -> State.min_dub net s = Time_interval.Finite 0)
-            ~enabled:(State.is_enabled s)
-            ~dub_zero:(fun t -> State.dub net s t = Time_interval.Finite 0)
-            ~tokens:(State.tokens s) (State.fireable net s)
-        in
-        let ordered = Priority.order options.policy model s fireable in
-        let try_candidate tid =
-          if not !budget_hit then
-            let domain = State.firing_domain net s tid in
-            List.iter
-              (fun q ->
-                if not !budget_hit then begin
-                  let path_rev, s' =
-                    eager_advance ((tid, q) :: path_rev) (State.fire net s tid q)
-                  in
-                  dfs (depth + 1) path_rev s'
-                end)
-              (firing_times options model tid domain)
-        in
-        List.iter try_candidate ordered;
-        counters.c_backtracks <- counters.c_backtracks + 1;
-        State.Table.replace failed s ()
-      end
-    end
-  in
-  match
-    let path0, s0 = eager_advance [] (State.initial net) in
-    if Translate.is_final model s0 then raise (Found path0);
-    dfs 0 path0 s0
-  with
-  | () -> Error (if !budget_hit then Budget_exhausted else Infeasible)
-  | exception Found path_rev -> Ok (Schedule.of_actions (List.rev path_rev))
-
-(* --- incremental engine --------------------------------------------- *)
-(* One mutable [State.Incremental] engine walked push/pop by the DFS;
-   the failed-state memo stores packed byte states with memoized
-   hashes.  Candidate order, firing domains and counter updates mirror
-   the copy-based engine exactly, so both produce action-for-action
-   identical schedules and identical metrics. *)
-
-let find_schedule_incremental ~options ~cancel model counters =
-  let net = model.Translate.net in
-  let ind = por_context options model in
-  let eng = State.Incremental.create net in
-  let view = Priority.view_of_engine eng in
-  (* Size the memo from the stored-state budget (capped — Hashtbl grows
-     on demand, this only avoids rehash churn on the way up without
-     zeroing megabytes for searches that stay small). *)
-  let failed =
-    Packed_state.Table.create (max 1024 (min options.max_stored 0x10000))
-  in
-  let budget_hit = ref false in
-  let progress = progress_reporter ~engine:"discrete-incremental" counters in
-  let is_final () = State.Incremental.tokens eng model.Translate.final_place >= 1 in
-  let is_dead () =
-    List.exists
-      (fun pdm -> State.Incremental.tokens eng pdm > 0)
-      model.Translate.dead_places
-  in
-  (* fires eager singleton chains in place, extending [path_rev] *)
-  let rec eager_advance path_rev =
-    if options.partial_order && (not (is_final ())) && not (is_dead ()) then
-      match State.Incremental.fireable eng with
-      | [ tid ] when is_immediate net tid ->
-        counters.c_eager <- counters.c_eager + 1;
-        counters.c_visited <- counters.c_visited + 1;
-        State.Incremental.fire eng tid 0;
-        eager_advance ((tid, 0) :: path_rev)
-      | [] | _ :: _ -> path_rev
-    else path_rev
-  in
-  let rec dfs depth path_rev =
-    if depth > counters.c_max_depth then counters.c_max_depth <- depth;
-    if is_final () then raise (Found path_rev);
-    if cancel () then budget_hit := true;
-    if (not (is_dead ())) && not !budget_hit then begin
-      let key = Packed_state.of_engine eng in
-      if not (Packed_state.Table.mem failed key) then begin
-        if counters.c_stored >= options.max_stored then budget_hit := true
-        else begin
-          counters.c_stored <- counters.c_stored + 1;
-          counters.c_visited <- counters.c_visited + 1;
-          progress ();
-          let fireable =
-            reduce_fireable ~ind ~options ~counters
-              ~urgent:(fun () ->
-                State.Incremental.min_dub eng = Time_interval.Finite 0)
-              ~enabled:(State.Incremental.is_enabled eng)
-              ~dub_zero:(fun t ->
-                State.Incremental.dub eng t = Time_interval.Finite 0)
-              ~tokens:(State.Incremental.tokens eng)
-              (State.Incremental.fireable eng)
-          in
-          let ordered = Priority.order_view options.policy model view fireable in
-          (* domains must be read before any child mutates the engine *)
-          let plans =
-            List.map
-              (fun tid -> (tid, State.Incremental.firing_domain eng tid))
-              ordered
-          in
-          let here = State.Incremental.depth eng in
-          let try_candidate (tid, domain) =
-            if not !budget_hit then
-              List.iter
-                (fun q ->
-                  if not !budget_hit then begin
-                    State.Incremental.fire eng tid q;
-                    let path_rev = eager_advance ((tid, q) :: path_rev) in
-                    dfs (depth + 1) path_rev;
-                    State.Incremental.undo_to eng here
-                  end)
-                (firing_times options model tid domain)
-          in
-          List.iter try_candidate plans;
-          counters.c_backtracks <- counters.c_backtracks + 1;
-          Packed_state.Table.replace failed key ()
-        end
-      end
-    end
-  in
-  let outcome =
-    match
-      let path0 = eager_advance [] in
-      if is_final () then raise (Found path0);
-      dfs 0 path0
-    with
-    | () -> Error (if !budget_hit then Budget_exhausted else Infeasible)
-    | exception Found path_rev -> Ok (Schedule.of_actions (List.rev path_rev))
-  in
-  let st = Packed_state.Table.load_stats failed in
-  let bump name help v =
-    Ezrt_obs.Metrics.add
-      (Ezrt_obs.Metrics.counter ~help
-         ~labels:[ ("engine", "discrete-incremental") ]
-         name)
-      v
-  in
-  bump "ezrt_search_table_entries_total" "Failed-state memo entries"
-    st.Packed_state.entries;
-  bump "ezrt_search_table_collisions_total"
-    "Failed-state memo entries sharing a bucket" st.Packed_state.collisions;
-  outcome
-
-let no_cancel () = false
-
-let find_schedule ?(options = default_options) ?(cancel = no_cancel) model =
+let explore (type node step) ~engine ~args ~max_stored ~por ~ind ~cancel
+    (sem : (node, step) semantics) =
+  let exception Found of step list in
   let started = Unix.gettimeofday () in
-  let engine =
-    if options.incremental then "discrete-incremental" else "discrete-copying"
+  let c =
+    { c_stored = 0; c_visited = 0; c_eager = 0; c_backtracks = 0;
+      c_subsumed = 0; c_max_depth = 0; c_por_reduced = 0;
+      c_por_fallback = 0; c_por_skipped = 0 }
+  in
+  let snapshot () =
+    Printf.sprintf "search[%s]: %d stored, %d visited, depth %d, %.0f states/s"
+      engine c.c_stored c.c_visited c.c_max_depth
+      (float_of_int c.c_visited /. max 1e-9 (Unix.gettimeofday () -. started))
+  in
+  let budget_hit = ref false in
+  (* The stubborn-set gate: probes run only at urgent nodes of a net
+     that passed [por_context], and every expansion is counted once. *)
+  let reduce n fireable =
+    match ind with
+    | Some ind when sem.urgent n -> (
+      match
+        Indep.reduce ind ~enabled:(sem.enabled n) ~dub_zero:(sem.dub_zero n)
+          ~tokens:(sem.tokens n) fireable
+      with
+      | Indep.Reduced e ->
+        c.c_por_reduced <- c.c_por_reduced + 1;
+        e
+      | Indep.Fallback ->
+        c.c_por_fallback <- c.c_por_fallback + 1;
+        fireable)
+    | Some _ | None ->
+      if por then c.c_por_skipped <- c.c_por_skipped + 1;
+      fireable
+  in
+  (* A forced firing leaves no choice and no time passes, so the node
+     it leaves need not become a search node.  Cancel is polled at each
+     link: long forced chains are where a losing portfolio member
+     would otherwise linger after its rivals finished. *)
+  let rec descend depth path n =
+    if sem.is_final n || sem.is_dead n then expand depth path n
+    else if cancel () then begin
+      budget_hit := true;
+      expand depth path n
+    end
+    else
+      match sem.forced n with
+      | Some step ->
+        c.c_eager <- c.c_eager + 1;
+        c.c_visited <- c.c_visited + 1;
+        descend depth (step :: path) (sem.advance n step)
+      | None -> expand depth path n
+  (* A node is claimed at its first visit: the DFS exhausts everything
+     below it before any second copy is reached, so skipping copies
+     (and subsumed nodes, whose behaviours a claimed node covers) loses
+     no witness, and a cycle terminates instead of recursing. *)
+  and expand depth path n =
+    if depth > c.c_max_depth then c.c_max_depth <- depth;
+    if sem.is_final n then raise (Found path);
+    if cancel () then budget_hit := true;
+    if (not (sem.is_dead n)) && not !budget_hit then
+      match sem.claim n with
+      | Seen -> ()
+      | Subsumed -> c.c_subsumed <- c.c_subsumed + 1
+      | Fresh when c.c_stored >= max_stored -> budget_hit := true
+      | Fresh ->
+        c.c_stored <- c.c_stored + 1;
+        c.c_visited <- c.c_visited + 1;
+        Ezrt_obs.Progress.tick snapshot;
+        let steps = sem.branches n (reduce n (sem.fireable n)) in
+        let here = sem.mark () in
+        List.iter
+          (fun step ->
+            if not !budget_hit then begin
+              descend (depth + 1) (step :: path) (sem.advance n step);
+              sem.restore here
+            end)
+          steps;
+        c.c_backtracks <- c.c_backtracks + 1
   in
   Ezrt_obs.Trace.begin_span ~cat:"search"
-    ~args:
-      [
-        ("engine", Ezrt_obs.Trace.Str engine);
-        ("policy", Ezrt_obs.Trace.Str (Priority.to_string options.policy));
-      ]
+    ~args:(("engine", Ezrt_obs.Trace.Str engine) :: args)
     "search";
-  let counters =
-    { c_stored = 0; c_visited = 0; c_eager = 0; c_backtracks = 0;
-      c_max_depth = 0; c_por_reduced = 0; c_por_fallback = 0;
-      c_por_skipped = 0 }
-  in
   let outcome =
     Fun.protect
       ~finally:(fun () ->
         Ezrt_obs.Trace.end_span ~cat:"search"
           ~args:
             [
-              ("stored", Ezrt_obs.Trace.Int counters.c_stored);
-              ("visited", Ezrt_obs.Trace.Int counters.c_visited);
+              ("stored", Ezrt_obs.Trace.Int c.c_stored);
+              ("visited", Ezrt_obs.Trace.Int c.c_visited);
+              ("subsumed", Ezrt_obs.Trace.Int c.c_subsumed);
             ]
           "search")
       (fun () ->
-        if options.incremental then
-          find_schedule_incremental ~options ~cancel model counters
-        else find_schedule_copying ~options ~cancel model counters)
+        match descend 0 [] sem.root with
+        | () -> Error (if !budget_hit then Budget_exhausted else Infeasible)
+        | exception Found path -> Ok (List.rev path))
   in
-  let elapsed_s = Unix.gettimeofday () -. started in
-  let metrics = metrics_of_counters counters elapsed_s in
+  let metrics =
+    {
+      stored = c.c_stored;
+      visited = c.c_visited;
+      eager = c.c_eager;
+      backtracks = c.c_backtracks;
+      subsumed = c.c_subsumed;
+      max_depth = c.c_max_depth;
+      elapsed_s = Unix.gettimeofday () -. started;
+      por_reduced = c.c_por_reduced;
+      por_fallback = c.c_por_fallback;
+      por_skipped = c.c_por_skipped;
+    }
+  in
   flush_metrics ~engine metrics;
   (outcome, metrics)
+
+(* --- the discrete TLTS ----------------------------------------------- *)
+
+let is_immediate net tid =
+  let itv = Pnet.interval net tid in
+  Time_interval.is_point itv && Time_interval.eft itv = 0
+
+(* a lone [0,0] candidate is forced, under the Lilius-style pruning *)
+let forced_step options net fireable =
+  if not options.partial_order then None
+  else
+    match fireable with
+    | [ tid ] when is_immediate net tid -> Some (tid, 0)
+    | [] | _ :: _ -> None
+
+(* The steps to try, candidate by candidate: the earliest firing time
+   always, plus the latest time of release windows when inserted idle
+   time is allowed.  Order and domains are read before the first step
+   is taken, so an engine that mutates in place can hand them out too. *)
+let timed_steps options model ordered domain =
+  List.fold_right
+    (fun tid steps ->
+      let lo, hi = domain tid in
+      let latest =
+        match hi with
+        | Time_interval.Finite hi
+          when hi > lo
+               && options.latest_release
+               && Meaning.is_release model.Translate.meanings.(tid) ->
+          (tid, hi) :: steps
+        | Time_interval.Finite _ | Time_interval.Infinity -> steps
+      in
+      (tid, lo) :: latest)
+    ordered []
+
+(* The copying engine: immutable states and a [State.Table] memo.  Kept
+   as the semantic oracle for the differential tests. *)
+let copying options model =
+  let net = model.Translate.net in
+  let memo = State.Table.create 4096 in
+  {
+    root = State.initial net;
+    is_final = Translate.is_final model;
+    is_dead = Translate.is_dead model;
+    claim =
+      (fun s ->
+        if State.Table.mem memo s then Seen
+        else begin
+          State.Table.replace memo s ();
+          Fresh
+        end);
+    fireable = State.fireable net;
+    forced = (fun s -> forced_step options net (State.fireable net s));
+    branches =
+      (fun s fireable ->
+        timed_steps options model
+          (Priority.order options.policy model s fireable)
+          (State.firing_domain net s));
+    advance = (fun s (tid, q) -> State.fire net s tid q);
+    mark = (fun () -> 0);
+    restore = ignore;
+    urgent = (fun s -> State.min_dub net s = Time_interval.Finite 0);
+    enabled = State.is_enabled;
+    dub_zero = (fun s t -> State.dub net s t = Time_interval.Finite 0);
+    tokens = State.tokens;
+  }
+
+(* The incremental engine: one mutable [State.Incremental] engine walked
+   fire/undo (the node is the engine itself), with a memo of packed
+   byte states with memoized hashes. *)
+let incremental options model memo =
+  let net = model.Translate.net in
+  let eng = State.Incremental.create net in
+  let view = Priority.view_of_engine eng in
+  let marked p = State.Incremental.tokens eng p > 0 in
+  {
+    root = ();
+    is_final = (fun () -> marked model.Translate.final_place);
+    is_dead = (fun () -> List.exists marked model.Translate.dead_places);
+    claim =
+      (fun () ->
+        let key = Packed_state.of_engine eng in
+        if Packed_state.Table.mem memo key then Seen
+        else begin
+          Packed_state.Table.replace memo key ();
+          Fresh
+        end);
+    fireable = (fun () -> State.Incremental.fireable eng);
+    forced =
+      (fun () -> forced_step options net (State.Incremental.fireable eng));
+    branches =
+      (fun () fireable ->
+        timed_steps options model
+          (Priority.order_view options.policy model view fireable)
+          (State.Incremental.firing_domain eng));
+    advance = (fun () (tid, q) -> State.Incremental.fire eng tid q);
+    mark = (fun () -> State.Incremental.depth eng);
+    restore = State.Incremental.undo_to eng;
+    urgent =
+      (fun () -> State.Incremental.min_dub eng = Time_interval.Finite 0);
+    enabled = (fun () -> State.Incremental.is_enabled eng);
+    dub_zero =
+      (fun () t -> State.Incremental.dub eng t = Time_interval.Finite 0);
+    tokens = (fun () -> State.Incremental.tokens eng);
+  }
+
+let find_schedule ?(options = default_options) ?(cancel = no_cancel) model =
+  let run engine sem =
+    let outcome, metrics =
+      explore ~engine
+        ~args:
+          [ ("policy", Ezrt_obs.Trace.Str (Priority.to_string options.policy)) ]
+        ~max_stored:options.max_stored ~por:options.por
+        ~ind:(por_context options model) ~cancel sem
+    in
+    (Result.map Schedule.of_actions outcome, metrics)
+  in
+  if not options.incremental then run "discrete-copying" (copying options model)
+  else begin
+    (* Size the memo from the stored-state budget (capped — Hashtbl
+       grows on demand, this only avoids rehash churn on the way up
+       without zeroing megabytes for searches that stay small). *)
+    let memo =
+      Packed_state.Table.create (max 1024 (min options.max_stored 0x10000))
+    in
+    let result = run "discrete-incremental" (incremental options model memo) in
+    let st = Packed_state.Table.load_stats memo in
+    let bump name help v =
+      Ezrt_obs.Metrics.add
+        (Ezrt_obs.Metrics.counter ~help
+           ~labels:[ ("engine", "discrete-incremental") ]
+           name)
+        v
+    in
+    bump "ezrt_search_table_entries_total" "Claimed-state memo entries"
+      st.Packed_state.entries;
+    bump "ezrt_search_table_collisions_total"
+      "Claimed-state memo entries sharing a bucket" st.Packed_state.collisions;
+    result
+  end

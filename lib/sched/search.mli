@@ -1,20 +1,25 @@
 (** Pre-runtime schedule synthesis (paper §4.4.1): a depth-first search
     over the TLTS of the translated net, stopping at the desired final
     marking [MF], with partial-order reduction of deterministic
-    immediate firings and memoization of failed states.
+    immediate firings and memoization of visited states.
 
-    Two interchangeable engines implement the same search:
+    One kernel, {!explore}, runs that search over any {!semantics}: it
+    owns the claim-at-first-visit memo, the forced-firing chains, the
+    stubborn-set gate, the budget, cancellation, progress, the [search]
+    span and the metric flush.  Three semantics plug into it:
 
-    - the {e incremental} engine (default) walks one mutable
-      {!Ezrt_tpn.State.Incremental} state push/pop, firing in O(arcs)
-      instead of O(|T|·|F|), and memoizes failed states as packed byte
+    - the {e incremental} discrete engine (default) walks one mutable
+      {!Ezrt_tpn.State.Incremental} state fire/undo, firing in O(arcs)
+      instead of O(|T|·|F|), and memoizes states as packed byte
       strings ({!Ezrt_tpn.Packed_state}) with memoized hashes;
-    - the {e copying} engine is the original immutable-state
-      implementation, kept as the semantic oracle and benchmark
-      baseline.
+    - the {e copying} discrete engine is the original immutable-state
+      implementation, kept as the semantic oracle;
+    - the dense-time class engine ({!Class_search}) walks
+      {!Ezrt_tpn.State_class} classes over a {!Ezrt_tpn.Class_store}.
 
-    Both explore candidates in exactly the same order and produce
-    action-for-action identical schedules and identical metrics. *)
+    Both discrete engines explore candidates in exactly the same order
+    and produce action-for-action identical schedules and identical
+    metrics. *)
 
 type options = {
   policy : Priority.policy;  (** branch ordering; default [Edf] *)
@@ -53,8 +58,12 @@ type metrics = {
   stored : int;
       (** search nodes examined — the paper's "states searched" *)
   visited : int;  (** stored plus eagerly fired intermediate states *)
-  eager : int;  (** states skipped by the partial-order reduction *)
+  eager : int;
+      (** forced immediate firings collapsed without creating a node *)
   backtracks : int;  (** stored nodes whose subtree was exhausted *)
+  subsumed : int;
+      (** nodes pruned by inclusion in an already-claimed node (classes
+          only; 0 on the discrete engines) *)
   max_depth : int;
   elapsed_s : float;
   por_reduced : int;
@@ -66,39 +75,63 @@ type metrics = {
           (non-urgent state, inapplicable net, or [latest_release]) *)
 }
 
-val flush_metrics : engine:string -> metrics -> unit
-(** Bulk-update the {!Ezrt_obs.Metrics} registry with one search's
-    totals under the given engine label — the
-    [ezrt_search_{stored_states,visited_states,eager_fires,backtracks}_total]
-    and [ezrt_por_{reduced,fallback,skipped}_total] counters, the
-    [ezrt_search_duration] timer and the end-of-span GC gauges.  Every
-    engine (sequential, classes) flushes through this so the
-    series mean the same thing under every label. *)
-
 val por_context : options -> Ezrt_blocks.Translate.t -> Ezrt_tpn.Indep.t option
 (** The per-search stubborn-set context: [Some] exactly when
     [options.por] is on, [latest_release] is off, and the net passes
-    {!Ezrt_tpn.Indep.applicable}.  Shared by every engine so the
-    reduction is gated identically everywhere. *)
+    {!Ezrt_tpn.Indep.applicable}. *)
 
-type por_outcome =
-  | Por_reduced  (** the stubborn set pruned at least one candidate *)
-  | Por_fallback  (** urgent state, but no sound strict reduction *)
-  | Por_skipped  (** gate not met: non-urgent state or no context *)
+(** {1 The kernel} *)
 
-val apply_por :
+type claim =
+  | Fresh  (** first visit: the node is now claimed; explore it *)
+  | Seen  (** already claimed *)
+  | Subsumed  (** covered by a claimed node; counted in [subsumed] *)
+
+type ('node, 'step) semantics = {
+  root : 'node;
+  is_final : 'node -> bool;
+  is_dead : 'node -> bool;  (** a deadline-miss marking: prune *)
+  claim : 'node -> claim;  (** classify against the memo and record *)
+  fireable : 'node -> Ezrt_tpn.Pnet.transition_id list;
+  forced : 'node -> 'step option;
+      (** the step to take without branching, when the node leaves no
+          choice *)
+  branches : 'node -> Ezrt_tpn.Pnet.transition_id list -> 'step list;
+      (** the ordered steps to try from the (reduced) fireable set;
+          computed before the first one is taken *)
+  advance : 'node -> 'step -> 'node;
+  mark : unit -> int;
+  restore : int -> unit;
+      (** [restore (mark ())] undoes every [advance] since the mark —
+          for semantics that mutate in place; a no-op otherwise *)
+  urgent : 'node -> bool;
+  enabled : 'node -> Ezrt_tpn.Pnet.transition_id -> bool;
+  dub_zero : 'node -> Ezrt_tpn.Pnet.transition_id -> bool;
+  tokens : 'node -> Ezrt_tpn.Pnet.place_id -> int;
+      (** the four stubborn-set probes ({!Ezrt_tpn.Indep.reduce}),
+          asked only at urgent nodes of a reducible net *)
+}
+
+val explore :
+  engine:string ->
+  args:(string * Ezrt_obs.Trace.arg) list ->
+  max_stored:int ->
+  por:bool ->
   ind:Ezrt_tpn.Indep.t option ->
-  urgent:(unit -> bool) ->
-  enabled:(Ezrt_tpn.Pnet.transition_id -> bool) ->
-  dub_zero:(Ezrt_tpn.Pnet.transition_id -> bool) ->
-  tokens:(Ezrt_tpn.Pnet.place_id -> int) ->
-  Ezrt_tpn.Pnet.transition_id list ->
-  Ezrt_tpn.Pnet.transition_id list * por_outcome
-(** One expansion through the reduction gate: probes are only called
-    when [ind] is [Some] and [urgent ()] holds ([dub_zero] only on
-    enabled transitions).  Returns the (possibly reduced) expansion
-    set and what happened, so every engine counts
-    [ezrt_por_{reduced,fallback,skipped}_total] identically. *)
+  cancel:(unit -> bool) ->
+  ('node, 'step) semantics ->
+  ('step list, failure) result * metrics
+(** Depth-first search from [root] to a final node, returning the step
+    path.  [engine] labels the [search] span, the progress line and the
+    [ezrt_search_*]/[ezrt_por_*] counters; [args] are extra span
+    arguments.  [ind] is the stubborn-set context (see {!por_context});
+    [por] says whether the reduction was asked for, so expansions it
+    skipped are counted.  [cancel] is polled at every node, forced
+    chains included; once it returns [true] the search unwinds and
+    reports {!Budget_exhausted}, as it does past [max_stored] claimed
+    nodes. *)
+
+(** {1 The discrete engines} *)
 
 val find_schedule :
   ?options:options ->

@@ -38,10 +38,10 @@ let test_greedy_trap_without_flags () =
 
 let test_fewer_nodes_than_discrete () =
   let model = Translate.translate Case_studies.mine_pump in
-  let _, class_metrics = Class_search.find_schedule model in
-  let _, discrete_metrics = Search.find_schedule model in
+  let _, classes = Class_search.find_schedule model in
+  let _, discrete = Search.find_schedule model in
   check_bool "classes below discrete states" true
-    (class_metrics.Class_search.stored < discrete_metrics.Search.stored)
+    (classes.Class_search.stored < discrete.Search.stored)
 
 let test_infeasible_detected () =
   let spec =
@@ -161,15 +161,39 @@ let test_subsume_off_matches_on () =
     (("relations", relations_spec) :: Case_studies.all)
 
 let test_cancel_is_prompt () =
-  (* a cancel that is already set must stop the search at the first
-     visited class, including down eager chains *)
-  let model = Translate.translate Case_studies.mine_pump in
-  match Class_search.find_schedule ~cancel:(fun () -> true) model with
-  | Error Class_search.Budget_exhausted, m ->
-    check_int "nothing stored" 0 m.Class_search.stored
-  | Error f, _ ->
-    Alcotest.failf "wrong failure: %s" (Class_search.failure_to_string f)
-  | Ok _, _ -> Alcotest.fail "cancelled search cannot succeed"
+  (* a cancel that is already set must stop every engine before its
+     first node, forced chains included *)
+  let discrete options cancel model =
+    match Search.find_schedule ~options ~cancel model with
+    | Error Search.Budget_exhausted, m -> m
+    | Error Search.Infeasible, _ -> Alcotest.fail "cancel reported infeasible"
+    | Ok _, _ -> Alcotest.fail "cancelled search cannot succeed"
+  in
+  let classes cancel model =
+    match Class_search.find_schedule ~cancel model with
+    | Error Class_search.Budget_exhausted, m -> m
+    | Error f, _ -> Alcotest.fail (Class_search.failure_to_string f)
+    | Ok _, _ -> Alcotest.fail "cancelled search cannot succeed"
+  in
+  let engines =
+    [
+      ("copying", discrete { Search.default_options with incremental = false });
+      ("incremental", discrete Search.default_options);
+      ("classes", classes);
+    ]
+  in
+  List.iter
+    (fun (name, spec) ->
+      let model = Translate.translate spec in
+      List.iter
+        (fun (engine, run) ->
+          let label what = Printf.sprintf "%s %s %s" name engine what in
+          let m = run (fun () -> true) model in
+          check_int (label "stored") 0 m.Search.stored;
+          check_int (label "visited") 0 m.Search.visited;
+          check_int (label "eager") 0 m.Search.eager)
+        engines)
+    Case_studies.all
 
 let test_subsumption_applicability () =
   (* the translation's priority discipline satisfies the static

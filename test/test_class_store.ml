@@ -79,37 +79,15 @@ let test_subsume_disabled () =
   check_int "no subsumed" 0 (Class_store.stats store).Class_store.subsumed
 
 let test_stats () =
-  let store = Class_store.create ~stripes:4 () in
+  let store = Class_store.create () in
   ignore (Class_store.visit store (cls 2 5));
   ignore (Class_store.visit store (cls 2 5));
   ignore (Class_store.visit store (cls 3 4));
   let s = Class_store.stats store in
-  check_int "stripes" 4 s.Class_store.stripes;
   check_int "entries" 1 s.Class_store.entries;
   check_int "skeletons" 1 s.Class_store.skeletons;
   check_int "duplicates" 1 s.Class_store.duplicates;
   check_int "subsumed" 1 s.Class_store.subsumed
-
-let test_stripes_rounded_to_power_of_two () =
-  let store = Class_store.create ~stripes:5 () in
-  check_int "rounded up" 8 (Class_store.stats store).Class_store.stripes
-
-let test_concurrent_single_fresh () =
-  (* N domains race to insert the same class: exactly one Fresh *)
-  let store = Class_store.create ~stripes:1 () in
-  let fresh = Atomic.make 0 in
-  let workers =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to 50 do
-              match Class_store.visit store (cls 2 5) with
-              | Class_store.Fresh -> Atomic.incr fresh
-              | Class_store.Duplicate | Class_store.Subsumed -> ()
-            done))
-  in
-  List.iter Domain.join workers;
-  check_int "one winner" 1 (Atomic.get fresh);
-  check_int "one entry" 1 (Class_store.length store)
 
 let suite =
   [
@@ -120,7 +98,4 @@ let suite =
     case "different marking is fresh" test_different_marking_is_fresh;
     case "subsumption disabled" test_subsume_disabled;
     case "stats" test_stats;
-    case "stripes rounded to a power of two"
-      test_stripes_rounded_to_power_of_two;
-    case "concurrent visits store once" test_concurrent_single_fresh;
   ]

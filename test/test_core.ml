@@ -86,7 +86,7 @@ let test_error_strings () =
            ( Search.Infeasible,
              {
                Search.stored = 1; visited = 1; eager = 0; backtracks = 1;
-               max_depth = 1; elapsed_s = 0.1; por_reduced = 0;
+               subsumed = 0; max_depth = 1; elapsed_s = 0.1; por_reduced = 0;
                por_fallback = 0; por_skipped = 0;
              } ));
       error_to_string (Not_certified []);

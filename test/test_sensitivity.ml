@@ -100,7 +100,7 @@ let test_deadline_margins_solo () =
     check_int "min deadline = wcet" 3 row.Sensitivity.min_deadline;
     check_int "margin" 9 row.Sensitivity.d_margin
 
-let test_deadline_margins_contended () =
+let test_deadline_margins_contention () =
   (* two same-period tasks: one must wait for the other, so one of the
      minimum deadlines includes the other's computation *)
   let spec =
@@ -152,7 +152,7 @@ let test_pp_deadlines () =
 let suite =
   [
     case "deadline margins: solo task" test_deadline_margins_solo;
-    case "deadline margins: contention" test_deadline_margins_contended;
+    case "deadline margins: contention" test_deadline_margins_contention;
     case "deadline margins: precedence chain" test_deadline_margins_chain;
     case "deadline margins: invalid rejected" test_deadline_margins_rejects;
     case "deadline report renders" test_pp_deadlines;
