@@ -86,9 +86,9 @@ let discrete_line spec engine options model =
     ~por_reduced:m.Search.por_reduced ~por_fallback:m.Search.por_fallback
     ~por_skipped:m.Search.por_skipped
 
-let class_line spec engine ~subsume model =
+let class_line spec engine ~subsume ?por model =
   let outcome, (m : Class_search.metrics) =
-    Class_search.find_schedule ~subsume model
+    Class_search.find_schedule ~subsume ?por model
   in
   let verdict =
     match outcome with
@@ -122,6 +122,9 @@ let test_search_counts_golden () =
     @ [
         class_line name "classes" ~subsume:true model;
         class_line name "classes-no-subsume" ~subsume:false model;
+        class_line name "classes-no-por" ~subsume:true ~por:false model;
+        class_line name "classes-no-por-no-subsume" ~subsume:false ~por:false
+          model;
       ]
   in
   let actual =
