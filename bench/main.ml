@@ -1155,95 +1155,6 @@ let a19 () =
       ("verdicts_identical", jbool true);
     ]
 
-(* --- A20: stubborn-set partial-order reduction -------------------------- *)
-
-(* Eight independent zero-laxity tasks: every task must run back-to-back
-   from time 0, so the set is infeasible, and the exhaustive proof must
-   consider the bookkeeping transitions of all eight tasks — factorially
-   many interleavings, of which the stubborn set keeps one
-   representative per equivalence class.  The mine-pump row shows the
-   reduction is verdict- and certificate-neutral on the feasible
-   flagship case. *)
-let independent_8 =
-  let tasks =
-    List.init 8 (fun i ->
-        Task.make
-          ~name:(Printf.sprintf "c%d" i)
-          ~wcet:1 ~deadline:1 ~period:60 ())
-  in
-  Spec.make ~name:"independent-8" ~tasks ()
-
-let a20 () =
-  section "A20" "Stubborn-set partial-order reduction (POR on vs off)";
-  let verdict = function
-    | Ok _ -> "feasible"
-    | Error f -> Search.failure_to_string f
-  in
-  List.iter
-    (fun (name, spec, expect_2x) ->
-      let model = Translate.translate spec in
-      let run por =
-        Search.find_schedule
-          ~options:{ Search.default_options with por }
-          model
-      in
-      let o_on, m_on = run true in
-      let o_off, m_off = run false in
-      let certified = function
-        | Ok schedule ->
-          Result.is_ok
-            (Validator.check model (Timeline.of_schedule model schedule))
-        | Error _ -> false
-      in
-      if verdict o_on <> verdict o_off then
-        failwith
-          (Printf.sprintf "A20: %s: sequential verdict differs (%s vs %s)"
-             name (verdict o_on) (verdict o_off));
-      if Result.is_ok o_on && not (certified o_on && certified o_off) then
-        failwith ("A20: " ^ name ^ ": schedule fails certification");
-      let ratio on off = float_of_int off /. float_of_int (max 1 on) in
-      let seq_ratio = ratio m_on.Search.visited m_off.Search.visited in
-      if expect_2x then begin
-        if m_on.Search.por_reduced = 0 then
-          failwith ("A20: " ^ name ^ ": reduction never fired");
-        if seq_ratio < 2.0 then
-          failwith
-            (Printf.sprintf
-               "A20: %s: expected >= 2x visited-state reduction, got %.2fx"
-               name seq_ratio)
-      end;
-      Format.printf
-        "%-14s %-10s | seq %8d -> %8d visited (%.2fx) | %d reduced, %d \
-         fallback@."
-        name (verdict o_on) m_off.Search.visited m_on.Search.visited
-        seq_ratio m_on.Search.por_reduced m_on.Search.por_fallback;
-      add_json ("A20_por_" ^ name)
-        [
-          ("spec", jstr name);
-          ("feasible", jbool (Result.is_ok o_on));
-          ("verdicts_agree", jbool true);
-          ("seq_visited_on", jint m_on.Search.visited);
-          ("seq_visited_off", jint m_off.Search.visited);
-          ("seq_reduction", jfloat seq_ratio);
-          ("por_reduced", jint m_on.Search.por_reduced);
-          ("por_fallback", jint m_on.Search.por_fallback);
-          ("por_skipped", jint m_on.Search.por_skipped);
-          ("elapsed_ms_on", jfloat (ms m_on));
-          ("elapsed_ms_off", jfloat (ms m_off));
-        ])
-    [
-      ("mine-pump", Case_studies.mine_pump, false);
-      ("independent-8", independent_8, true);
-    ];
-  (* the CI smoke lane leans on this counter being live *)
-  if
-    Obs_metrics.value
-      (Obs_metrics.counter
-         ~labels:[ ("engine", "discrete-incremental") ]
-         "ezrt_por_reduced_total")
-    = 0
-  then failwith "A20: ezrt_por_reduced_total never moved"
-
 (* --- A21: structural lint throughput ----------------------------------- *)
 
 (* Lint the 500-spec seed-42 generated corpus (the fuzz campaign's
@@ -1497,7 +1408,7 @@ let check_against ~require_all ~current path =
 
 (* The harness takes the same observability flags as ezrt: --trace FILE,
    --metrics FILE and --progress — plus
-   --smoke (CI subset: E1, A14, A17, A18, A19, A20, A21) and
+   --smoke (CI subset: E1, A14, A17, A18, A19, A21) and
    --check BASELINE.json (regression guard, applied to the entries the
    run just wrote).  No cmdliner here — a
    hand scan of argv keeps bench dependency-free. *)
@@ -1539,7 +1450,6 @@ let () =
     a17 ();
     a18 ();
     a19 ();
-    a20 ();
     a21 ()
   end
   else begin
@@ -1569,7 +1479,6 @@ let () =
     a17 ();
     a18 ();
     a19 ();
-    a20 ();
     a21 ();
     bechamel_suite ()
   end;

@@ -44,20 +44,13 @@ let latest_arg =
          ~doc:"Also branch on the latest release times (inserted idle \
                time).")
 
-let no_por_arg =
-  Arg.(value & flag & info [ "no-por" ]
-         ~doc:"Disable the stubborn-set partial-order reduction (expand \
-               the full fireable set at every urgent state).  The \
-               feasibility verdict is unchanged either way; this is the \
-               escape hatch and the differential-testing baseline.")
-
 let max_states_arg =
   Arg.(value & opt int 500_000 & info [ "max-states" ] ~docv:"N"
          ~doc:"Stored-state budget for the search.")
 
-let search_options policy no_po latest max_stored no_por =
+let search_options policy no_po latest max_stored =
   { Search.policy; partial_order = not no_po; latest_release = latest;
-    max_stored; incremental = true; por = not no_por }
+    max_stored; incremental = true }
 
 let or_die = function
   | Ok v -> v

@@ -178,12 +178,12 @@ let vcd_arg =
 
 let schedule_cmd =
   let run () file case policy no_po latest max_states engine domains no_subsume
-      no_analysis no_por timeout gantt vcd =
+      no_analysis timeout gantt vcd =
     with_spec file case (fun spec ->
         (* Structural lint pre-pass: polynomial, no search.  Surfaces
            errors and warnings before any engine runs but never blocks
-           synthesis — the POR/subsumption gates fall back on their
-           own, and a lint error usually means the search is about to
+           synthesis — the subsumption gate falls back on its own,
+           and a lint error usually means the search is about to
            prove infeasibility the hard way. *)
         (let lr = Lint.check_model (Translate.translate spec) in
          let e = Lint.count Lint.Error lr
@@ -244,7 +244,7 @@ let schedule_cmd =
         in
         match engine with
         | `Discrete -> (
-          let search = search_options policy no_po latest max_states no_por in
+          let search = search_options policy no_po latest max_states in
           match synthesize ~search ~cancel spec with
           | Ok artifact -> finish artifact
           | Error (No_schedule (f, _)) -> die_search_failure f
@@ -254,10 +254,9 @@ let schedule_cmd =
         | `Classes -> (
           let model = Translate.translate spec in
           let subsume = not no_subsume in
-          let por = not no_por in
           let outcome, metrics =
-            Class_search.find_schedule ~max_stored:max_states ~subsume ~por
-              ~cancel model
+            Class_search.find_schedule ~max_stored:max_states ~subsume ~cancel
+              model
           in
           match outcome with
           | Ok schedule ->
@@ -279,7 +278,7 @@ let schedule_cmd =
           let model = Translate.translate spec in
           let race =
             Portfolio.find_schedule ~max_stored:max_states ?domains
-              ~analysis:(not no_analysis) ~por:(not no_por) ~cancel model
+              ~analysis:(not no_analysis) ~cancel model
           in
           match race.Portfolio.outcome with
           | Ok schedule ->
@@ -313,7 +312,7 @@ let schedule_cmd =
     (Cmd.info "schedule" ~doc:"Synthesize a feasible pre-runtime schedule.")
     Term.(const run $ obs_term $ file_arg $ case_arg $ policy_arg $ no_po_arg
           $ latest_arg $ max_states_arg $ engine_arg $ domains_arg
-          $ no_subsume_arg $ no_analysis_arg $ no_por_arg $ timeout_arg
+          $ no_subsume_arg $ no_analysis_arg $ timeout_arg
           $ gantt_arg $ vcd_arg)
 
 (* --- analyze -------------------------------------------------------- *)
@@ -642,8 +641,7 @@ let fuzz_cmd =
   let engines_arg =
     Arg.(value & opt (some string) None & info [ "engines" ] ~docv:"NAMES"
            ~doc:"Comma-separated engine filter (reference, incremental, \
-                 latest-release, classes, portfolio, analysis, no-por, \
-                 classes-no-por); \
+                 latest-release, classes, portfolio, analysis); \
                  only these engines run and cross-check — e.g. \
                  $(b,--engines analysis,classes,reference) cross-checks the \
                  analytic pre-pass against search engines, and \

@@ -111,7 +111,7 @@ let feasible = function Feasible _ -> true | Infeasible | Unknown _ -> false
 
 let builtin_engines =
   [ "reference"; "incremental"; "latest-release"; "classes"; "portfolio";
-    "analysis"; "no-por"; "classes-no-por" ]
+    "analysis" ]
 
 let check ?(max_stored = 50_000) ?engines ?(extra = []) spec =
   (match engines with
@@ -183,24 +183,6 @@ let check ?(max_stored = 50_000) ?engines ?(extra = []) spec =
         run "classes" (fun () ->
             of_class (fst (Class_search.find_schedule ~max_stored model)))
       in
-      (* POR-off baselines: the default rows above run with the
-         stubborn-set reduction on, so these two re-run the incremental
-         discrete and the class engine with [por = false] for theorem
-         (g) below *)
-      let no_por =
-        run "no-por" (fun () ->
-            of_search
-              (fst
-                 (Search.find_schedule
-                    ~options:
-                      { Search.default_options with max_stored; por = false }
-                    model)))
-      in
-      let classes_no_por =
-        run "classes-no-por" (fun () ->
-            of_class
-              (fst (Class_search.find_schedule ~max_stored ~por:false model)))
-      in
       let portfolio =
         (* analysis off: keep this row a pure race result so the
            analysis row below is checked against real searches, not
@@ -248,8 +230,6 @@ let check ?(max_stored = 50_000) ?engines ?(extra = []) spec =
             ("classes", classes);
             ("portfolio", portfolio);
             ("analysis", analysis);
-            ("no-por", no_por);
-            ("classes-no-por", classes_no_por);
           ]
         @ extra_results
       in
@@ -382,23 +362,7 @@ let check ?(max_stored = 50_000) ?engines ?(extra = []) spec =
             | _ -> ())
           results
       | Some (Unknown _) | None -> ());
-      (* (g) the stubborn-set reduction must preserve the feasibility
-         verdict: POR-on and POR-off runs of the same engine agree on
-         decisive verdicts.  The specific schedule may differ — the
-         reduced expansion commits to one interleaving of each
-         independent diamond — but feasible/infeasible may not (both
-         runs' feasible schedules are certified by (a) above). *)
-      let por_pair on_name on off_name off =
-        match on, off with
-        | Some (Feasible _ as a), Some (Infeasible as b)
-        | Some (Infeasible as a), Some (Feasible _ as b) ->
-          mismatch on_name a off_name b
-            "the stubborn-set reduction preserves the feasibility verdict"
-        | _ -> ()
-      in
-      por_pair "incremental" incremental "no-por" no_por;
-      por_pair "classes" classes "classes-no-por" classes_no_por;
-      (* (h)-(j) structural-lint theorems.  Lint is a static oracle:
+      (* (g)-(i) structural-lint theorems.  Lint is a static oracle:
          its claims must be consistent with what the engines actually
          did on this very spec. *)
       let lint_report =
@@ -412,7 +376,7 @@ let check ?(max_stored = 50_000) ?engines ?(extra = []) spec =
       | None -> ()
       | Some lr ->
         let net = model.Translate.net in
-        (* (h) a transition lint proved structurally dead can never
+        (* (g) a transition lint proved structurally dead can never
            appear in any engine's feasible schedule *)
         let dead = Lint.structurally_dead net in
         if dead <> [] then
@@ -433,7 +397,7 @@ let check ?(max_stored = 50_000) ?engines ?(extra = []) spec =
                   s.Schedule.entries
               | Infeasible | Unknown _ -> ())
             results;
-        (* (i) every P-invariant certificate in the report conserves
+        (* (h) every P-invariant certificate in the report conserves
            its constant on every state of a bounded TLTS walk *)
         let consts =
           List.map
@@ -462,13 +426,13 @@ let check ?(max_stored = 50_000) ?engines ?(extra = []) spec =
                      (List.map (Pnet.place_name net) (Invariants.support y)))
                   c v))
         | None -> ());
-        (* gate-explain must agree with the live gates (L013 never fires) *)
+        (* gate-explain must agree with the live gate (L013 never fires) *)
         List.iter
           (fun (d : Lint.diagnostic) ->
             if String.equal d.Lint.code "EZRT-L013" then
               flag (Lint_gate_mismatch d.Lint.message))
           lr.Lint.diagnostics;
-        (* (j) lint cleanliness is monotone under the shrinker's task
+        (* (i) lint cleanliness is monotone under the shrinker's task
            dropping: removing a task from a clean spec cannot introduce
            an error or warning (otherwise shrinking a divergent spec
            could drift into lint noise unrelated to the divergence) *)

@@ -15,12 +15,6 @@
       configuration schedules, it must too;
     - the sequential portfolio subsumes its member engines' verdicts
       in both directions;
-    - the stubborn-set partial-order reduction ({!Ezrt_tpn.Indep})
-      preserves the feasibility verdict: the [no-por] and
-      [classes-no-por] rows re-run the incremental discrete and the
-      class engine with the reduction off, and decisive verdicts must
-      match the POR-on rows (schedules may differ — the reduction
-      commits to one interleaving of each independent diamond);
     - every feasible schedule must replay through the TPN semantics to
       the final marking and pass the spec-level validator;
     - an [Infeasible] verdict of an exhaustive engine is contradicted
@@ -74,7 +68,7 @@ type divergence =
           conserve its constant on a state visited during a bounded
           TLTS walk *)
   | Lint_gate_mismatch of string
-      (** lint's re-derived POR/subsumption gate verdict disagrees
+      (** lint's re-derived subsumption gate verdict disagrees
           with the live gate (the L013 self-check fired) *)
   | Lint_shrink_regression of { dropped_task : string; diagnostic : string }
       (** a lint-clean spec acquired an error/warning after the
@@ -89,7 +83,7 @@ type report = {
 
 val builtin_engines : string list
 (** [["reference"; "incremental"; "latest-release"; "classes";
-    "portfolio"; "analysis"; "no-por"; "classes-no-por"]] — the names
+    "portfolio"; "analysis"]] — the names
     accepted by [?engines].  [analysis] is {!Ezrt_analysis.Schedulability}: its
     quick-reject witnesses are re-evaluated (an untrue witness is an
     {!Analysis_witness_invalid} divergence), its [Infeasible] verdict

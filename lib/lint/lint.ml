@@ -51,7 +51,6 @@ let catalogue =
     ("EZRT-L008", Info, "accumulator place (produced, never consumed)");
     ("EZRT-L009", Warning, "initially-unmarked siphon");
     ("EZRT-L010", Warning, "unbounded latest firing time");
-    ("EZRT-L011", Info, "partial-order reduction gate decision");
     ("EZRT-L012", Info, "subsumption gate decision");
     ("EZRT-L013", Error, "gate-explain disagrees with the live gate");
     ("EZRT-L014", Info, "initially-unmarked trap");
@@ -211,61 +210,6 @@ let subsumption_reasons (model : Translate.t) =
 let explain_subsumption model =
   let reasons = subsumption_reasons model in
   { gate = "subsumption"; gate_open = reasons = []; reasons }
-
-(* Re-derivation of [Indep.net_applicable]: the subsumption priority
-   shape (with Indep's own [is_point && eft = 0] formulation of the
-   immediate-interval condition, which is equivalent) plus the
-   dead-places-are-sinks condition. *)
-let por_reasons (model : Translate.t) =
-  let net = model.Translate.net in
-  let default = Pnet.default_priority in
-  let marks_dead tid =
-    Array.exists
-      (fun (p, _) -> List.mem p model.Translate.dead_places)
-      (Pnet.post_arcs net tid)
-  in
-  let sink_reasons =
-    List.filter_map
-      (fun p ->
-        if Array.length (Pnet.consumers_of net p) = 0 then None
-        else
-          Some
-            (Printf.sprintf
-               "dead-end place %s has consumers (a reordered prefix could \
-                detour through a pruned dead state)"
-               (Pnet.place_name net p)))
-      model.Translate.dead_places
-  in
-  let prio_reasons = ref [] in
-  for tid = Pnet.transition_count net - 1 downto 0 do
-    let p = Pnet.priority net tid in
-    let itv = Pnet.interval net tid in
-    if
-      p < default
-      && not (Time_interval.is_point itv && Time_interval.eft itv = 0)
-    then
-      prio_reasons :=
-        Printf.sprintf
-          "transition %s has better-than-default priority %d but interval %s \
-           instead of [0,0]"
-          (Pnet.transition_name net tid)
-          p
-          (Time_interval.to_string itv)
-        :: !prio_reasons
-    else if p > default && not (marks_dead tid) then
-      prio_reasons :=
-        Printf.sprintf
-          "transition %s has worse-than-default priority %d but does not mark \
-           a dead-end place"
-          (Pnet.transition_name net tid)
-          p
-        :: !prio_reasons
-  done;
-  sink_reasons @ !prio_reasons
-
-let explain_por model =
-  let reasons = por_reasons model in
-  { gate = "por"; gate_open = reasons = []; reasons }
 
 (* ------------------------------------------------------------------ *)
 (* The lint pass                                                      *)
@@ -500,15 +444,9 @@ let check_model ?max_rows (model : Translate.t) =
               ~required_firings:(Translate.required_firings model)
               ~origin_of_place ~origin_of_transition net)
       in
-      (* gate explain, cross-checked against the live gates *)
+      (* gate explain, cross-checked against the live gate *)
       let sub = explain_subsumption model in
-      let por = explain_por model in
       let live_sub = Class_search.subsumption_applicable model in
-      let live_por =
-        Indep.applicable
-          (Indep.create net ~final_place:model.Translate.final_place
-             ~dead_places:model.Translate.dead_places)
-      in
       let gate_diag code (g : gate) =
         {
           code;
@@ -541,9 +479,8 @@ let check_model ?max_rows (model : Translate.t) =
         end
       in
       let extra =
-        [ gate_diag "EZRT-L011" por; gate_diag "EZRT-L012" sub ]
-        @ mismatch_diag "por" por.gate_open live_por
-        @ mismatch_diag "subsumption" sub.gate_open live_sub
+        gate_diag "EZRT-L012" sub
+        :: mismatch_diag "subsumption" sub.gate_open live_sub
       in
       let diagnostics =
         List.sort
@@ -552,7 +489,7 @@ let check_model ?max_rows (model : Translate.t) =
               (b.code, b.subject, b.message))
           (extra @ base.diagnostics)
       in
-      let report = { base with diagnostics; gates = [ por; sub ] } in
+      let report = { base with diagnostics; gates = [ sub ] } in
       flush_report report;
       report)
     "lint"

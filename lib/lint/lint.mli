@@ -16,9 +16,8 @@
     P-invariant rows themselves, and every certificate re-checks
     against the net with {!Ezrt_tpn.Invariants.is_invariant}.  The
     gate-explain analysis re-derives the class engines' subsumption
-    gate and the stubborn-set reduction's net gate with human-readable
-    reasons, and cross-checks its verdicts against the live gates
-    ([Class_search.subsumption_applicable], [Indep.applicable]) —
+    gate with human-readable reasons, and cross-checks its verdict
+    against the live gate ([Class_search.subsumption_applicable]) —
     disagreement is itself a (should-never-fire) error diagnostic. *)
 
 open Ezrt_tpn
@@ -42,7 +41,7 @@ type diagnostic = {
 }
 
 type gate = {
-  gate : string;  (** ["por"] or ["subsumption"] *)
+  gate : string;  (** ["subsumption"] *)
   gate_open : bool;
   reasons : string list;  (** why closed; empty when open *)
 }
@@ -93,7 +92,7 @@ val check_net :
 val check_model : ?max_rows:int -> Ezrt_blocks.Translate.t -> report
 (** Lint a translated model: {!check_net} with the full context from
     the translation, plus spec provenance on every diagnostic and the
-    gate-explain analyses (L011-L013). *)
+    gate-explain analysis (L012, L013). *)
 
 val check_spec : ?max_rows:int -> Ezrt_spec.Spec.t -> (report, string) result
 (** Validate, translate and lint; [Error] carries the validation or
@@ -104,10 +103,6 @@ val explain_subsumption : Ezrt_blocks.Translate.t -> gate
     reasons.  [gate_open] agrees with
     [Class_search.subsumption_applicable] by construction (asserted by
     L013 and the test suite). *)
-
-val explain_por : Ezrt_blocks.Translate.t -> gate
-(** The stubborn-set reduction's net-level gate, re-derived with
-    reasons; agrees with [Indep.applicable]. *)
 
 val structurally_dead : Pnet.t -> Pnet.transition_id list
 (** Transitions that can never fire, by the token-flow fixpoint: an

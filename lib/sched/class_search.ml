@@ -227,17 +227,11 @@ let subsumption_applicable (model : Translate.t) =
 
 (* The class semantics for the kernel.  A lone firable transition is
    forced whatever its interval: the firing time stays symbolic, so no
-   choice is lost.  The stubborn-set urgency condition "min DUB = 0"
-   becomes "some enabled transition has delay upper bound 0" — no time
-   can elapse before the next firing, so the exchange argument of
-   {!Ezrt_tpn.Indep} applies to the class graph verbatim (every delay
-   in scope is the point 0 and the domain is unchanged by commuting
-   independent firings). *)
+   choice is lost. *)
 let semantics model store =
   let net = model.Translate.net in
   let firable = State_class.firable net in
   let marking (c : State_class.t) = c.State_class.marking in
-  let dub_zero c tid = snd (State_class.delay_bounds net c tid) = 0 in
   {
     Search.root = State_class.initial net;
     is_final = (fun c -> (marking c).(model.Translate.final_place) >= 1);
@@ -257,23 +251,16 @@ let semantics model store =
     advance = State_class.fire net;
     mark = (fun () -> 0);
     restore = ignore;
-    urgent = (fun c -> Array.exists (dub_zero c) c.State_class.enabled);
-    enabled =
-      (fun c tid -> Array.exists (fun t -> t = tid) c.State_class.enabled);
-    dub_zero;
-    tokens = (fun c p -> (marking c).(p));
   }
 
-let find_schedule ?(max_stored = 500_000) ?(subsume = true) ?(por = true)
+let find_schedule ?(max_stored = 500_000) ?(subsume = true)
     ?(cancel = Search.no_cancel) model =
   let subsume = subsume && subsumption_applicable model in
   let store = Class_store.create ~subsume () in
   let outcome, metrics =
     Search.explore ~engine:"classes"
       ~args:[ ("subsume", Ezrt_obs.Trace.Str (string_of_bool subsume)) ]
-      ~max_stored ~por
-      ~ind:(Search.por_context { Search.default_options with por } model)
-      ~cancel (semantics model store)
+      ~max_stored ~cancel (semantics model store)
   in
   let bump name help v =
     Ezrt_obs.Metrics.add

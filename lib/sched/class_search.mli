@@ -20,7 +20,7 @@ type metrics = Search.metrics = {
   elapsed_s : float;
   por_reduced : int;
   por_fallback : int;
-  por_skipped : int;
+  por_skipped : int;  (** always 0, see {!Search.metrics} *)
 }
 (** The kernel's metrics, re-exported so [m.Class_search.subsumed]
     reads as before. *)
@@ -46,16 +46,12 @@ val subsumption_applicable : Ezrt_blocks.Translate.t -> bool
 val find_schedule :
   ?max_stored:int ->
   ?subsume:bool ->
-  ?por:bool ->
   ?cancel:(unit -> bool) ->
   Ezrt_blocks.Translate.t ->
   (Schedule.t, failure) result * metrics
 (** [max_stored] defaults to 500_000.  [subsume] (default [true])
     enables inclusion pruning when {!subsumption_applicable} holds.
-    [por] (default [true]) enables the class-level stubborn-set
-    reduction, gated through {!Search.por_context} exactly like the
-    discrete engines (automatically inert on nets failing
-    {!Ezrt_tpn.Indep.applicable}).  [cancel] is polled at every
+    [cancel] is polled at every
     visited class, including forced chains (default: never); when it
     returns [true] the search unwinds and reports {!Budget_exhausted}
     — used by the portfolio to stop losing configurations.  The

@@ -99,21 +99,20 @@ let class_outcome = function
   | Error (Class_search.Budget_exhausted | Class_search.Extraction_failed) ->
     Error Search.Budget_exhausted
 
-let run_config ~max_stored ~por ~cancel model cfg =
+let run_config ~max_stored ~cancel model cfg =
   match cfg.engine with
   | Discrete ->
     let options =
       { Search.default_options with
         policy = cfg.policy;
         latest_release = cfg.latest_release;
-        max_stored;
-        por }
+        max_stored }
     in
     let outcome, metrics = Search.find_schedule ~options ~cancel model in
     { config = cfg; outcome; metrics; cancelled = false }
   | Classes ->
     let outcome, metrics =
-      Class_search.find_schedule ~max_stored ~por ~cancel model
+      Class_search.find_schedule ~max_stored ~cancel model
     in
     { config = cfg; outcome = class_outcome outcome; metrics;
       cancelled = false }
@@ -181,7 +180,7 @@ let run_prepass model =
     (Prepass_unknown why, None)
 
 let find_schedule ?configs ?(max_stored = 500_000) ?domains ?(analysis = true)
-    ?(por = true) ?(cancel = Search.no_cancel) model =
+    ?(cancel = Search.no_cancel) model =
   let started_at = Unix.gettimeofday () in
   let prepass, decided =
     if analysis then run_prepass model
@@ -255,7 +254,7 @@ let find_schedule ?configs ?(max_stored = 500_000) ?domains ?(analysis = true)
           c
         in
         let (attempt : attempt) =
-          run_config ~max_stored ~por ~cancel:member_cancel model cfgs.(i)
+          run_config ~max_stored ~cancel:member_cancel model cfgs.(i)
         in
         let attempt = { attempt with cancelled = !saw_cancel } in
         Ezrt_obs.Trace.end_span ~cat:"portfolio" "portfolio-member"

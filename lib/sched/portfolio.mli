@@ -85,15 +85,11 @@ val find_schedule :
   ?max_stored:int ->
   ?domains:int ->
   ?analysis:bool ->
-  ?por:bool ->
   ?cancel:(unit -> bool) ->
   Ezrt_blocks.Translate.t ->
   t
 (** [max_stored] bounds each configuration separately (default
-    500_000).  [por] (default [true]) is threaded into every member —
-    discrete engines via {!Search.options.por}, class engines via
-    their [?por] parameter — so [--no-por] disables the stubborn-set
-    reduction across the whole race.  [domains] caps the worker domains (default: one per
+    500_000).  [domains] caps the worker domains (default: one per
     config, at most [Domain.recommended_domain_count () - 1]); with
     [~domains:1] the configs run sequentially on the calling domain in
     order, which is deterministic.

@@ -8,12 +8,11 @@ type options = {
   latest_release : bool;
   max_stored : int;
   incremental : bool;
-  por : bool;
 }
 
 let default_options =
   { policy = Priority.Edf; partial_order = true; latest_release = false;
-    max_stored = 500_000; incremental = true; por = true }
+    max_stored = 500_000; incremental = true }
 
 type failure =
   | Infeasible
@@ -51,21 +50,7 @@ type ('node, 'step) semantics = {
   advance : 'node -> 'step -> 'node;
   mark : unit -> int;
   restore : int -> unit;
-  urgent : 'node -> bool;
-  enabled : 'node -> Pnet.transition_id -> bool;
-  dub_zero : 'node -> Pnet.transition_id -> bool;
-  tokens : 'node -> Pnet.place_id -> int;
 }
-
-let por_context options model =
-  if options.por && not options.latest_release then
-    let ind =
-      Indep.create model.Translate.net
-        ~final_place:model.Translate.final_place
-        ~dead_places:model.Translate.dead_places
-    in
-    if Indep.applicable ind then Some ind else None
-  else None
 
 (* --- the kernel ------------------------------------------------------
    The DFS keeps its own unsynchronized counter record (hot path); the
@@ -81,9 +66,6 @@ type counters = {
   mutable c_backtracks : int;
   mutable c_subsumed : int;
   mutable c_max_depth : int;
-  mutable c_por_reduced : int;
-  mutable c_por_fallback : int;
-  mutable c_por_skipped : int;
 }
 
 let flush_metrics ~engine (m : metrics) =
@@ -97,28 +79,19 @@ let flush_metrics ~engine (m : metrics) =
   bump "ezrt_search_eager_fires_total"
     "Forced immediate firings collapsed without storing a node" m.eager;
   bump "ezrt_search_backtracks_total" "Exhausted search nodes" m.backtracks;
-  bump "ezrt_por_reduced_total"
-    "Expansions pruned by the stubborn-set partial-order reduction"
-    m.por_reduced;
-  bump "ezrt_por_fallback_total"
-    "Urgent states where the stubborn set gave no strict reduction"
-    m.por_fallback;
-  bump "ezrt_por_skipped_total"
-    "Expanded states where the reduction's gate did not apply" m.por_skipped;
   Metrics.observe
     (Metrics.timer ~help:"Wall-clock time spent in search" ~labels
        "ezrt_search_duration")
     (max 0.0 m.elapsed_s);
   Metrics.record_gc_gauges ()
 
-let explore (type node step) ~engine ~args ~max_stored ~por ~ind ~cancel
+let explore (type node step) ~engine ~args ~max_stored ~cancel
     (sem : (node, step) semantics) =
   let exception Found of step list in
   let started = Unix.gettimeofday () in
   let c =
     { c_stored = 0; c_visited = 0; c_eager = 0; c_backtracks = 0;
-      c_subsumed = 0; c_max_depth = 0; c_por_reduced = 0;
-      c_por_fallback = 0; c_por_skipped = 0 }
+      c_subsumed = 0; c_max_depth = 0 }
   in
   let snapshot () =
     Printf.sprintf "search[%s]: %d stored, %d visited, depth %d, %.0f states/s"
@@ -126,25 +99,6 @@ let explore (type node step) ~engine ~args ~max_stored ~por ~ind ~cancel
       (float_of_int c.c_visited /. max 1e-9 (Unix.gettimeofday () -. started))
   in
   let budget_hit = ref false in
-  (* The stubborn-set gate: probes run only at urgent nodes of a net
-     that passed [por_context], and every expansion is counted once. *)
-  let reduce n fireable =
-    match ind with
-    | Some ind when sem.urgent n -> (
-      match
-        Indep.reduce ind ~enabled:(sem.enabled n) ~dub_zero:(sem.dub_zero n)
-          ~tokens:(sem.tokens n) fireable
-      with
-      | Indep.Reduced e ->
-        c.c_por_reduced <- c.c_por_reduced + 1;
-        e
-      | Indep.Fallback ->
-        c.c_por_fallback <- c.c_por_fallback + 1;
-        fireable)
-    | Some _ | None ->
-      if por then c.c_por_skipped <- c.c_por_skipped + 1;
-      fireable
-  in
   (* A forced firing leaves no choice and no time passes, so the node
      it leaves need not become a search node.  Cancel is polled at each
      link: long forced chains are where a losing portfolio member
@@ -179,7 +133,7 @@ let explore (type node step) ~engine ~args ~max_stored ~por ~ind ~cancel
         c.c_stored <- c.c_stored + 1;
         c.c_visited <- c.c_visited + 1;
         Ezrt_obs.Progress.tick snapshot;
-        let steps = sem.branches n (reduce n (sem.fireable n)) in
+        let steps = sem.branches n (sem.fireable n) in
         let here = sem.mark () in
         List.iter
           (fun step ->
@@ -218,9 +172,9 @@ let explore (type node step) ~engine ~args ~max_stored ~por ~ind ~cancel
       subsumed = c.c_subsumed;
       max_depth = c.c_max_depth;
       elapsed_s = Unix.gettimeofday () -. started;
-      por_reduced = c.c_por_reduced;
-      por_fallback = c.c_por_fallback;
-      por_skipped = c.c_por_skipped;
+      por_reduced = 0;
+      por_fallback = 0;
+      por_skipped = 0;
     }
   in
   flush_metrics ~engine metrics;
@@ -286,10 +240,6 @@ let copying options model =
     advance = (fun s (tid, q) -> State.fire net s tid q);
     mark = (fun () -> 0);
     restore = ignore;
-    urgent = (fun s -> State.min_dub net s = Time_interval.Finite 0);
-    enabled = State.is_enabled;
-    dub_zero = (fun s t -> State.dub net s t = Time_interval.Finite 0);
-    tokens = State.tokens;
   }
 
 (* The incremental engine: one mutable [State.Incremental] engine walked
@@ -323,12 +273,6 @@ let incremental options model memo =
     advance = (fun () (tid, q) -> State.Incremental.fire eng tid q);
     mark = (fun () -> State.Incremental.depth eng);
     restore = State.Incremental.undo_to eng;
-    urgent =
-      (fun () -> State.Incremental.min_dub eng = Time_interval.Finite 0);
-    enabled = (fun () -> State.Incremental.is_enabled eng);
-    dub_zero =
-      (fun () t -> State.Incremental.dub eng t = Time_interval.Finite 0);
-    tokens = (fun () -> State.Incremental.tokens eng);
   }
 
 let find_schedule ?(options = default_options) ?(cancel = no_cancel) model =
@@ -337,8 +281,7 @@ let find_schedule ?(options = default_options) ?(cancel = no_cancel) model =
       explore ~engine
         ~args:
           [ ("policy", Ezrt_obs.Trace.Str (Priority.to_string options.policy)) ]
-        ~max_stored:options.max_stored ~por:options.por
-        ~ind:(por_context options model) ~cancel sem
+        ~max_stored:options.max_stored ~cancel sem
     in
     (Result.map Schedule.of_actions outcome, metrics)
   in

@@ -5,8 +5,8 @@
 
     One kernel, {!explore}, runs that search over any {!semantics}: it
     owns the claim-at-first-visit memo, the forced-firing chains, the
-    stubborn-set gate, the budget, cancellation, progress, the [search]
-    span and the metric flush.  Three semantics plug into it:
+    budget, cancellation, progress, the [search] span and the metric
+    flush.  Three semantics plug into it:
 
     - the {e incremental} discrete engine (default) walks one mutable
       {!Ezrt_tpn.State.Incremental} state fire/undo, firing in O(arcs)
@@ -36,12 +36,6 @@ type options = {
       (** use the incremental engine with the packed failed-state
           store; default true.  [false] selects the copy-based
           reference engine. *)
-  por : bool;
-      (** stubborn-set partial-order reduction ({!Ezrt_tpn.Indep}):
-          at urgent states, expand only a dependency-closed subset of
-          the fireable set; default true.  Automatically inert under
-          [latest_release] or on nets that fail
-          {!Ezrt_tpn.Indep.applicable}; [--no-por] on the CLI. *)
 }
 
 val default_options : options
@@ -67,18 +61,12 @@ type metrics = {
   max_depth : int;
   elapsed_s : float;
   por_reduced : int;
-      (** expanded states where the stubborn set pruned ≥ 1 candidate *)
   por_fallback : int;
-      (** urgent states where no sound strict reduction was found *)
   por_skipped : int;
-      (** expanded states where the reduction gate did not apply
-          (non-urgent state, inapplicable net, or [latest_release]) *)
+      (** always 0.  These counted the stubborn-set reduction, which
+          was removed; the fields stay only because the benchmark
+          ([perfbench/main.ml]) reads them, until its next change. *)
 }
-
-val por_context : options -> Ezrt_blocks.Translate.t -> Ezrt_tpn.Indep.t option
-(** The per-search stubborn-set context: [Some] exactly when
-    [options.por] is on, [latest_release] is off, and the net passes
-    {!Ezrt_tpn.Indep.applicable}. *)
 
 (** {1 The kernel} *)
 
@@ -97,36 +85,26 @@ type ('node, 'step) semantics = {
       (** the step to take without branching, when the node leaves no
           choice *)
   branches : 'node -> Ezrt_tpn.Pnet.transition_id list -> 'step list;
-      (** the ordered steps to try from the (reduced) fireable set;
+      (** the ordered steps to try from the fireable set;
           computed before the first one is taken *)
   advance : 'node -> 'step -> 'node;
   mark : unit -> int;
   restore : int -> unit;
       (** [restore (mark ())] undoes every [advance] since the mark —
           for semantics that mutate in place; a no-op otherwise *)
-  urgent : 'node -> bool;
-  enabled : 'node -> Ezrt_tpn.Pnet.transition_id -> bool;
-  dub_zero : 'node -> Ezrt_tpn.Pnet.transition_id -> bool;
-  tokens : 'node -> Ezrt_tpn.Pnet.place_id -> int;
-      (** the four stubborn-set probes ({!Ezrt_tpn.Indep.reduce}),
-          asked only at urgent nodes of a reducible net *)
 }
 
 val explore :
   engine:string ->
   args:(string * Ezrt_obs.Trace.arg) list ->
   max_stored:int ->
-  por:bool ->
-  ind:Ezrt_tpn.Indep.t option ->
   cancel:(unit -> bool) ->
   ('node, 'step) semantics ->
   ('step list, failure) result * metrics
 (** Depth-first search from [root] to a final node, returning the step
     path.  [engine] labels the [search] span, the progress line and the
-    [ezrt_search_*]/[ezrt_por_*] counters; [args] are extra span
-    arguments.  [ind] is the stubborn-set context (see {!por_context});
-    [por] says whether the reduction was asked for, so expansions it
-    skipped are counted.  [cancel] is polled at every node, forced
+    [ezrt_search_*] counters; [args] are extra span arguments.
+    [cancel] is polled at every node, forced
     chains included; once it returns [true] the search unwinds and
     reports {!Budget_exhausted}, as it does past [max_stored] claimed
     nodes. *)

@@ -65,8 +65,7 @@ val consumers_of : t -> place_id -> transition_id array
 val producers : t -> transition_id array array
 (** Freshly computed per-place producer index: [producers net].(p)
     lists the transitions with an output arc into [p], ascending.
-    O(arcs); callers that need it repeatedly should keep the result
-    (as {!Indep} does). *)
+    O(arcs); callers that need it repeatedly should keep the result. *)
 
 (** Structural conflict: two transitions sharing an input place can
     disable each other. *)

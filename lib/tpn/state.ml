@@ -53,7 +53,8 @@ let dub net s tid =
   check_enabled "dub" s tid;
   Time_interval.bound_sub (Time_interval.lft (Pnet.interval net tid)) s.clocks.(tid)
 
-let min_dub net s =
+(* min DUB over the enabled transitions: how far time may pass *)
+let horizon net s =
   let best = ref Time_interval.Infinity in
   Array.iteri
     (fun tid clock ->
@@ -62,7 +63,7 @@ let min_dub net s =
   !best
 
 let candidates net s =
-  let limit = min_dub net s in
+  let limit = horizon net s in
   List.filter
     (fun tid -> Time_interval.bound_le (Time_interval.Finite (dlb net s tid)) limit)
     (enabled_ids s)
@@ -80,7 +81,7 @@ let fireable net s =
 
 let firing_domain net s tid =
   check_enabled "firing_domain" s tid;
-  (dlb net s tid, min_dub net s)
+  (dlb net s tid, horizon net s)
 
 let fire (net : Pnet.t) s tid q =
   check_enabled "fire" s tid;
@@ -201,7 +202,7 @@ end)
 
    Every mutation is recorded on an undo trail so a depth-first search
    backtracks by popping frames instead of keeping parent copies.  The
-   candidate analysis (dlb/dub/min_dub/fireable) runs as one fused pass
+   candidate analysis (dlb/dub/min DUB/fireable) runs as one fused pass
    over the maintained enabled-set and is cached until the next
    fire/undo. *)
 
@@ -224,7 +225,7 @@ module Incremental = struct
     mutable zhash : int;
     (* fused candidate analysis, invalidated by fire/undo *)
     mutable cache_valid : bool;
-    mutable cached_min_dub : Time_interval.bound;
+    mutable cached_horizon : Time_interval.bound;
     mutable cached_candidates : Pnet.transition_id list;
     mutable cached_fireable : Pnet.transition_id list;
     scratch_dlb : int array;
@@ -260,7 +261,7 @@ module Incremental = struct
         depth = 0;
         zhash = 0;
         cache_valid = false;
-        cached_min_dub = Time_interval.Infinity;
+        cached_horizon = Time_interval.Infinity;
         cached_candidates = [];
         cached_fireable = [];
         scratch_dlb = Array.make n_trans 0;
@@ -308,17 +309,17 @@ module Incremental = struct
      the search explores exactly the order of the copy-based oracle. *)
   let ensure_cache e =
     if not e.cache_valid then begin
-      let min_dub = ref Time_interval.Infinity in
+      let horizon = ref Time_interval.Infinity in
       for i = 0 to e.n_enabled - 1 do
         let tid = e.enabled.(i) in
         let c = e.now - e.enabled_at.(tid) in
         let itv = Pnet.interval e.net tid in
         e.scratch_dlb.(tid) <- max 0 (Time_interval.eft itv - c);
-        min_dub :=
-          Time_interval.bound_min !min_dub
+        horizon :=
+          Time_interval.bound_min !horizon
             (Time_interval.bound_sub (Time_interval.lft itv) c)
       done;
-      let limit = !min_dub in
+      let limit = !horizon in
       let cands = ref [] and best = ref max_int in
       for i = 0 to e.n_enabled - 1 do
         let tid = e.enabled.(i) in
@@ -330,16 +331,12 @@ module Incremental = struct
         end
       done;
       let cands = List.sort compare !cands in
-      e.cached_min_dub <- limit;
+      e.cached_horizon <- limit;
       e.cached_candidates <- cands;
       e.cached_fireable <-
         List.filter (fun tid -> Pnet.priority e.net tid = !best) cands;
       e.cache_valid <- true
     end
-
-  let min_dub e =
-    ensure_cache e;
-    e.cached_min_dub
 
   let candidates e =
     ensure_cache e;
@@ -352,7 +349,7 @@ module Incremental = struct
   let firing_domain e tid =
     check_enabled "firing_domain" e tid;
     ensure_cache e;
-    (e.scratch_dlb.(tid), e.cached_min_dub)
+    (e.scratch_dlb.(tid), e.cached_horizon)
 
   let set_add e tid =
     e.pos.(tid) <- e.n_enabled;
@@ -379,7 +376,7 @@ module Incremental = struct
   let fire e tid q =
     check_enabled "fire" e tid;
     ensure_cache e;
-    let lo = e.scratch_dlb.(tid) and hi = e.cached_min_dub in
+    let lo = e.scratch_dlb.(tid) and hi = e.cached_horizon in
     if q < lo || not (Time_interval.bound_le (Time_interval.Finite q) hi) then
       invalid_arg
         (Printf.sprintf

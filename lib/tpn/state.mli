@@ -27,9 +27,6 @@ val dlb : Pnet.t -> t -> Pnet.transition_id -> int
 val dub : Pnet.t -> t -> Pnet.transition_id -> Time_interval.bound
 (** May be negative for an overdue transition that must fire now. *)
 
-val min_dub : Pnet.t -> t -> Time_interval.bound
-(** Over all enabled transitions; [Infinity] when none is enabled. *)
-
 val candidates : Pnet.t -> t -> Pnet.transition_id list
 (** Enabled transitions with [DLB <= min DUB], i.e. [FT(s)] before the
     priority filter — the raw schedulability choice set. *)
@@ -131,7 +128,6 @@ module Incremental : sig
 
   val dlb : engine -> Pnet.transition_id -> int
   val dub : engine -> Pnet.transition_id -> Time_interval.bound
-  val min_dub : engine -> Time_interval.bound
 
   val candidates : engine -> Pnet.transition_id list
   (** Ascending transition order, like the copy-based {!candidates}. *)

@@ -60,17 +60,15 @@ let discrete_engines =
     ("copying", { d with Search.incremental = false });
     ("incremental", d);
     ("latest-release", { d with Search.latest_release = true });
-    ("no-por", { d with Search.por = false });
   ]
 
 (* elapsed_s is left out: every other field is deterministic *)
 let counts_line ~spec ~engine ~verdict ~stored ~visited ~eager ~backtracks
-    ~max_depth ~subsumed ~por_reduced ~por_fallback ~por_skipped =
+    ~max_depth ~subsumed =
   Printf.sprintf
     "%s %s: %s stored=%d visited=%d eager=%d backtracks=%d max_depth=%d \
-     subsumed=%d por=%d/%d/%d\n"
+     subsumed=%d\n"
     spec engine verdict stored visited eager backtracks max_depth subsumed
-    por_reduced por_fallback por_skipped
 
 let discrete_line spec engine options model =
   let outcome, (m : Search.metrics) = Search.find_schedule ~options model in
@@ -83,12 +81,10 @@ let discrete_line spec engine options model =
   counts_line ~spec ~engine ~verdict ~stored:m.Search.stored
     ~visited:m.Search.visited ~eager:m.Search.eager
     ~backtracks:m.Search.backtracks ~max_depth:m.Search.max_depth ~subsumed:0
-    ~por_reduced:m.Search.por_reduced ~por_fallback:m.Search.por_fallback
-    ~por_skipped:m.Search.por_skipped
 
-let class_line spec engine ~subsume ?por model =
+let class_line spec engine ~subsume model =
   let outcome, (m : Class_search.metrics) =
-    Class_search.find_schedule ~subsume ?por model
+    Class_search.find_schedule ~subsume model
   in
   let verdict =
     match outcome with
@@ -100,9 +96,7 @@ let class_line spec engine ~subsume ?por model =
   counts_line ~spec ~engine ~verdict ~stored:m.Class_search.stored
     ~visited:m.Class_search.visited ~eager:m.Class_search.eager
     ~backtracks:m.Class_search.backtracks ~max_depth:m.Class_search.max_depth
-    ~subsumed:m.Class_search.subsumed ~por_reduced:m.Class_search.por_reduced
-    ~por_fallback:m.Class_search.por_fallback
-    ~por_skipped:m.Class_search.por_skipped
+    ~subsumed:m.Class_search.subsumed
 
 let test_search_counts_golden () =
   let corpus =
@@ -122,9 +116,6 @@ let test_search_counts_golden () =
     @ [
         class_line name "classes" ~subsume:true model;
         class_line name "classes-no-subsume" ~subsume:false model;
-        class_line name "classes-no-por" ~subsume:true ~por:false model;
-        class_line name "classes-no-por-no-subsume" ~subsume:false ~por:false
-          model;
       ]
   in
   let actual =

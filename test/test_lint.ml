@@ -1,8 +1,8 @@
 (* Tests for the structural lint pass (lib/lint): every documented
    diagnostic code fires on a crafted net, reports are deterministic
    (byte-identical JSON/SARIF across runs), every P-invariant
-   certificate re-checks against its net, the gate-explain verdicts
-   agree with the live engine gates over the generated corpus and
+   certificate re-checks against its net, the gate-explain verdict
+   agrees with the live engine gate over the generated corpus and
    every case study, and golden files pin the three renderings of the
    mine-pump report.  Regenerate the goldens with:
 
@@ -199,17 +199,14 @@ let tiny_spec () =
     ()
 
 let test_gate_diagnostics =
-  case "L011/L012: gate decisions reported on models" @@ fun () ->
+  case "L012: gate decision reported on models" @@ fun () ->
   let model = Translate.translate (tiny_spec ()) in
   let r = Lint.check_model model in
-  check_has "tiny" "EZRT-L011" r;
   check_has "tiny" "EZRT-L012" r;
   check_not "tiny" "EZRT-L013" r;
-  check_int "tiny: two gates" 2 (List.length r.Lint.gates);
-  List.iter
-    (fun (g : Lint.gate) ->
-      check_bool "gate name" true (g.Lint.gate = "por" || g.Lint.gate = "subsumption"))
-    r.Lint.gates
+  check_bool "tiny: the subsumption gate alone" true
+    (List.map (fun (g : Lint.gate) -> g.Lint.gate) r.Lint.gates
+    = [ "subsumption" ])
 
 let test_provenance =
   case "diagnostics on models carry spec provenance" @@ fun () ->
@@ -243,30 +240,21 @@ let case_study_models () =
         else Some (Filename.basename file, Translate.translate spec))
     (xml_files "../specs")
 
-(* the L013 self-check must never fire: lint's re-derived gates agree
-   with [Class_search.subsumption_applicable] and [Indep.applicable]
-   on every case study and a slice of the seed-42 generated corpus *)
+(* the L013 self-check must never fire: lint's re-derived gate agrees
+   with [Class_search.subsumption_applicable] on every case study and a
+   slice of the seed-42 generated corpus *)
 let test_gate_agreement =
-  slow_case "gate-explain agrees with the live gates" @@ fun () ->
+  slow_case "gate-explain agrees with the live gate" @@ fun () ->
   let generated =
     List.init 60 (fun i ->
         (Printf.sprintf "gen-%d" i, Translate.translate (Spec_gen.spec_at ~seed:42 i)))
   in
   List.iter
     (fun (name, model) ->
-      let net = model.Translate.net in
       let live_sub = Class_search.subsumption_applicable model in
-      let live_por =
-        Indep.applicable
-          (Indep.create net ~final_place:model.Translate.final_place
-             ~dead_places:model.Translate.dead_places)
-      in
       let sub = Lint.explain_subsumption model in
-      let por = Lint.explain_por model in
       check_bool (name ^ ": subsumption explain = live gate") live_sub
         sub.Lint.gate_open;
-      check_bool (name ^ ": por explain = live gate") live_por
-        por.Lint.gate_open;
       check_not name "EZRT-L013" (Lint.check_model model))
     (case_study_models () @ generated)
 
@@ -299,7 +287,8 @@ let test_deterministic =
 let test_catalogue =
   case "catalogue codes are unique and ordered" @@ fun () ->
   let codes = List.map (fun (c, _, _) -> c) Lint.catalogue in
-  check_int "catalogue size" 14 (List.length codes);
+  (* L001-L014 less L011, retired with the partial-order reduction *)
+  check_int "catalogue size" 13 (List.length codes);
   check_bool "codes sorted and unique" true
     (List.sort_uniq compare codes = codes)
 
@@ -339,10 +328,10 @@ let test_goldens =
 let test_cli =
   case "ezrt lint: formats, deny threshold, exit codes" @@ fun () ->
   Test_cli.expect [ "lint"; "--case"; "mine-pump" ] ~code:0
-    ~needles:[ "0 error(s)"; "gate por: open"; "gate subsumption: open" ];
+    ~needles:[ "0 error(s)"; "gate subsumption: open" ];
   Test_cli.expect
     [ "lint"; "--case"; "mine-pump"; "--deny"; "info" ]
-    ~code:1 ~needles:[ "EZRT-L011" ];
+    ~code:1 ~needles:[ "EZRT-L012" ];
   Test_cli.expect
     [ "lint"; "--case"; "mine-pump"; "--format"; "sarif" ]
     ~code:0 ~needles:[ "sarif-2.1.0"; "ezrt-lint" ];

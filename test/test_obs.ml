@@ -327,6 +327,11 @@ let test_timer_accounting () =
   check_int "time runs the thunk" 3 (Obs_metrics.time t (fun () -> 3));
   check_int "and counts its run" (runs + 3) (Obs_metrics.timer_runs t)
 
+let contains ~needle haystack =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
+
 let test_dump_format () =
   Obs_metrics.reset_all ();
   let a = Obs_metrics.counter ~help:"Example" "ezrt_test_dump_a_total" in
@@ -338,14 +343,8 @@ let test_dump_format () =
   let dump = Obs_metrics.dump () in
   List.iter
     (fun needle ->
-      if
-        not
-          (let n = String.length needle and h = String.length dump in
-           let rec go i =
-             i + n <= h && (String.sub dump i n = needle || go (i + 1))
-           in
-           go 0)
-      then Alcotest.failf "dump lacks %S:\n%s" needle dump)
+      if not (contains ~needle dump) then
+        Alcotest.failf "dump lacks %S:\n%s" needle dump)
     [
       "# HELP ezrt_test_dump_a_total Example";
       "# TYPE ezrt_test_dump_a_total counter";
@@ -354,6 +353,31 @@ let test_dump_format () =
     ];
   (* deterministic: same values, same dump *)
   check_string "dump is stable" dump (Obs_metrics.dump ())
+
+(* Every search ends in the kernel's one metric flush: the discrete and
+   the class engine export the same search series under their own
+   engine label, and the flush also sets the process GC gauges. *)
+let test_search_flush () =
+  Obs_metrics.reset_all ();
+  let model = Translate.translate Case_studies.fig3_precedence in
+  ignore (Search.find_schedule model);
+  ignore (Class_search.find_schedule model);
+  List.iter
+    (fun engine ->
+      check_bool (engine ^ " exports ezrt_search_stored_states_total") true
+        (Obs_metrics.value
+           (Obs_metrics.counter
+              ~labels:[ ("engine", engine) ]
+              "ezrt_search_stored_states_total")
+        > 0))
+    [ "discrete-incremental"; "classes" ];
+  check_bool "gc minor-words gauge set" true
+    (Obs_metrics.gauge_value (Obs_metrics.gauge "ezrt_gc_minor_words") > 0);
+  let dump = Obs_metrics.dump () in
+  List.iter
+    (fun series ->
+      check_bool (series ^ " in dump") true (contains ~needle:series dump))
+    [ "ezrt_gc_minor_words"; "ezrt_gc_major_words"; "ezrt_gc_compactions" ]
 
 (* --- progress --------------------------------------------------------- *)
 
@@ -433,6 +457,7 @@ let suite =
     case "counter identity by (name, labels)" test_counter_identity;
     case "timer accounting" test_timer_accounting;
     case "prometheus dump format" test_dump_format;
+    case "search flush: gc gauges and engine counters" test_search_flush;
     case "progress throttling by interval" test_progress_throttle;
     case "progress throttling by mask" test_progress_mask;
     case "progress force" test_progress_force;

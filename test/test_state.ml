@@ -14,8 +14,7 @@ let test_dlb_dub () =
   let s = State.initial net in
   (* t0 has interval [2,5] and clock 0 *)
   check_int "dlb" 2 (State.dlb net s 0);
-  check_bool "dub" true (State.dub net s 0 = Time_interval.Finite 5);
-  check_bool "min dub" true (State.min_dub net s = Time_interval.Finite 5)
+  check_bool "dub" true (State.dub net s 0 = Time_interval.Finite 5)
 
 let test_disabled_raises () =
   let net = sequential_net () in

@@ -86,8 +86,6 @@ let agree ctx net (s : State.t) eng =
         (State.Incremental.dub eng t)
     end
   done;
-  check_bound (ctx ^ " min_dub") (State.min_dub net s)
-    (State.Incremental.min_dub eng);
   check_ids (ctx ^ " candidates") (State.candidates net s)
     (State.Incremental.candidates eng);
   check_ids (ctx ^ " fireable") (State.fireable net s)
