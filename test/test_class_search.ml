@@ -67,9 +67,9 @@ let test_budget () =
   | Error _, _ | Ok _, _ -> Alcotest.fail "expected budget exhaustion"
 
 (* N independent tasks released together at time 0, each with [slack]
-   units of laxity: with none the set is infeasible for N >= 2 and the
-   proof must interleave the bookkeeping of all N tasks; with one it is
-   feasible. *)
+   units of laxity: the set is feasible iff N <= 1 + slack, and an
+   infeasibility proof must interleave the bookkeeping of all N
+   tasks. *)
 let independent ~slack n =
   let tasks =
     List.init n (fun i ->
@@ -88,8 +88,35 @@ let test_agrees_with_discrete_on_feasibility () =
       (* dense-time feasibility is implied by discrete feasibility; on
          these specs the converse holds too *)
       check_bool (name ^ ": discrete and class verdicts") discrete classes)
-    (Case_studies.all
-    @ [ ("zl-4", independent ~slack:0 4); ("snug-5", independent ~slack:1 5) ])
+    Case_studies.all
+
+let verdict = function
+  | Ok _ -> "feasible"
+  | Error Search.Infeasible -> "infeasible"
+  | Error Search.Budget_exhausted -> "budget"
+
+let class_verdict = function
+  | Ok _ -> "feasible"
+  | Error Class_search.Infeasible -> "infeasible"
+  | Error Class_search.Extraction_failed -> "extraction-failed"
+  | Error Class_search.Budget_exhausted -> "budget"
+
+(* Both engines reach the same exact verdict on independent task sets,
+   the infeasible one included, where each must exhaust the
+   interleavings of all N tasks. *)
+let test_independent_verdicts () =
+  List.iter
+    (fun (name, spec, expected) ->
+      let model = Translate.translate spec in
+      check_string (name ^ ": discrete") expected
+        (verdict (fst (Search.find_schedule model)));
+      check_string (name ^ ": classes") expected
+        (class_verdict (fst (Class_search.find_schedule model))))
+    [
+      ("zl-4", independent ~slack:0 4, "infeasible");
+      ("snug-2", independent ~slack:1 2, "feasible");
+      ("snug-5", independent ~slack:1 5, "infeasible");
+    ]
 
 let prop_class_schedules_certify =
   qcheck ~count:40 "class-search schedules certify" arbitrary_spec (fun spec ->
@@ -237,6 +264,8 @@ let suite =
     case "budget exhaustion" test_budget;
     case "feasibility agrees with the discrete engine"
       test_agrees_with_discrete_on_feasibility;
+    case "independent tasks: engines give one verdict"
+      test_independent_verdicts;
     case "subsumption prunes the relations spec" test_subsumption_prunes;
     case "deterministic metrics and schedules" test_determinism;
     case "subsume off matches on" test_subsume_off_matches_on;
