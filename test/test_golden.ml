@@ -9,9 +9,11 @@
        -o test/golden/feasible-mix.c
 
    The search-counts golden pins every engine's verdict and search
-   counters on the case studies and the corpus; regenerate it with:
+   counters, and the portfolio's verdict, winner and members, on the
+   case studies and the corpus; regenerate it with:
 
-     EZRT_UPDATE_GOLDEN=1 dune test --force *)
+     EZRT_UPDATE_GOLDEN=1 dune test --force
+     cp _build/default/test/golden/search-counts.txt test/golden/ *)
 
 open Ezrealtime
 open Test_util
@@ -98,6 +100,25 @@ let class_line spec engine ~subsume model =
     ~backtracks:m.Class_search.backtracks ~max_depth:m.Class_search.max_depth
     ~subsumed:m.Class_search.subsumed
 
+(* the portfolio's decision: verdict, winner and the members that
+   reached a verdict, in the order they ran *)
+let portfolio_line spec model =
+  let race = Portfolio.find_schedule ~domains:1 ~analysis:false model in
+  let verdict =
+    match race.Portfolio.outcome with
+    | Ok _ -> "feasible"
+    | Error Search.Infeasible -> "infeasible"
+    | Error Search.Budget_exhausted -> "budget"
+  in
+  Printf.sprintf "%s portfolio: %s winner=%s members=%s\n" spec verdict
+    (match race.Portfolio.winner with
+    | Some cfg -> Portfolio.config_to_string cfg
+    | None -> "none")
+    (String.concat ","
+       (List.map
+          (fun (a : Portfolio.attempt) -> Portfolio.config_to_string a.config)
+          race.Portfolio.attempts))
+
 let test_search_counts_golden () =
   let corpus =
     Sys.readdir "corpus" |> Array.to_list
@@ -116,6 +137,7 @@ let test_search_counts_golden () =
     @ [
         class_line name "classes" ~subsume:true model;
         class_line name "classes-no-subsume" ~subsume:false model;
+        portfolio_line name model;
       ]
   in
   let actual =
