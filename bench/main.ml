@@ -849,12 +849,10 @@ let a13 () =
       s.Emit.table_bytes c.Emit.table_bytes
       (c.Emit.fits_flash = Some true))
 
-(* --- A14: parallel portfolio race -------------------------------------- *)
+(* --- A14: portfolio, discrete then classes ------------------------------ *)
 
 let a14 () =
-  section "A14" "Parallel portfolio race (OCaml 5 domains)";
-  Format.printf "recommended domains on this machine: %d@."
-    (Domain.recommended_domain_count ());
+  section "A14" "Portfolio: discrete then classes";
   List.iter
     (fun (name, spec) ->
       let model = Translate.translate spec in
@@ -864,12 +862,6 @@ let a14 () =
         | Some cfg -> Portfolio.config_to_string cfg
         | None -> "-"
       in
-      let cancelled =
-        List.length
-          (List.filter
-             (fun (a : Portfolio.attempt) -> a.Portfolio.cancelled)
-             result.Portfolio.attempts)
-      in
       let loser_stored =
         List.fold_left
           (fun acc (a : Portfolio.attempt) ->
@@ -877,30 +869,27 @@ let a14 () =
             else acc + a.Portfolio.metrics.Search.stored)
           0 result.Portfolio.attempts
       in
-      (* per-member records: losers' and cancelled members' work used to
-         be invisible here, underreporting what the race actually cost *)
+      (* per-member records, so losers' work shows in what the
+         portfolio cost *)
       let member_json (a : Portfolio.attempt) =
         Printf.sprintf
           "{\"config\": %S, \"outcome\": %S, \"stored\": %d, \"visited\": \
-           %d, \"elapsed_ms\": %.3f, \"cancelled\": %b}"
+           %d, \"elapsed_ms\": %.3f}"
           (Portfolio.config_to_string a.Portfolio.config)
           (match a.Portfolio.outcome with
           | Ok _ -> "feasible"
           | Error f -> Search.failure_to_string f)
           a.Portfolio.metrics.Search.stored a.Portfolio.metrics.Search.visited
           (a.Portfolio.metrics.Search.elapsed_s *. 1000.)
-          a.Portfolio.cancelled
       in
       Format.printf
-        "%-14s %s on %d domain(s), %d config(s) started, %d finished (%d \
-         cancelled, %d loser states), %.1f ms (winner: %s)@."
+        "%-14s %s, %d member(s) run (%d loser states), %.1f ms (winner: \
+         %s)@."
         name
         (match result.Portfolio.outcome with
         | Ok _ -> "feasible"
         | Error f -> Search.failure_to_string f)
-        result.Portfolio.domains_used result.Portfolio.configs_started
-        (List.length result.Portfolio.attempts)
-        cancelled loser_stored
+        result.Portfolio.configs_started loser_stored
         (result.Portfolio.elapsed_s *. 1000.)
         winner;
       add_json ("A14_portfolio_" ^ name)
@@ -908,10 +897,8 @@ let a14 () =
           ("spec", jstr name);
           ("feasible", jbool (Result.is_ok result.Portfolio.outcome));
           ("winner", jstr winner);
-          ("domains_used", jint result.Portfolio.domains_used);
           ("configs_started", jint result.Portfolio.configs_started);
           ("configs_finished", jint (List.length result.Portfolio.attempts));
-          ("configs_cancelled", jint cancelled);
           ("loser_stored_states", jint loser_stored);
           ("elapsed_ms", jfloat (result.Portfolio.elapsed_s *. 1000.));
           ( "members",
@@ -1025,11 +1012,11 @@ let a17 () =
 
 (* A demand-overloaded pair (quick-reject) and the paper's independent
    preemptive set (quick-accept), each solved twice: pre-pass on versus
-   the raced portfolio baseline.  The harness asserts the pre-pass
+   the searching portfolio baseline.  The harness asserts the pre-pass
    actually decided at least one profile — otherwise the record would
-   silently measure two identical races. *)
+   silently measure two identical searches. *)
 let a18 () =
-  section "A18" "Analytic pre-pass (quick-reject / quick-accept vs the race)";
+  section "A18" "Analytic pre-pass (quick-reject / quick-accept vs search)";
   let overload =
     Spec.make ~name:"demand-overload"
       ~tasks:
@@ -1043,10 +1030,8 @@ let a18 () =
   List.iter
     (fun (name, spec) ->
       let model = Translate.translate spec in
-      let with_pre = Portfolio.find_schedule ~domains:1 model in
-      let baseline =
-        Portfolio.find_schedule ~domains:1 ~analysis:false model
-      in
+      let with_pre = Portfolio.find_schedule model in
+      let baseline = Portfolio.find_schedule ~analysis:false model in
       let pre_decided =
         match with_pre.Portfolio.prepass with
         | Portfolio.Prepass_rejected _ | Portfolio.Prepass_accepted -> true
@@ -1059,11 +1044,11 @@ let a18 () =
         <> Result.is_ok baseline.Portfolio.outcome
       then
         failwith
-          ("A18: pre-pass and raced portfolio disagree on " ^ name);
+          ("A18: pre-pass and searching portfolio disagree on " ^ name);
       let pre_ms = with_pre.Portfolio.elapsed_s *. 1000. in
       let base_ms = baseline.Portfolio.elapsed_s *. 1000. in
       Format.printf
-        "%-16s %s — pre-pass %s in %.2f ms, raced portfolio %.2f ms \
+        "%-16s %s — pre-pass %s in %.2f ms, searching portfolio %.2f ms \
          (%.0fx)@."
         name
         (match with_pre.Portfolio.outcome with
@@ -1325,8 +1310,8 @@ let bechamel_suite () =
 
 (* Compares the entries just written against a committed baseline
    (BASELINE.json): verdicts must match exactly; stored_states may grow
-   by at most 25% (plus a small absolute allowance for racy portfolio
-   counts); states_per_s — and specs_per_s for the lint experiment —
+   by at most 25% (plus a small absolute allowance for small counts);
+   states_per_s — and specs_per_s for the lint experiment —
    may drop to no less than 40% of the baseline: hosts differ,
    order-of-magnitude slowdowns are what the guard is for.  Lint
    gate-explain mismatches must stay at zero.  With [require_all] (the full run), baseline keys missing from

@@ -70,16 +70,10 @@ let engine_arg =
   in
   Arg.(value & opt engine_conv `Discrete & info [ "engine" ] ~docv:"ENGINE"
          ~doc:"Search engine: discrete (integer-clock TLTS), classes \
-               (dense-time state classes), or portfolio (race every \
-               policy and engine on parallel domains, first feasible \
-               schedule wins).")
-
-let domains_arg =
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Cap on the portfolio's worker domains, each running \
-               whole configurations of the race (default: from the host's \
-               recommended domain count).  Only the portfolio engine reads \
-               it.")
+               (dense-time state classes), or portfolio (the analytic \
+               pre-pass, then discrete search under FIFO ordering, then \
+               classes; the first schedule wins and class exhaustion \
+               proves infeasibility).")
 
 let no_subsume_arg =
   Arg.(value & flag & info [ "no-subsume" ]
@@ -89,7 +83,7 @@ let no_subsume_arg =
 let no_analysis_arg =
   Arg.(value & flag & info [ "no-analysis" ]
          ~doc:"Skip the analytic schedulability pre-pass in the portfolio \
-               engine and always race the search configurations.")
+               engine and always run its searches.")
 
 (* --- wall-clock deadlines --------------------------------------------- *)
 

@@ -177,7 +177,7 @@ let vcd_arg =
          ~doc:"Write the timeline as a VCD waveform here.")
 
 let schedule_cmd =
-  let run () file case policy no_po latest max_states engine domains no_subsume
+  let run () file case policy no_po latest max_states engine no_subsume
       no_analysis timeout gantt vcd =
     with_spec file case (fun spec ->
         (* Structural lint pre-pass: polynomial, no search.  Surfaces
@@ -276,31 +276,30 @@ let schedule_cmd =
             exit 1)
         | `Portfolio -> (
           let model = Translate.translate spec in
-          let race =
-            Portfolio.find_schedule ~max_stored:max_states ?domains
+          let portfolio =
+            Portfolio.find_schedule ~max_stored:max_states
               ~analysis:(not no_analysis) ~cancel model
           in
-          match race.Portfolio.outcome with
+          match portfolio.Portfolio.outcome with
           | Ok schedule ->
             finish_schedule model schedule
-              (match race.Portfolio.winner, race.Portfolio.prepass with
+              (match (portfolio.Portfolio.winner, portfolio.Portfolio.prepass)
+               with
               | None, Portfolio.Prepass_accepted ->
                 Printf.sprintf
                   "portfolio: analysis pre-pass decided (certified EDF \
                    quick-accept, no search ran), %.1f ms"
-                  (race.Portfolio.elapsed_s *. 1000.)
+                  (portfolio.Portfolio.elapsed_s *. 1000.)
               | winner, _ ->
                 Printf.sprintf
-                  "portfolio: %s won on %d domain(s) (%d config(s) started, \
-                   %d finished), %.1f ms"
+                  "portfolio: %s won (%d member(s) run), %.1f ms"
                   (match winner with
                   | Some cfg -> Portfolio.config_to_string cfg
                   | None -> "?")
-                  race.Portfolio.domains_used race.Portfolio.configs_started
-                  (List.length race.Portfolio.attempts)
-                  (race.Portfolio.elapsed_s *. 1000.))
+                  portfolio.Portfolio.configs_started
+                  (portfolio.Portfolio.elapsed_s *. 1000.))
           | Error f ->
-            (match race.Portfolio.prepass with
+            (match portfolio.Portfolio.prepass with
             | Portfolio.Prepass_rejected w ->
               prerr_endline
                 ("ezrt: analysis pre-pass decided: infeasible — "
@@ -311,9 +310,8 @@ let schedule_cmd =
   Cmd.v
     (Cmd.info "schedule" ~doc:"Synthesize a feasible pre-runtime schedule.")
     Term.(const run $ obs_term $ file_arg $ case_arg $ policy_arg $ no_po_arg
-          $ latest_arg $ max_states_arg $ engine_arg $ domains_arg
-          $ no_subsume_arg $ no_analysis_arg $ timeout_arg
-          $ gantt_arg $ vcd_arg)
+          $ latest_arg $ max_states_arg $ engine_arg $ no_subsume_arg
+          $ no_analysis_arg $ timeout_arg $ gantt_arg $ vcd_arg)
 
 (* --- analyze -------------------------------------------------------- *)
 

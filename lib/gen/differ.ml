@@ -184,13 +184,12 @@ let check ?(max_stored = 50_000) ?engines ?(extra = []) spec =
             of_class (fst (Class_search.find_schedule ~max_stored model)))
       in
       let portfolio =
-        (* analysis off: keep this row a pure race result so the
+        (* analysis off: keep this row a pure search result so the
            analysis row below is checked against real searches, not
            against itself through the pre-pass *)
         run "portfolio" (fun () ->
             match
-              (Portfolio.find_schedule ~max_stored ~domains:1 ~analysis:false
-                 model)
+              (Portfolio.find_schedule ~max_stored ~analysis:false model)
                 .Portfolio.outcome
             with
             | Ok s -> Feasible s
@@ -295,18 +294,11 @@ let check ?(max_stored = 50_000) ?engines ?(extra = []) spec =
       if feasible_o reference && latest = Some Infeasible then
         mismatch "reference" (getv reference) "latest-release" Infeasible
           "latest-release branching explores a superset";
-      if
-        (feasible_o reference || feasible_o latest || feasible_o classes)
-        && portfolio = Some Infeasible
-      then
-        mismatch "portfolio" Infeasible "classes" (getv classes)
-          "the portfolio races all of these configurations";
-      if
-        feasible_o portfolio && reference = Some Infeasible
-        && latest = Some Infeasible && classes = Some Infeasible
-      then
-        mismatch "portfolio" (getv portfolio) "classes" Infeasible
-          "the portfolio has no engine outside these configurations";
+      (match portfolio, classes with
+      | Some Infeasible, Some (Feasible _) | Some (Feasible _), Some Infeasible ->
+        mismatch "portfolio" (getv portfolio) "classes" (getv classes)
+          "the portfolio is infeasible exactly when its class member is"
+      | _ -> ());
       (* (d) feasibility is impossible above full utilization *)
       let u = Spec.utilization spec in
       if u > 1.0 +. 1e-9 && List.exists (fun (_, v) -> feasible v) results then

@@ -13,8 +13,8 @@
       work-conserving search: feasible cannot become infeasible;
     - the dense-time class engine is complete: anything any discrete
       configuration schedules, it must too;
-    - the sequential portfolio subsumes its member engines' verdicts
-      in both directions;
+    - the portfolio ends in the class engine, so when both verdicts
+      are decisive it is infeasible exactly when classes is;
     - every feasible schedule must replay through the TPN semantics to
       the final marking and pass the spec-level validator;
     - an [Infeasible] verdict of an exhaustive engine is contradicted
@@ -90,7 +90,7 @@ val builtin_engines : string list
     contradicts any engine's feasible schedule, and its quick-accept
     certificate — certified like every other feasible schedule —
     contradicts any engine's [Infeasible].  The [portfolio] row runs
-    with [~analysis:false] so it stays an independent race result. *)
+    with [~analysis:false] so it stays an independent search result. *)
 
 val check :
   ?max_stored:int ->

@@ -1,11 +1,9 @@
 (* Synthesis job server: a bounded queue drained by worker domains.
 
    Every job runs the same pipeline as `ezrt schedule --engine
-   portfolio` — analytic pre-pass, then the config race — behind the
-   shared re-validating cache.  The pool's concurrency lives at the
-   job level, so each portfolio runs single-domain by default: jobs
-   are independent, and N independent races saturate N domains better
-   than one race on N domains. *)
+   portfolio` — analytic pre-pass, then discrete search, then classes —
+   behind the shared re-validating cache.  The pool's concurrency lives
+   at the job level: each portfolio runs on its worker's domain. *)
 
 module Spec = Ezrt_spec.Spec
 module Validate = Ezrt_spec.Validate
@@ -51,8 +49,7 @@ let jobs_metric which =
   Metrics.counter ~help:"Service jobs by lifecycle event"
     ("ezrt_service_jobs_" ^ which ^ "_total")
 
-let solve ?cache ?(max_states = 500_000) ?deadline_at ?(engine_domains = 1)
-    spec =
+let solve ?cache ?(max_states = 500_000) ?deadline_at spec =
   match (Validate.check spec).Validate.errors with
   | e :: _ ->
     Error ("invalid specification: " ^ Validate.error_to_string e)
@@ -92,18 +89,17 @@ let solve ?cache ?(max_states = 500_000) ?deadline_at ?(engine_domains = 1)
         | None -> false
         | Some d -> Unix.gettimeofday () > d
       in
-      let race =
-        Portfolio.find_schedule ~max_stored:max_states
-          ~domains:engine_domains ~cancel model
+      let portfolio =
+        Portfolio.find_schedule ~max_stored:max_states ~cancel model
       in
       let stored =
         List.fold_left
           (fun acc (a : Portfolio.attempt) ->
             acc + a.Portfolio.metrics.Search.stored)
-          0 race.Portfolio.attempts
+          0 portfolio.Portfolio.attempts
       in
       let engine =
-        match (race.Portfolio.winner, race.Portfolio.prepass) with
+        match (portfolio.Portfolio.winner, portfolio.Portfolio.prepass) with
         | Some cfg, _ -> Portfolio.config_to_string cfg
         | None, (Portfolio.Prepass_accepted | Portfolio.Prepass_rejected _) ->
           "prepass"
@@ -117,11 +113,11 @@ let solve ?cache ?(max_states = 500_000) ?deadline_at ?(engine_domains = 1)
             {
               Cache.verdict;
               engine;
-              elapsed_ms = race.Portfolio.elapsed_s *. 1000.;
+              elapsed_ms = portfolio.Portfolio.elapsed_s *. 1000.;
               stored_states = stored;
             }
       in
-      (match race.Portfolio.outcome with
+      (match portfolio.Portfolio.outcome with
       | Ok schedule ->
         let net = model.Translate.net in
         let actions =
@@ -139,7 +135,7 @@ let solve ?cache ?(max_states = 500_000) ?deadline_at ?(engine_domains = 1)
                   makespan = Schedule.makespan schedule;
                 }))
       | Error Search.Infeasible -> (
-        match race.Portfolio.prepass with
+        match portfolio.Portfolio.prepass with
         | Portfolio.Prepass_rejected w ->
           store_entry (Cache.Infeasible w);
           Ok (finish ~engine ~stored (Infeasible (Some w)))

@@ -21,7 +21,7 @@ module Schedulability = Ezrt_analysis.Schedulability
 type verdict =
   | Feasible of { firings : int; makespan : int }
   | Infeasible of Schedulability.witness option
-      (** [None] when proved by race exhaustion rather than an analytic
+      (** [None] when proved by class exhaustion rather than an analytic
           witness — correct but not cacheable *)
   | Timed_out  (** the job's wall-clock deadline expired mid-search *)
   | Inconclusive  (** stored-state budget exhausted before a verdict *)
@@ -45,17 +45,14 @@ val solve :
   ?cache:Cache.t ->
   ?max_states:int ->
   ?deadline_at:float ->
-  ?engine_domains:int ->
   Spec.t ->
   (outcome, string) result
 (** Validate, translate, consult the cache (every hit re-validated,
     see {!Cache}), and on a miss run {!Ezrt_sched.Portfolio} and store
     any checkable result.  [deadline_at] is an absolute
     [Unix.gettimeofday] instant mapped onto the engines' [cancel]
-    hooks.  [engine_domains] caps the portfolio's worker domains
-    (default 1 — server workers are already parallel, and a
-    single-domain race is deterministic).  [Error] only for invalid
-    specifications. *)
+    hooks.  The portfolio runs on the calling worker's domain and is
+    deterministic.  [Error] only for invalid specifications. *)
 
 (** {1 The worker pool} *)
 

@@ -166,11 +166,16 @@ let test_analyze_spec_only_rejects () =
 let test_portfolio_prepass () =
   expect [ "schedule"; "--case"; "fig8"; "--engine"; "portfolio" ] ~code:0
     ~needles:[ "analysis pre-pass decided"; "schedule table" ];
-  (* the escape hatch must race and name a winning config *)
+  (* the escape hatch must search and name the winning member *)
   expect
     [ "schedule"; "--case"; "fig8"; "--engine"; "portfolio"; "--no-analysis" ]
     ~code:0
-    ~needles:[ "won on"; "schedule table" ]
+    ~needles:[ "discrete/fifo won"; "schedule table" ]
+
+let test_portfolio_mine_pump () =
+  expect [ "schedule"; "--case"; "mine-pump"; "--engine"; "portfolio" ]
+    ~code:0
+    ~needles:[ "portfolio: discrete/fifo won"; "schedule table" ]
 
 let test_analyze_sensitivity () =
   expect [ "analyze"; "--case"; "quickstart"; "--sensitivity" ] ~code:0
@@ -378,6 +383,7 @@ let suite =
     case "analyze --spec-only prints a reject witness"
       test_analyze_spec_only_rejects;
     case "portfolio prepass and --no-analysis" test_portfolio_prepass;
+    case "portfolio on mine-pump names discrete/fifo" test_portfolio_mine_pump;
     case "analyze with sensitivity" test_analyze_sensitivity;
     case "vcd output" test_vcd_output;
     case "simulate with fault injection" test_simulate_fault;

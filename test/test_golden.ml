@@ -103,7 +103,7 @@ let class_line spec engine ~subsume model =
 (* the portfolio's decision: verdict, winner and the members that
    reached a verdict, in the order they ran *)
 let portfolio_line spec model =
-  let race = Portfolio.find_schedule ~domains:1 ~analysis:false model in
+  let race = Portfolio.find_schedule ~analysis:false model in
   let verdict =
     match race.Portfolio.outcome with
     | Ok _ -> "feasible"

@@ -1,6 +1,7 @@
-(* Parallel portfolio search: the winner must certify, sequential mode
-   must be deterministic, infeasibility needs every config's vote, and
-   the default config list depends on the model alone. *)
+(* The portfolio chain (pre-pass, discrete/fifo, classes): the winner
+   must certify, runs are deterministic, the members run in a pinned
+   order, and the class member's exhaustion alone proves
+   infeasibility. *)
 
 module Translate = Ezrt_blocks.Translate
 module Search = Ezrt_sched.Search
@@ -28,9 +29,7 @@ let test_mine_pump_wins () =
   match result.Portfolio.outcome with
   | Ok schedule ->
     certify "portfolio mine-pump" model schedule;
-    check_bool "has a winner" true (result.Portfolio.winner <> None);
-    check_bool "used at least one domain" true
-      (result.Portfolio.domains_used >= 1)
+    check_bool "has a winner" true (result.Portfolio.winner <> None)
   | Error f -> Alcotest.failf "mine-pump: %s" (Search.failure_to_string f)
 
 let test_all_case_studies () =
@@ -45,7 +44,7 @@ let test_all_case_studies () =
     Case_studies.all
 
 (* greedy-trap needs idle time at t=0; the portfolio must still find
-   and certify a schedule whichever config gets there first *)
+   and certify a schedule *)
 let test_greedy_trap () =
   let model = Translate.translate Case_studies.greedy_trap in
   let result = Portfolio.find_schedule model in
@@ -58,19 +57,19 @@ let test_greedy_trap () =
 
 let test_sequential_deterministic () =
   let model = Translate.translate Case_studies.mine_pump in
-  let run () = Portfolio.find_schedule ~domains:1 model in
+  let run () = Portfolio.find_schedule model in
   let a = run () and b = run () in
   match (a.Portfolio.outcome, b.Portfolio.outcome) with
   | Ok s1, Ok s2 ->
     check_bool "same schedule on both runs" true
       (s1.Schedule.entries = s2.Schedule.entries);
     check_bool "same winner" true (a.Portfolio.winner = b.Portfolio.winner);
-    (* sequentially, the race stops at the first feasible config *)
+    (* the chain stops at the first feasible member *)
     check_bool "winner is the first attempt" true
       (match a.Portfolio.attempts with
       | first :: _ -> Result.is_ok first.Portfolio.outcome
       | [] -> false)
-  | _ -> Alcotest.fail "sequential portfolio should be feasible"
+  | _ -> Alcotest.fail "the portfolio should be feasible"
 
 let unschedulable_pair =
   Spec.make ~name:"tight"
@@ -81,11 +80,20 @@ let unschedulable_pair =
       ]
     ()
 
-let test_infeasible_unanimous () =
+let member_names result =
+  List.map
+    (fun (a : Portfolio.attempt) -> Portfolio.config_to_string a.config)
+    result.Portfolio.attempts
+
+(* the chain is discrete/fifo then classes, and on an infeasible spec
+   both run, in that order, before the class member's verdict decides *)
+let test_members_pinned () =
+  Alcotest.(check (list string))
+    "members" [ "discrete/fifo"; "classes" ]
+    (List.map Portfolio.config_to_string Portfolio.members);
   let model = Translate.translate unschedulable_pair in
-  (* analysis off: this test is about the race's unanimity requirement,
-     and the pre-pass would demand-reject this spec before any config
-     starts (covered by the prepass tests below) *)
+  (* analysis off: the pre-pass would demand-reject this spec before
+     any member starts (covered by the prepass tests below) *)
   let result = Portfolio.find_schedule ~analysis:false model in
   (match result.Portfolio.outcome with
   | Error Search.Infeasible -> ()
@@ -93,13 +101,34 @@ let test_infeasible_unanimous () =
   | Ok _ -> Alcotest.fail "unschedulable pair got a schedule");
   check_bool "no winner" true (result.Portfolio.winner = None);
   check_bool "prepass off" true (result.Portfolio.prepass = Portfolio.Prepass_off);
-  (* infeasibility is a proof: every config must have voted *)
-  check_int "all configs finished"
-    (List.length (Portfolio.default_configs model))
-    (List.length result.Portfolio.attempts)
+  Alcotest.(check (list string))
+    "members run" [ "discrete/fifo"; "classes" ] (member_names result)
+
+(* Under a budget of 28 stored nodes, discrete/fifo gives up on the
+   infeasible corpus spec (it needs 32) while the class engine proves
+   it (25): the class member's exhaustion alone decides. *)
+let test_class_exhaustion_decides () =
+  let spec =
+    match Ezrt_spec.Dsl.load_file (Filename.concat "corpus" "infeasible.xml") with
+    | Ok spec -> spec
+    | Error e -> Alcotest.fail (Ezrt_spec.Dsl.error_to_string e)
+  in
+  let model = Translate.translate spec in
+  let result = Portfolio.find_schedule ~analysis:false ~max_stored:28 model in
+  (match result.Portfolio.outcome with
+  | Error Search.Infeasible -> ()
+  | Error Search.Budget_exhausted -> Alcotest.fail "class exhaustion is a proof"
+  | Ok _ -> Alcotest.fail "infeasible spec got a schedule");
+  match result.Portfolio.attempts with
+  | [ fifo; classes ] ->
+    check_bool "discrete/fifo ran out of budget" true
+      (fifo.Portfolio.outcome = Error Search.Budget_exhausted);
+    check_bool "classes proved infeasibility" true
+      (classes.Portfolio.outcome = Error Search.Infeasible)
+  | _ -> Alcotest.fail "expected both members to run"
 
 (* the same spec with the pre-pass on: the demand-bound witness decides
-   the race before any configuration starts *)
+   before any member starts *)
 let test_prepass_rejects () =
   let model = Translate.translate unschedulable_pair in
   let result = Portfolio.find_schedule model in
@@ -113,7 +142,7 @@ let test_prepass_rejects () =
       (Ezrt_analysis.Schedulability.witness_holds unschedulable_pair w)
   | p -> Alcotest.failf "expected a rejection, got %s"
            (Portfolio.prepass_to_string p));
-  check_int "no config started" 0 result.Portfolio.configs_started;
+  check_int "no member started" 0 result.Portfolio.configs_started;
   check_bool "no attempts" true (result.Portfolio.attempts = [])
 
 (* an independent preemptive set inside the analytic fragment: the EDF
@@ -124,79 +153,37 @@ let test_prepass_accepts () =
   let result = Portfolio.find_schedule model in
   check_bool "accepted" true
     (result.Portfolio.prepass = Portfolio.Prepass_accepted);
-  check_bool "no winner config" true (result.Portfolio.winner = None);
-  check_int "no config started" 0 result.Portfolio.configs_started;
+  check_bool "no winner member" true (result.Portfolio.winner = None);
+  check_int "no member started" 0 result.Portfolio.configs_started;
   match result.Portfolio.outcome with
   | Ok schedule -> certify "prepass fig8" model schedule
   | Error f -> Alcotest.failf "fig8 prepass: %s" (Search.failure_to_string f)
 
-(* --no-analysis: the same spec must race and still find a schedule *)
+(* --no-analysis: the same spec must search and still find a schedule *)
 let test_no_analysis_races () =
   let spec = List.assoc "fig8" Case_studies.all in
   let model = Translate.translate spec in
-  let result = Portfolio.find_schedule ~analysis:false ~domains:1 model in
+  let result = Portfolio.find_schedule ~analysis:false model in
   check_bool "prepass off" true
     (result.Portfolio.prepass = Portfolio.Prepass_off);
   match result.Portfolio.outcome with
   | Ok schedule ->
     certify "no-analysis fig8" model schedule;
-    check_bool "race names a winner" true (result.Portfolio.winner <> None)
-  | Error f -> Alcotest.failf "fig8 race: %s" (Search.failure_to_string f)
+    check_bool "a member wins" true (result.Portfolio.winner <> None)
+  | Error f -> Alcotest.failf "fig8 search: %s" (Search.failure_to_string f)
 
-let test_custom_configs () =
+(* the discrete member is the plain search under FIFO ordering *)
+let test_fifo_member_matches_search () =
   let model = Translate.translate Case_studies.quickstart in
-  let configs =
-    [
-      {
-        Portfolio.engine = Portfolio.Discrete;
-        policy = Priority.Edf;
-        latest_release = false;
-      };
-    ]
-  in
-  let result = Portfolio.find_schedule ~configs model in
-  match result.Portfolio.outcome with
-  | Ok schedule ->
-    (* a single-config portfolio must agree with the plain search *)
-    let direct, _ = Search.find_schedule model in
-    (match direct with
-    | Ok s ->
-      check_bool "matches direct search" true
-        (s.Schedule.entries = schedule.Schedule.entries)
-    | Error _ -> Alcotest.fail "direct search disagrees")
-  | Error f -> Alcotest.failf "quickstart: %s" (Search.failure_to_string f)
-
-(* The default race is a pure function of the model: the same configs
-   in the same order on every host, whatever its domain count.  The
-   latest-release members appear only when some release window is
-   wider than a point — as on mine-pump, and not on a set of
-   zero-laxity tasks. *)
-let test_default_configs_pinned () =
-  let names spec =
-    List.map Portfolio.config_to_string
-      (Portfolio.default_configs (Translate.translate spec))
-  in
-  let base =
-    [ "discrete/fifo"; "discrete/edf"; "discrete/rm"; "discrete/dm";
-      "discrete/continuity" ]
-  in
-  Alcotest.(check (list string))
-    "mine-pump"
-    (base
-    @ [ "discrete/edf+latest-release"; "discrete/continuity+latest-release";
-        "classes" ])
-    (names Case_studies.mine_pump);
-  let zero_laxity =
-    Spec.make ~name:"zero-laxity"
-      ~tasks:
-        [
-          Task.make ~name:"a" ~wcet:2 ~deadline:2 ~period:10 ();
-          Task.make ~name:"b" ~wcet:3 ~deadline:3 ~period:10 ();
-        ]
-      ()
-  in
-  Alcotest.(check (list string))
-    "zero-laxity" (base @ [ "classes" ]) (names zero_laxity)
+  let result = Portfolio.find_schedule ~analysis:false model in
+  check_bool "discrete/fifo wins" true
+    (result.Portfolio.winner = Some Portfolio.Discrete);
+  let options = { Search.default_options with policy = Priority.Fifo } in
+  match (result.Portfolio.outcome, fst (Search.find_schedule ~options model)) with
+  | Ok schedule, Ok direct ->
+    check_bool "matches the FIFO search" true
+      (direct.Schedule.entries = schedule.Schedule.entries)
+  | _ -> Alcotest.fail "quickstart should be feasible"
 
 let suite =
   [
@@ -204,10 +191,10 @@ let suite =
     slow_case "all case studies certify" test_all_case_studies;
     case "greedy-trap certifies" test_greedy_trap;
     case "sequential mode is deterministic" test_sequential_deterministic;
-    case "infeasible needs a unanimous verdict" test_infeasible_unanimous;
+    case "members run discrete/fifo then classes" test_members_pinned;
+    case "class exhaustion proves infeasibility" test_class_exhaustion_decides;
     case "prepass quick-reject decides without a race" test_prepass_rejects;
     case "prepass quick-accept certifies without a race" test_prepass_accepts;
     case "no-analysis escape hatch races" test_no_analysis_races;
-    case "custom single-config portfolio" test_custom_configs;
-    case "default configs are pinned" test_default_configs_pinned;
+    case "fifo member matches the FIFO search" test_fifo_member_matches_search;
   ]

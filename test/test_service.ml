@@ -416,10 +416,7 @@ let test_cache_concurrent_get_or_compute () =
             Cache.get_or_compute cache ~digest ~spec ~model
               ~compute:(fun () ->
                 Atomic.incr computes;
-                let race =
-                  Portfolio.find_schedule ~domains:1 model
-                in
-                match race.Portfolio.outcome with
+                match (Portfolio.find_schedule model).Portfolio.outcome with
                 | Ok schedule ->
                   let net = model.Translate.net in
                   Some
@@ -457,7 +454,7 @@ let test_cache_concurrent_get_or_compute () =
 let test_server_matches_direct_portfolio () =
   let spec = easy_spec () in
   let model = Translate.translate spec in
-  let direct = Portfolio.find_schedule ~domains:1 model in
+  let direct = Portfolio.find_schedule model in
   let o =
     match Server.solve spec with
     | Ok o -> o
@@ -624,7 +621,7 @@ let test_service_fuzz_no_divergence () =
   in
   let direct_classify spec =
     let model = Translate.translate spec in
-    match (Portfolio.find_schedule ~domains:1 model).Portfolio.outcome with
+    match (Portfolio.find_schedule model).Portfolio.outcome with
     | Ok _ -> "feasible"
     | Error Search.Infeasible -> "infeasible"
     | Error Search.Budget_exhausted -> "unknown"
