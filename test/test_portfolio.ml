@@ -81,12 +81,25 @@ let unschedulable_pair =
       ]
     ()
 
-(* the chain is discrete/fifo then classes, and on an infeasible spec
-   both run, in that order, before the class member's verdict decides *)
-let test_members_pinned () =
+(* the member list is fixed, the same for every spec: discrete/fifo
+   then classes *)
+let test_default_configs_pinned () =
+  let expected = [ "discrete/fifo"; "classes" ] in
   Alcotest.(check (list string))
-    "members" [ "discrete/fifo"; "classes" ]
+    "members" expected
     (List.map Portfolio.config_to_string Portfolio.members);
+  let model = Translate.translate unschedulable_pair in
+  let result = Portfolio.find_schedule ~analysis:false model in
+  Alcotest.(check (list string))
+    "attempt order" expected
+    (List.map
+       (fun (a : Portfolio.attempt) -> Portfolio.config_to_string a.config)
+       result.Portfolio.attempts)
+
+(* with an ample budget both members exhaust on an unschedulable spec,
+   so the Infeasible verdict is unanimous; the class member's vote is
+   the one that decides (see the budget test below) *)
+let test_infeasible_unanimous () =
   let model = Translate.translate unschedulable_pair in
   (* analysis off: the pre-pass would demand-reject this spec before
      any member starts (covered by the prepass tests below) *)
@@ -97,11 +110,16 @@ let test_members_pinned () =
   | Ok _ -> Alcotest.fail "unschedulable pair got a schedule");
   check_bool "no winner" true (result.Portfolio.winner = None);
   check_bool "prepass off" true (result.Portfolio.prepass = Portfolio.Prepass_off);
-  check_bool "both members ran, in order" true
-    (List.map
-       (fun (a : Portfolio.attempt) -> a.config)
-       result.Portfolio.attempts
-    = Portfolio.members)
+  check_int "every member finished"
+    (List.length Portfolio.members)
+    (List.length result.Portfolio.attempts);
+  List.iter
+    (fun (a : Portfolio.attempt) ->
+      check_bool
+        (Portfolio.config_to_string a.config ^ " voted Infeasible")
+        true
+        (a.outcome = Error Search.Infeasible))
+    result.Portfolio.attempts
 
 (* Under a budget of 28 stored nodes, discrete/fifo gives up on the
    infeasible corpus spec (it needs 32) while the class engine proves
@@ -192,10 +210,11 @@ let suite =
     slow_case "all case studies certify" test_all_case_studies;
     case "greedy-trap certifies" test_greedy_trap;
     case "sequential mode is deterministic" test_sequential_deterministic;
-    case "members run discrete/fifo then classes" test_members_pinned;
+    case "infeasible needs a unanimous verdict" test_infeasible_unanimous;
     case "class exhaustion proves infeasibility" test_class_exhaustion_decides;
     case "prepass quick-reject decides without a race" test_prepass_rejects;
     case "prepass quick-accept certifies without a race" test_prepass_accepts;
     case "no-analysis escape hatch races" test_no_analysis_races;
     case "fifo member matches the FIFO search" test_fifo_member_matches_search;
+    case "default configs are pinned" test_default_configs_pinned;
   ]
