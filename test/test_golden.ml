@@ -13,7 +13,12 @@
    case studies and the corpus; regenerate it with:
 
      EZRT_UPDATE_GOLDEN=1 dune test --force
-     cp _build/default/test/golden/search-counts.txt test/golden/ *)
+     cp _build/default/test/golden/search-counts.txt test/golden/
+
+   The invariants golden pins the Farkas outcome (tag, row count and
+   an MD5 of the rows) for the case studies, the corpus and 200
+   generated specs under four row bounds; regenerate it the same way
+   and copy test/golden/invariants.txt. *)
 
 open Ezrealtime
 open Test_util
@@ -147,9 +152,55 @@ let test_search_counts_golden () =
   if update_golden then write_file path actual
   else check_string "search counts match the golden file" (read_file path) actual
 
+(* --- Farkas P-invariants ------------------------------------------ *)
+
+let invariants_line name net max_rows =
+  let outcome = Invariants.p_invariants ~max_rows net in
+  let rows = Invariants.invariants_of outcome in
+  let text =
+    String.concat ""
+      (List.map
+         (fun y ->
+           String.concat " " (Array.to_list (Array.map string_of_int y)) ^ "\n")
+         rows)
+  in
+  Printf.sprintf "%s max_rows=%d: %s rows=%d md5=%s\n" name max_rows
+    (if Invariants.is_truncated outcome then "Truncated" else "Complete")
+    (List.length rows)
+    (Digest.to_hex (Digest.string text))
+
+let test_invariants_golden () =
+  let corpus =
+    Sys.readdir "corpus" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".xml")
+    |> List.sort compare
+    |> List.map (fun f ->
+           match Dsl.load_file (Filename.concat "corpus" f) with
+           | Ok spec -> (f, spec)
+           | Error e -> Alcotest.fail (Dsl.error_to_string e))
+  in
+  let generated =
+    List.init 200 (fun i ->
+        (Printf.sprintf "gen-42-%d" i, Ezrt_gen.Spec_gen.spec_at ~seed:42 i))
+  in
+  let lines (name, spec) =
+    let net = (Translate.translate spec).Translate.net in
+    List.map (invariants_line name net) [ 1; 5; 30; 20_000 ]
+  in
+  let actual =
+    String.concat ""
+      (List.concat_map lines (Case_studies.all @ corpus @ generated))
+  in
+  let path = golden "invariants.txt" in
+  if update_golden then write_file path actual
+  else
+    check_string "Farkas outcomes match the golden file" (read_file path)
+      actual
+
 let suite =
   [
     case "pnml golden" test_pnml_golden;
     case "codegen golden" test_codegen_golden;
     case "search counts golden" test_search_counts_golden;
+    case "invariants golden" test_invariants_golden;
   ]
