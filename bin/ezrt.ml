@@ -133,7 +133,7 @@ let lint_cmd =
   in
   let max_rows_arg =
     Arg.(
-      value & opt int 20_000
+      value & opt int Invariants.default_max_rows
       & info [ "max-rows" ] ~docv:"N"
           ~doc:"Farkas row bound for the P-invariant computation; exceeding \
                 it degrades boundedness coverage to unknown instead of \

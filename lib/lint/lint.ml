@@ -241,7 +241,7 @@ let lint_timer =
     (Ezrt_obs.Metrics.timer ~help:"Wall-clock time spent in structural lint"
        "ezrt_lint_duration")
 
-let check_net_untraced ?(max_rows = 20_000) ?(final_places = [])
+let check_net_untraced ?(max_rows = Invariants.default_max_rows) ?(final_places = [])
     ?(dead_places = []) ?(resource_places = []) ?required_firings
     ?(origin_of_place = fun _ -> None) ?(origin_of_transition = fun _ -> None)
     (net : Pnet.t) =

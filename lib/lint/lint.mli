@@ -86,8 +86,9 @@ val check_net :
     context: final / dead-marker / resource places refine the
     accumulator and safety analyses, and [required_firings] enables
     the periodic-skeleton reproducibility check (L004) and the
-    deadline-path escalation of L010.  [max_rows] (default 20_000)
-    caps the Farkas invariant computation. *)
+    deadline-path escalation of L010.  [max_rows] caps the Farkas
+    invariant computation (default
+    {!Ezrt_tpn.Invariants.default_max_rows}, 20_000). *)
 
 val check_model : ?max_rows:int -> Ezrt_blocks.Translate.t -> report
 (** Lint a translated model: {!check_net} with the full context from

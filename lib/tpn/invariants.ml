@@ -44,12 +44,6 @@ let support row =
   Array.iteri (fun i x -> if x <> 0 then acc := i :: !acc) row;
   !acc
 
-let support_subset a b =
-  (* support(a) included in support(b) *)
-  let ok = ref true in
-  Array.iteri (fun i x -> if x <> 0 && b.(i) = 0 then ok := false) a;
-  !ok
-
 type outcome =
   | Complete of int array list
   | Truncated of int array list
@@ -57,83 +51,141 @@ type outcome =
 let invariants_of = function Complete ys | Truncated ys -> ys
 let is_truncated = function Complete _ -> false | Truncated _ -> true
 
+let default_max_rows = 20_000
+
+(* Supports as bitsets: place p is bit (p mod word_bits) of word
+   (p / word_bits), 63-bit words on a 64-bit host. *)
+let word_bits = Sys.int_size
+
+let bitset_of n_words y =
+  let s = Array.make n_words 0 in
+  Array.iteri
+    (fun p x ->
+      if x <> 0 then
+        let w = p / word_bits in
+        s.(w) <- s.(w) lor (1 lsl (p mod word_bits)))
+    y;
+  s
+
+let subset a b =
+  let n = Array.length a in
+  let rec go i = i = n || (a.(i) land lnot b.(i) = 0 && go (i + 1)) in
+  go 0
+
+(* Rows are mostly zero: the stdlib's generic hash reads only the first
+   few entries, so hash the nonzero ones instead. *)
+module Vec = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
+
+  let hash y =
+    let h = ref 0 in
+    Array.iteri (fun i x -> if x <> 0 then h := (((!h * 31) + i) * 31) + x) y;
+    !h land max_int
+end)
+
+(* A Farkas row: the candidate invariant [y], its residual r = y . C
+   and the support of [y] as a bitset. *)
+type row = { y : int array; r : int array; support : int array }
+
+let select f rows = Array.of_seq (Seq.filter f (Array.to_seq rows))
+
 let finalize rows =
-  List.map (fun (y, _) -> normalize y) rows
+  List.map (fun row -> normalize row.y) (Array.to_list rows)
   |> List.filter (fun y -> support y <> [])
   |> List.sort compare
 
-(* Farkas algorithm: rows are (y, r) with y the candidate invariant and
-   r = y . C the residual; eliminate each transition column in turn by
-   nonnegative combinations of rows with opposite signs. *)
-let p_invariants ?(max_rows = 4096) (net : Pnet.t) =
+(* Farkas algorithm: eliminate each transition column in turn by
+   nonnegative combinations of rows with opposite signs there, keeping
+   only rows of minimal support.  Rows zero in the column carry over
+   untested: they were pairwise minimal after the previous column, and
+   a combination's support contains its positive parent's, so none can
+   lie under them.  Only the new combinations are tested, against the
+   carried rows and each other. *)
+let p_invariants ?(max_rows = default_max_rows) (net : Pnet.t) =
   let c = incidence net in
   let n_places = Array.length c in
   let n_trans = Pnet.transition_count net in
+  let n_words = (n_places + word_bits - 1) / word_bits in
   let rows =
     ref
-      (List.init n_places (fun p ->
+      (Array.init n_places (fun p ->
            let y = Array.make n_places 0 in
            y.(p) <- 1;
-           (y, Array.copy c.(p))))
+           { y; r = Array.copy c.(p); support = bitset_of n_words y }))
   in
   let truncated = ref false in
   let t = ref 0 in
   while (not !truncated) && !t < n_trans do
-    let zero, nonzero =
-      List.partition (fun (_, r) -> r.(!t) = 0) !rows
-    in
-    let pos = List.filter (fun (_, r) -> r.(!t) > 0) nonzero in
-    let neg = List.filter (fun (_, r) -> r.(!t) < 0) nonzero in
-    let combos =
-      List.concat_map
-        (fun (y1, r1) ->
-          List.map
-            (fun (y2, r2) ->
-              let a = -r2.(!t) and b = r1.(!t) in
-              let y =
-                Array.init n_places (fun p -> (a * y1.(p)) + (b * y2.(p)))
-              in
-              let r =
-                Array.init n_trans (fun j -> (a * r1.(j)) + (b * r2.(j)))
-              in
-              let g =
-                Array.fold_left (fun acc x -> gcd acc (abs x))
-                  (Array.fold_left (fun acc x -> gcd acc (abs x)) 0 y)
-                  r
-              in
+    let t' = !t in
+    let zero = select (fun row -> row.r.(t') = 0) !rows in
+    let pos = select (fun row -> row.r.(t') > 0) !rows in
+    let neg = select (fun row -> row.r.(t') < 0) !rows in
+    (* seeded with the carried rows so a combination equal to one of
+       them is dropped as a duplicate *)
+    let seen = Vec.create (Array.length zero + 16) in
+    Array.iter (fun row -> Vec.replace seen row.y ()) zero;
+    let combos = ref [] in
+    Array.iter
+      (fun p1 ->
+        Array.iter
+          (fun p2 ->
+            let a = -p2.r.(t') and b = p1.r.(t') in
+            let y =
+              Array.init n_places (fun p -> (a * p1.y.(p)) + (b * p2.y.(p)))
+            in
+            let r =
+              Array.init n_trans (fun j -> (a * p1.r.(j)) + (b * p2.r.(j)))
+            in
+            let g =
+              Array.fold_left (fun acc x -> gcd acc (abs x))
+                (Array.fold_left (fun acc x -> gcd acc (abs x)) 0 y)
+                r
+            in
+            let y, r =
               if g > 1 then
                 (Array.map (fun x -> x / g) y, Array.map (fun x -> x / g) r)
-              else (y, r))
-            neg)
-        pos
-    in
-    (* prune duplicates and non-minimal supports *)
-    let candidate = zero @ combos in
+              else (y, r)
+            in
+            if not (Vec.mem seen y) then begin
+              Vec.add seen y ();
+              (* nonnegative rows combined with positive weights: the
+                 support is the union of the parents' *)
+              let support = Array.map2 ( lor ) p1.support p2.support in
+              combos := { y; r; support } :: !combos
+            end)
+          neg)
+      pos;
+    (* a row goes when another, different row's support lies within
+       its own — so two different rows with equal supports both go *)
+    let fresh = Array.of_list !combos in
     let minimal =
-      List.filter
-        (fun (y, _) ->
+      select
+        (fun row ->
           not
-            (List.exists
-               (fun (y', _) -> y' != y && y' <> y && support_subset y' y)
-               candidate))
-        candidate
+            (Array.exists (fun z -> subset z.support row.support) zero
+            || Array.exists
+                 (fun other -> other != row && subset other.support row.support)
+                 fresh))
+        fresh
     in
-    let deduped =
-      List.sort_uniq (fun (a, _) (b, _) -> compare a b) minimal
-    in
-    if List.length deduped > max_rows then begin
+    let next = Array.append zero minimal in
+    if Array.length next > max_rows then begin
       (* Row bound tripped mid-elimination.  Rows whose residual is
          already all-zero satisfy y . C = 0 outright, so they are
          genuine invariants even though later columns were never
          processed — salvage those and report the truncation. *)
       truncated := true;
-      rows :=
-        List.filter
-          (fun (_, r) -> Array.for_all (fun x -> x = 0) r)
-          deduped
+      rows := select (fun row -> Array.for_all (fun x -> x = 0) row.r) next
     end
     else begin
-      rows := deduped;
+      rows := next;
       incr t
     end
   done;

@@ -8,8 +8,17 @@
     their mutual-exclusion role that needs no state-space search.
 
     Computed with the Farkas algorithm restricted to minimal-support
-    invariants.  The algorithm is worst-case exponential; [max_rows]
-    aborts gracefully on pathological nets. *)
+    invariants.  Each row carries its support as a bitset of 63-bit
+    words.  Eliminating a transition column keeps the rows that are zero
+    there untested (they were pairwise minimal after the previous
+    column) and tests only the new pos x neg combinations, each against
+    those rows and the other combinations, by bitset inclusion; new
+    combinations are deduplicated through a hashtable keyed on the
+    vector, hashed over its nonzero entries.  A column with [Z] zero
+    rows and [N] new combinations so costs [O(N (Z + N) P / 63)] for [P]
+    places instead of a quadratic pass over every row.  The algorithm is
+    still worst-case exponential in the row count; [max_rows] aborts
+    gracefully on pathological nets. *)
 
 val incidence : Pnet.t -> int array array
 (** [incidence net] is [C] with [C.(p).(t) = W(t,p) - W(p,t)]. *)
@@ -33,9 +42,13 @@ val invariants_of : outcome -> int array list
 
 val is_truncated : outcome -> bool
 
+val default_max_rows : int
+(** The Farkas row bound shared by {!p_invariants} and lint: 20_000. *)
+
 val p_invariants : ?max_rows:int -> Pnet.t -> outcome
-(** Minimal-support nonnegative invariants with coprime weights
-    ([max_rows] defaults to 4096).  Never raises: when the row bound is
+(** Minimal-support nonnegative invariants with coprime weights, each
+    once, sorted with [compare] ([max_rows] defaults to
+    {!default_max_rows}).  Never raises: when the row bound is
     exceeded the result degrades to [Truncated] carrying the invariants
     found so far. *)
 

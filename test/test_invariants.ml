@@ -1,6 +1,7 @@
 open Ezrt_tpn
 module Translate = Ezrt_blocks.Translate
 module Case_studies = Ezrt_spec.Case_studies
+module Spec_gen = Ezrt_gen.Spec_gen
 open Test_util
 
 let test_incidence () =
@@ -101,6 +102,65 @@ let test_row_bound () =
   | Invariants.Complete _ ->
     Alcotest.fail "expected the row bound to trip"
 
+(* The contract invariants.mli promises for a complete outcome:
+   invariant rows of minimal support with coprime weights, each once,
+   in sorted order. *)
+let check_contract name net =
+  let outcome = Invariants.p_invariants net in
+  check_bool (name ^ ": complete") false (Invariants.is_truncated outcome);
+  let invs = Invariants.invariants_of outcome in
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let subset a b = List.for_all (fun p -> List.mem p (Invariants.support b)) a in
+  check_bool (name ^ ": sorted") true (List.sort compare invs = invs);
+  List.iter
+    (fun y ->
+      check_bool (name ^ ": is an invariant") true
+        (Invariants.is_invariant net y);
+      check_int (name ^ ": weights are coprime") 1
+        (Array.fold_left (fun g w -> gcd g (abs w)) 0 y);
+      check_int (name ^ ": appears once") 1
+        (List.length (List.filter (( = ) y) invs));
+      List.iter
+        (fun y' ->
+          if y' <> y then
+            check_bool (name ^ ": support is minimal") false
+              (subset (Invariants.support y') y))
+        invs)
+    invs
+
+(* t0 : p0 + p3 -> p1 + p2 and t1 : p0 + p2 + p3 -> p1 + p2 + p3.
+   Eliminating t0 leaves p0+p1 and p2+p3 plus two rows that t1
+   combines into p0+p1+p2+p3, which the minimality test must drop. *)
+let non_minimal_combination_net () =
+  let b = Pnet.Builder.create "non-minimal" in
+  let p = Array.init 4 (fun i -> Pnet.Builder.add_place b (Printf.sprintf "p%d" i)) in
+  let t0 = Pnet.Builder.add_transition b "t0" Time_interval.zero in
+  let t1 = Pnet.Builder.add_transition b "t1" Time_interval.zero in
+  List.iter (fun i -> Pnet.Builder.arc_pt b p.(i) t0) [ 0; 3 ];
+  List.iter (fun i -> Pnet.Builder.arc_tp b t0 p.(i)) [ 1; 2 ];
+  List.iter (fun i -> Pnet.Builder.arc_pt b p.(i) t1) [ 0; 2; 3 ];
+  List.iter (fun i -> Pnet.Builder.arc_tp b t1 p.(i)) [ 1; 2; 3 ];
+  Pnet.Builder.build b
+
+let test_minimal_support_contract () =
+  let net = non_minimal_combination_net () in
+  check_bool "only the two minimal rows" true
+    (Invariants.invariants_of (Invariants.p_invariants net)
+    = [ [| 0; 0; 1; 1 |]; [| 1; 1; 0; 0 |] ]);
+  check_contract "non-minimal combination" net;
+  List.iter
+    (fun (n, seed) ->
+      check_contract (Printf.sprintf "ring %d/%d" n seed) (ring_net n seed))
+    [ (2, 0); (3, 5); (5, 7); (8, 1) ];
+  check_contract "sequential" (sequential_net ());
+  check_contract "conflict" (conflict_net ());
+  List.iter
+    (fun i ->
+      let spec = Spec_gen.spec_at ~seed:42 i in
+      check_contract (Printf.sprintf "gen-42-%d" i)
+        (Translate.translate spec).Translate.net)
+    [ 0; 1; 2; 3; 4; 5 ]
+
 let prop_invariants_hold_along_runs =
   qcheck ~count:60 "invariants constant along random ring runs"
     QCheck.(pair (int_range 2 5) (int_range 0 50))
@@ -132,5 +192,6 @@ let suite =
     case "conflict invariant" test_conflict_invariant;
     case "resources are structurally safe" test_resources_structurally_safe;
     case "row bound trips gracefully" test_row_bound;
+    case "minimal-support contract" test_minimal_support_contract;
     prop_invariants_hold_along_runs;
   ]
