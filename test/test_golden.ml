@@ -124,16 +124,16 @@ let portfolio_line spec model =
           (fun (a : Portfolio.attempt) -> Portfolio.config_to_string a.config)
           race.Portfolio.attempts))
 
+let load_corpus () =
+  Sys.readdir "corpus" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".xml")
+  |> List.sort compare
+  |> List.map (fun f ->
+         match Dsl.load_file (Filename.concat "corpus" f) with
+         | Ok spec -> (f, spec)
+         | Error e -> Alcotest.fail (Dsl.error_to_string e))
+
 let test_search_counts_golden () =
-  let corpus =
-    Sys.readdir "corpus" |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".xml")
-    |> List.sort compare
-    |> List.map (fun f ->
-           match Dsl.load_file (Filename.concat "corpus" f) with
-           | Ok spec -> (f, spec)
-           | Error e -> Alcotest.fail (Dsl.error_to_string e))
-  in
   let lines (name, spec) =
     let model = Translate.translate spec in
     List.map
@@ -146,7 +146,8 @@ let test_search_counts_golden () =
       ]
   in
   let actual =
-    String.concat "" (List.concat_map lines (Case_studies.all @ corpus))
+    String.concat ""
+      (List.concat_map lines (Case_studies.all @ load_corpus ()))
   in
   let path = golden "search-counts.txt" in
   if update_golden then write_file path actual
@@ -170,15 +171,6 @@ let invariants_line name net max_rows =
     (Digest.to_hex (Digest.string text))
 
 let test_invariants_golden () =
-  let corpus =
-    Sys.readdir "corpus" |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".xml")
-    |> List.sort compare
-    |> List.map (fun f ->
-           match Dsl.load_file (Filename.concat "corpus" f) with
-           | Ok spec -> (f, spec)
-           | Error e -> Alcotest.fail (Dsl.error_to_string e))
-  in
   let generated =
     List.init 200 (fun i ->
         (Printf.sprintf "gen-42-%d" i, Ezrt_gen.Spec_gen.spec_at ~seed:42 i))
@@ -189,7 +181,7 @@ let test_invariants_golden () =
   in
   let actual =
     String.concat ""
-      (List.concat_map lines (Case_studies.all @ corpus @ generated))
+      (List.concat_map lines (Case_studies.all @ load_corpus () @ generated))
   in
   let path = golden "invariants.txt" in
   if update_golden then write_file path actual
