@@ -18,7 +18,14 @@
    The invariants golden pins the Farkas outcome (tag, row count and
    an MD5 of the rows) for the case studies, the corpus and 200
    generated specs under four row bounds; regenerate it the same way
-   and copy test/golden/invariants.txt. *)
+   and copy test/golden/invariants.txt.
+
+   The reachability golden pins every breadth-first walk over the
+   case studies, the corpus and 10 generated specs under four state
+   budgets: TLTS and class-graph statistics, an MD5 of the TLTS graph,
+   the marking comparison, the reachability report and five queries
+   under both semantics; regenerate it the same way and copy
+   test/golden/reach.txt. *)
 
 open Ezrealtime
 open Test_util
@@ -189,10 +196,95 @@ let test_invariants_golden () =
     check_string "Farkas outcomes match the golden file" (read_file path)
       actual
 
+(* --- breadth-first reachability walks ------------------------------ *)
+
+let reach_queries =
+  [ "EF pproc = 0"; "AG pproc <= 1"; "EF deadlock"; "AG not deadlock";
+    "EF pend >= 1" ]
+
+(* a raised exception is part of the pinned outcome *)
+let guard f = try f () with e -> "exception " ^ Printexc.exn_slot_name e
+
+let verdict_text = function
+  | Ok v -> Query.verdict_to_string v
+  | Error msg -> "error: " ^ msg
+
+let reach_lines name net budget =
+  let row label f =
+    Printf.sprintf "%s budget=%d %s: %s\n" name budget label (guard f)
+  in
+  let class_stats inclusion () =
+    let s = State_class.explore ~max_classes:budget ~inclusion net in
+    Printf.sprintf "classes=%d edges=%d deadlocks=%d truncated=%b"
+      s.State_class.classes s.State_class.edges s.State_class.deadlocks
+      s.State_class.truncated
+  in
+  let query text =
+    let q =
+      match Query.parse text with
+      | Ok q -> q
+      | Error msg -> Alcotest.failf "parse %S: %s" text msg
+    in
+    row ("query " ^ text) (fun () ->
+        String.concat " | "
+          (List.map guard
+             [
+               (fun () -> verdict_text (Query.check ~max_states:budget net q));
+               (fun () ->
+                 verdict_text (Query.check_classes ~max_classes:budget net q));
+               (fun () ->
+                 verdict_text
+                   (Query.check_classes ~max_classes:budget ~priorities:false
+                      net q));
+             ]))
+  in
+  [
+    row "tlts" (fun () ->
+        let s = Tlts.explore ~max_states:budget net in
+        Printf.sprintf "states=%d edges=%d deadlocks=%d truncated=%b"
+          s.Tlts.states s.Tlts.edges s.Tlts.deadlocks s.Tlts.truncated);
+    row "tlts-graph" (fun () ->
+        let dot = Tlts.graph_to_dot net (Tlts.graph ~max_states:budget net) in
+        "md5=" ^ Digest.to_hex (Digest.string dot));
+    row "classes" (class_stats false);
+    row "classes-inclusion" (class_stats true);
+    row "markings" (fun () ->
+        let c = State_class.compare_reachable_markings ~max_states:budget net in
+        Printf.sprintf "common=%d classes_only=%d discrete_only=%d"
+          c.State_class.common c.State_class.classes_only
+          c.State_class.discrete_only);
+    row "report" (fun () ->
+        let r = Analysis.reachability_report ~max_states:budget net in
+        Printf.sprintf "states=%d edges=%d deadlocks=%d truncated=%b bound=%d"
+          r.Analysis.reachable_states r.Analysis.edges r.Analysis.deadlocks
+          r.Analysis.truncated r.Analysis.place_bound);
+  ]
+  @ List.map query reach_queries
+
+let test_reach_golden () =
+  let generated =
+    List.init 10 (fun i ->
+        (Printf.sprintf "gen-42-%d" i, Ezrt_gen.Spec_gen.spec_at ~seed:42 i))
+  in
+  let lines (name, spec) =
+    let net = (Translate.translate spec).Translate.net in
+    List.concat_map (reach_lines name net) [ 1; 5; 37; 150 ]
+  in
+  let actual =
+    String.concat ""
+      (List.concat_map lines (Case_studies.all @ load_corpus () @ generated))
+  in
+  let path = golden "reach.txt" in
+  if update_golden then write_file path actual
+  else
+    check_string "reachability walks match the golden file" (read_file path)
+      actual
+
 let suite =
   [
     case "pnml golden" test_pnml_golden;
     case "codegen golden" test_codegen_golden;
     case "search counts golden" test_search_counts_golden;
     case "invariants golden" test_invariants_golden;
+    case "reachability golden" test_reach_golden;
   ]
