@@ -240,7 +240,10 @@ let semantics model store =
         List.exists (fun p -> (marking c).(p) > 0) model.Translate.dead_places);
     claim =
       (fun c ->
-        match Class_store.visit store c with
+        match
+          Class_store.visit store ~marking:(marking c)
+            ~domain:c.State_class.domain
+        with
         | Class_store.Fresh -> Search.Fresh
         | Class_store.Duplicate -> Search.Seen
         | Class_store.Subsumed -> Search.Subsumed);

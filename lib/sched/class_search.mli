@@ -54,5 +54,6 @@ val find_schedule :
     [cancel] is polled at every
     visited class, including forced chains (default: never); when it
     returns [true] the search unwinds and reports {!Budget_exhausted}
-    — used by the portfolio to stop losing configurations.  The
-    search itself is {!Search.explore} over the class semantics. *)
+    — the hook the caller's wall-clock deadline ([--timeout], service
+    jobs) maps onto.  The search itself is {!Search.explore} over the
+    class semantics. *)

@@ -101,8 +101,8 @@ let explore (type node step) ~engine ~args ~max_stored ~cancel
   let budget_hit = ref false in
   (* A forced firing leaves no choice and no time passes, so the node
      it leaves need not become a search node.  Cancel is polled at each
-     link: long forced chains are where a losing portfolio member
-     would otherwise linger after its rivals finished. *)
+     link, so a long forced chain cannot run past the caller's
+     deadline. *)
   let rec descend depth path n =
     if sem.is_final n || sem.is_dead n then expand depth path n
     else if cancel () then begin

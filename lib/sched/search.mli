@@ -122,5 +122,5 @@ val find_schedule :
 
     [cancel] is polled at every search node (default: never).  When it
     returns [true] the search unwinds and reports
-    {!Budget_exhausted} — the hook the portfolio uses to stop losing
-    configurations. *)
+    {!Budget_exhausted} — the hook the caller's wall-clock deadline
+    ([--timeout], service jobs) maps onto. *)

@@ -4,9 +4,9 @@
    marking we keep the list of canonical domains already explored —
    because subsumption needs to scan the domains under one marking.
 
-   The enabled-transition vector is a function of the marking (classes
-   are built by State_class, whose [fire] derives [enabled] from the
-   marking), so the marking alone is a sound skeleton key: equal
+   A class's enabled-transition vector is a function of its marking
+   (the enabled set, and so the domain's variables, are derived from
+   the marking), so the marking alone is a sound skeleton key: equal
    markings imply equal enabled sets and equal DBM dimensions. *)
 
 type entry = {
@@ -50,9 +50,7 @@ let create ?(subsume = true) () =
 
 let subsume_enabled t = t.subsume
 
-let visit (t : t) (c : State_class.t) =
-  let marking = c.State_class.marking in
-  let domain = c.State_class.domain in
+let visit (t : t) ~marking ~domain =
   let dhash = Dbm.hash domain in
   match Skeleton.find_opt t.buckets marking with
   | None ->

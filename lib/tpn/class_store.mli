@@ -1,7 +1,9 @@
 (** Store of canonical state classes with inclusion-based subsumption.
 
-    The class engine's visited table: a map from markings to the
-    canonical firing domains already explored under that marking.
+    The visited set of every class-graph walk, search and breadth-first
+    alike: a map from markings to the canonical firing domains already
+    explored under that marking (a class's enabled set must be a
+    function of its marking).
     Domains are hash-consed — one stored copy per canonical form,
     compared hash-first — so duplicate classes cost a hash probe, not a
     matrix copy.
@@ -36,9 +38,10 @@ val create : ?subsume:bool -> unit -> t
 
 val subsume_enabled : t -> bool
 
-val visit : t -> State_class.t -> verdict
-(** Classify [c] against the store and, when [Fresh], record its
-    domain.  Not thread-safe: one store belongs to one search. *)
+val visit : t -> marking:int array -> domain:Dbm.t -> verdict
+(** Classify a class against the store and, when [Fresh], record its
+    canonical [domain] (uncopied).  Not thread-safe: one store belongs
+    to one walk. *)
 
 val length : t -> int
 (** Stored domains ([entries]). *)

@@ -205,32 +205,22 @@ let verdict_to_string = function
       (String.concat " " counterexample)
   | Unknown -> "unknown (state budget exhausted)"
 
-(* resolve place names once *)
-let rec resolve_prop net = function
+(* Resolve place names once; unknown names are collected in
+   [missing], and a prop with any is never evaluated. *)
+let rec resolve_prop net missing = function
   | Atom (weighted, cmp, k) ->
-    let resolved =
-      List.map
-        (fun (name, coeff) ->
-          match Pnet.find_place_opt net name with
-          | Some p -> (p, coeff)
-          | None -> raise Not_found)
-        weighted
+    let place (name, coeff) =
+      match Pnet.find_place_opt net name with
+      | Some p -> (p, coeff)
+      | None ->
+        missing := name :: !missing;
+        (-1, coeff)
     in
-    `Atom (resolved, cmp, k)
+    `Atom (List.map place weighted, cmp, k)
   | Deadlock -> `Deadlock
-  | Not p -> `Not (resolve_prop net p)
-  | And (a, b) -> `And (resolve_prop net a, resolve_prop net b)
-  | Or (a, b) -> `Or (resolve_prop net a, resolve_prop net b)
-
-let rec unknown_places net = function
-  | Atom (weighted, _, _) ->
-    List.filter_map
-      (fun (name, _) ->
-        if Pnet.find_place_opt net name = None then Some name else None)
-      weighted
-  | Deadlock -> []
-  | Not p -> unknown_places net p
-  | And (a, b) | Or (a, b) -> unknown_places net a @ unknown_places net b
+  | Not p -> `Not (resolve_prop net missing p)
+  | And (a, b) -> `And (resolve_prop net missing a, resolve_prop net missing b)
+  | Or (a, b) -> `Or (resolve_prop net missing a, resolve_prop net missing b)
 
 let compare_ints cmp a b =
   match cmp with
@@ -241,169 +231,75 @@ let compare_ints cmp a b =
   | Ge -> a >= b
   | Gt -> a > b
 
-let rec eval net (s : State.t) = function
+(* One evaluator for both semantics: a node is read through its
+   marking and its own deadlock test. *)
+let rec eval marking deadlock = function
   | `Atom (weighted, cmp, k) ->
     let total =
-      List.fold_left
-        (fun acc (p, coeff) -> acc + (coeff * s.State.marking.(p)))
-        0 weighted
+      List.fold_left (fun acc (p, coeff) -> acc + (coeff * marking.(p))) 0
+        weighted
     in
     compare_ints cmp total k
-  | `Deadlock -> State.enabled_ids s = []
-  | `Not p -> not (eval net s p)
-  | `And (a, b) -> eval net s a && eval net s b
-  | `Or (a, b) -> eval net s a || eval net s b
+  | `Deadlock -> deadlock ()
+  | `Not p -> not (eval marking deadlock p)
+  | `And (a, b) -> eval marking deadlock a && eval marking deadlock b
+  | `Or (a, b) -> eval marking deadlock a || eval marking deadlock b
 
-(* BFS with parent pointers: the first state satisfying [target]
-   yields the shortest witness. *)
-let find_state ?(max_states = 100_000) net target =
-  let seen = State.Table.create 1024 in
-  let queue = Queue.create () in
-  let truncated = ref false in
-  let visit parent s =
-    if not (State.Table.mem seen s) then begin
-      if State.Table.length seen >= max_states then truncated := true
-      else begin
-        State.Table.replace seen s parent;
-        Queue.push s queue
-      end
-    end
-  in
-  let witness s =
-    let rec build acc s =
-      match State.Table.find seen s with
-      | None -> acc
-      | Some (prev, tid) -> build (Pnet.transition_name net tid :: acc) prev
-    in
-    build [] s
-  in
-  let initial = State.initial net in
-  visit None initial;
-  let found = ref None in
-  if target net initial then found := Some initial;
-  while !found = None && not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    List.iter
-      (fun (action, s') ->
-        if !found = None && not (State.Table.mem seen s') then begin
-          visit (Some (s, action.Tlts.tid)) s';
-          if target net s' then found := Some s'
-        end)
-      (Tlts.successors `Earliest net s)
-  done;
-  match !found with
-  | Some s -> `Found (witness s)
-  | None -> if !truncated then `Truncated else `Absent
-
-let check ?max_states net query =
-  let body = match query with Ef p | Ag p -> p in
-  match unknown_places net body with
-  | _ :: _ as missing ->
+(* Resolve the place names, then let [walk] search breadth-first for
+   the first admitted node deciding the query: a satisfying node is a
+   witness that EF holds, a violating node refutes AG.  The first such
+   node yields a shortest firing sequence. *)
+let decide net query walk =
+  let missing = ref [] in
+  let prop = resolve_prop net missing (match query with Ef p | Ag p -> p) in
+  match !missing with
+  | _ :: _ ->
     Error
       (Printf.sprintf "unknown place(s): %s"
-         (String.concat ", " (List.sort_uniq compare missing)))
+         (String.concat ", " (List.sort_uniq compare !missing)))
   | [] ->
-    let resolved = resolve_prop net body in
-    Ok
-      (match query with
-      | Ef _ -> (
-        (* a state satisfying the property is a witness that EF holds *)
-        match find_state ?max_states net (fun net s -> eval net s resolved) with
-        | `Found witness -> Holds witness
-        | `Absent -> Fails []
-        | `Truncated -> Unknown)
-      | Ag _ -> (
-        (* a state violating the property refutes AG *)
-        match
-          find_state ?max_states net (fun net s -> not (eval net s resolved))
-        with
-        | `Found counterexample -> Fails counterexample
-        | `Absent -> Holds []
-        | `Truncated -> Unknown))
-
-(* The same BFS over the dense-time class graph. *)
-let find_class ?(max_classes = 100_000) ~priorities net target =
-  let seen = State_class.Table.create 1024 in
-  let queue = Queue.create () in
-  let truncated = ref false in
-  let visit parent c =
-    if not (State_class.Table.mem seen c) then begin
-      if State_class.Table.length seen >= max_classes then truncated := true
-      else begin
-        State_class.Table.replace seen c parent;
-        Queue.push c queue
-      end
-    end
-  in
-  let witness c =
-    let rec build acc c =
-      match State_class.Table.find seen c with
-      | None -> acc
-      | Some (prev, tid) -> build (Pnet.transition_name net tid :: acc) prev
+    let wanted = match query with Ef _ -> true | Ag _ -> false in
+    let r =
+      walk (fun marking deadlock -> eval marking deadlock prop = wanted)
     in
-    build [] c
-  in
-  let initial = State_class.initial net in
-  visit None initial;
-  let found = ref None in
-  if target initial then found := Some initial;
-  while !found = None && not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    List.iter
-      (fun tid ->
-        if !found = None then begin
-          let c' = State_class.fire net c tid in
-          if not (State_class.Table.mem seen c') then begin
-            visit (Some (c, tid)) c';
-            if target c' then found := Some c'
-          end
-        end)
-      (State_class.firable ~priorities net c)
-  done;
-  match !found with
-  | Some c -> `Found (witness c)
-  | None -> if !truncated then `Truncated else `Absent
-
-let rec eval_class net (c : State_class.t) = function
-  | `Atom (weighted, cmp, k) ->
-    let total =
-      List.fold_left
-        (fun acc (p, coeff) -> acc + (coeff * c.State_class.marking.(p)))
-        0 weighted
-    in
-    compare_ints cmp total k
-  | `Deadlock -> State_class.firable net c = []  (* prioritized *)
-  | `Not p -> not (eval_class net c p)
-  | `And (a, b) -> eval_class net c a && eval_class net c b
-  | `Or (a, b) -> eval_class net c a || eval_class net c b
-
-let check_classes ?max_classes ?(priorities = true) net query =
-  let body = match query with Ef p | Ag p -> p in
-  match unknown_places net body with
-  | _ :: _ as missing ->
-    Error
-      (Printf.sprintf "unknown place(s): %s"
-         (String.concat ", " (List.sort_uniq compare missing)))
-  | [] ->
-    let resolved = resolve_prop net body in
+    let names = List.map (Pnet.transition_name net) in
     Ok
-      (match query with
-      | Ef _ -> (
-        match
-          find_class ?max_classes ~priorities net (fun c ->
-              eval_class net c resolved)
-        with
-        | `Found witness -> Holds witness
-        | `Absent -> Fails []
-        | `Truncated -> Unknown)
-      | Ag _ -> (
-        match
-          find_class ?max_classes ~priorities net (fun c ->
-              not (eval_class net c resolved))
-        with
-        | `Found counterexample -> Fails counterexample
-        | `Absent -> Holds []
-        | `Truncated -> Unknown))
+      (match (r.Reach.found, query) with
+      | Some path, Ef _ -> Holds (names path)
+      | Some path, Ag _ -> Fails (names path)
+      | None, _ when r.Reach.truncated -> Unknown
+      | None, Ef _ -> Fails []
+      | None, Ag _ -> Holds [])
+
+let check ?(max_states = 100_000) net query =
+  decide net query (fun decides ->
+      let seen = State.Table.create 1024 in
+      Reach.bfs ~max_nodes:max_states
+        ~fresh:(fun s -> not (State.Table.mem seen s))
+        ~on_node:(fun s -> State.Table.replace seen s ())
+        ~stop:(fun s ->
+          decides s.State.marking (fun () -> State.enabled_ids s = []))
+        ~successors:(fun s ->
+          List.map
+            (fun (action, s') -> (action.Tlts.tid, s'))
+            (Tlts.successors `Earliest net s))
+        (State.initial net))
+
+(* [Deadlock] reads the prioritized firable set whatever [priorities] *)
+let check_classes ?(max_classes = 100_000) ?(priorities = true) net query =
+  decide net query (fun decides ->
+      let store = Class_store.create ~subsume:false () in
+      Reach.bfs ~max_nodes:max_classes
+        ~fresh:(fun (c : State_class.t) ->
+          Class_store.visit store ~marking:c.marking ~domain:c.domain
+          = Class_store.Fresh)
+        ~stop:(fun (c : State_class.t) ->
+          decides c.marking (fun () -> State_class.firable net c = []))
+        ~successors:(fun c ->
+          List.map
+            (fun tid -> (tid, State_class.fire net c tid))
+            (State_class.firable ~priorities net c))
+        (State_class.initial net))
 
 let check_exn ?max_states net query_text =
   match parse query_text with

@@ -12,9 +12,16 @@
     EF deadlock                       some state has no successor
     v}
 
-    Checking walks the discrete earliest-firing TLTS breadth-first with
-    parent tracking, so failed universal and satisfied existential
-    queries come with a concrete firing witness.
+    Checking walks the discrete earliest-firing TLTS breadth-first
+    ({!Reach.bfs}) and stops at the first state deciding the query, so
+    failed universal and satisfied existential queries come with a
+    shortest firing witness.
+
+    Budget rule (both semantics): the budget counts the states (or
+    classes) admitted to the walk, the initial one included.  A node
+    past the budget is neither tested nor expanded; if the walk refuses
+    one and no admitted node decides the query, the verdict is
+    [Unknown].
 
     Semantics caveat: the walk explores every choice of *which*
     transition fires next (the fireable set [FT(s)]) but fires each at
@@ -67,15 +74,17 @@ type verdict =
 val verdict_to_string : verdict -> string
 
 val check : ?max_states:int -> Pnet.t -> query -> (verdict, string) result
-(** [Error] reports unknown place names.  [max_states] defaults to
-    100_000. *)
+(** [Error] reports unknown place names.  [max_states] (default
+    100_000) is the budget of admitted states. *)
 
 val check_classes :
   ?max_classes:int -> ?priorities:bool -> Pnet.t -> query -> (verdict, string) result
 (** The same queries over the dense-time state-class graph
     ({!State_class}), covering behaviour reachable only by delaying
     firings inside their windows, at a higher per-node cost.
-    [Deadlock] means the class has no firable transition.
+    [max_classes] (default 100_000) is the budget of admitted classes.
+    [Deadlock] means the class has no firable transition under the
+    prioritized filter, whatever [priorities].
 
     [priorities] (default true) keeps the paper's [FT] filter, which
     does not commute with the class abstraction (see

@@ -144,21 +144,6 @@ let fire (net : Pnet.t) c tid =
     enabled';
   { marking; enabled = enabled'; domain }
 
-let equal a b =
-  a.marking = b.marking && a.enabled = b.enabled && Dbm.equal a.domain b.domain
-
-let hash c =
-  let h = ref (Dbm.hash c.domain) in
-  Array.iter (fun x -> h := ((!h * 31) + x) land max_int) c.marking;
-  !h
-
-module Table = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)
-
 type stats = {
   classes : int;
   edges : int;
@@ -166,64 +151,29 @@ type stats = {
   truncated : bool;
 }
 
+(* the breadth-first class walks: [Class_store] is their visited set *)
+let walk ~max_classes ~subsume ~on_node net =
+  let store = Class_store.create ~subsume () in
+  Reach.bfs ~max_nodes:max_classes
+    ~fresh:(fun c ->
+      Class_store.visit store ~marking:c.marking ~domain:c.domain
+      = Class_store.Fresh)
+    ~on_node
+    ~successors:(fun c ->
+      List.map (fun tid -> (tid, fire net c tid)) (firable net c))
+    (initial net)
+
 let explore ?(max_classes = 100_000) ?(inclusion = false) net =
-  let seen = Table.create 1024 in
-  (* inclusion mode: domains seen per (marking, enabled) skeleton *)
-  let skeletons : (int list * int list, Dbm.t list ref) Hashtbl.t =
-    Hashtbl.create 1024
-  in
-  let queue = Queue.create () in
-  let edges = ref 0 in
   let deadlocks = ref 0 in
-  let truncated = ref false in
-  let count () = if inclusion then Hashtbl.length skeletons else Table.length seen in
-  let subsumed c =
-    if not inclusion then Table.mem seen c
-    else begin
-      let key = (Array.to_list c.marking, Array.to_list c.enabled) in
-      match Hashtbl.find_opt skeletons key with
-      | None -> false
-      | Some domains -> List.exists (Dbm.subset c.domain) !domains
-    end
+  let r =
+    walk ~max_classes ~subsume:inclusion net ~on_node:(fun c ->
+        if c.enabled = [||] then incr deadlocks)
   in
-  let remember c =
-    if inclusion then begin
-      let key = (Array.to_list c.marking, Array.to_list c.enabled) in
-      match Hashtbl.find_opt skeletons key with
-      | Some domains -> domains := c.domain :: !domains
-      | None -> Hashtbl.replace skeletons key (ref [ c.domain ])
-    end
-    else Table.replace seen c ()
-  in
-  let classes_stored = ref 0 in
-  let visit c =
-    if not (subsumed c) then begin
-      ignore (count ());
-      if !classes_stored >= max_classes then truncated := true
-      else begin
-        incr classes_stored;
-        remember c;
-        Queue.push c queue
-      end
-    end
-  in
-  visit (initial net);
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    match firable net c with
-    | [] -> if c.enabled = [||] then incr deadlocks
-    | firables ->
-      List.iter
-        (fun tid ->
-          incr edges;
-          visit (fire net c tid))
-        firables
-  done;
   {
-    classes = !classes_stored;
-    edges = !edges;
+    classes = r.Reach.admitted;
+    edges = r.Reach.edges;
     deadlocks = !deadlocks;
-    truncated = !truncated;
+    truncated = r.Reach.truncated;
   }
 
 type marking_comparison = {
@@ -234,20 +184,10 @@ type marking_comparison = {
 
 let compare_reachable_markings ?(max_states = 50_000) net =
   let markings_of_classes = Hashtbl.create 256 in
-  let seen = Table.create 256 in
-  let queue = Queue.create () in
-  let visit c =
-    if (not (Table.mem seen c)) && Table.length seen < max_states then begin
-      Table.replace seen c ();
-      Hashtbl.replace markings_of_classes (Array.to_list c.marking) ();
-      Queue.push c queue
-    end
+  let (_ : Pnet.transition_id Reach.outcome) =
+    walk ~max_classes:max_states ~subsume:false net ~on_node:(fun c ->
+        Hashtbl.replace markings_of_classes (Array.to_list c.marking) ())
   in
-  visit (initial net);
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    List.iter (fun tid -> visit (fire net c tid)) (firable net c)
-  done;
   let markings_of_states = Hashtbl.create 256 in
   let record (s : State.t) =
     Hashtbl.replace markings_of_states (Array.to_list s.State.marking) ()

@@ -47,11 +47,6 @@ val fire : Pnet.t -> t -> Pnet.transition_id -> t
 (** Successor class.  Raises [Invalid_argument] when the transition is
     not firable. *)
 
-val equal : t -> t -> bool
-val hash : t -> int
-
-module Table : Hashtbl.S with type key = t
-
 type stats = {
   classes : int;
   edges : int;
@@ -60,8 +55,9 @@ type stats = {
 }
 
 val explore : ?max_classes:int -> ?inclusion:bool -> Pnet.t -> stats
-(** Breadth-first construction of the state-class graph
-    ([max_classes] defaults to 100_000).
+(** Breadth-first construction of the state-class graph, a
+    {!Reach.bfs} walk over a {!Class_store} ([max_classes] defaults to
+    100_000 admitted classes).
 
     [inclusion] (default false) enables the classic inclusion
     abstraction: a class whose firing domain is contained in that of an
@@ -83,8 +79,9 @@ type marking_comparison = {
 
 val compare_reachable_markings :
   ?max_states:int -> Pnet.t -> marking_comparison
-(** Cross-validation of the two semantics on the same net (both walks
-    truncated at [max_states], default 50_000). *)
+(** Cross-validation of the two semantics on the same net: the exact
+    class graph against {!Tlts.explore}, both walks truncated at
+    [max_states] admitted nodes (default 50_000). *)
 
 val reachable_markings_agree : ?max_states:int -> Pnet.t -> bool
 (** [classes_only = 0 && discrete_only = 0] — holds for nets whose

@@ -29,39 +29,25 @@ type stats = {
   truncated : bool;
 }
 
-let explore ?(mode = `Earliest) ?(max_states = 100_000) ?on_state net =
+let explore ?(mode = `Earliest) ?(max_states = 100_000) ?(on_state = ignore)
+    net =
   let seen = State.Table.create 1024 in
-  let queue = Queue.create () in
-  let edges = ref 0 in
   let deadlocks = ref 0 in
-  let truncated = ref false in
-  let visit s =
-    if not (State.Table.mem seen s) then begin
-      if State.Table.length seen >= max_states then truncated := true
-      else begin
-        State.Table.replace seen s ();
-        (match on_state with Some f -> f s | None -> ());
-        Queue.push s queue
-      end
-    end
+  let on_node s =
+    State.Table.replace seen s ();
+    if State.enabled_ids s = [] then incr deadlocks;
+    on_state s
   in
-  visit (State.initial net);
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    match successors mode net s with
-    | [] -> if State.enabled_ids s = [] then incr deadlocks
-    | succs ->
-      List.iter
-        (fun (_, s') ->
-          incr edges;
-          visit s')
-        succs
-  done;
+  let r =
+    Reach.bfs ~max_nodes:max_states
+      ~fresh:(fun s -> not (State.Table.mem seen s))
+      ~on_node ~successors:(successors mode net) (State.initial net)
+  in
   {
-    states = State.Table.length seen;
-    edges = !edges;
+    states = r.Reach.admitted;
+    edges = r.Reach.edges;
     deadlocks = !deadlocks;
-    truncated = !truncated;
+    truncated = r.Reach.truncated;
   }
 
 type graph = {
@@ -72,33 +58,22 @@ type graph = {
 let graph ?(mode = `Earliest) ?(max_states = 10_000) net =
   let index = State.Table.create 256 in
   let nodes = ref [] in
-  let count = ref 0 in
   let edges = ref [] in
-  let queue = Queue.create () in
-  let id_of s =
-    match State.Table.find_opt index s with
-    | Some id -> Some id
-    | None ->
-      if !count >= max_states then None
-      else begin
-        let id = !count in
-        incr count;
-        State.Table.replace index s id;
-        nodes := s :: !nodes;
-        Queue.push (id, s) queue;
-        Some id
-      end
+  let on_node s =
+    State.Table.replace index s (State.Table.length index);
+    nodes := s :: !nodes
   in
-  ignore (id_of (State.initial net));
-  while not (Queue.is_empty queue) do
-    let id, s = Queue.pop queue in
-    List.iter
-      (fun (action, s') ->
-        match id_of s' with
-        | Some id' -> edges := (id, action, id') :: !edges
-        | None -> ())
-      (successors mode net s)
-  done;
+  (* an edge to a node the budget refused is dropped *)
+  let on_edge s action s' =
+    match State.Table.find_opt index s' with
+    | Some id' -> edges := (State.Table.find index s, action, id') :: !edges
+    | None -> ()
+  in
+  let (_ : action Reach.outcome) =
+    Reach.bfs ~max_nodes:max_states
+      ~fresh:(fun s -> not (State.Table.mem index s))
+      ~on_node ~on_edge ~successors:(successors mode net) (State.initial net)
+  in
   {
     nodes = Array.of_list (List.rev !nodes);
     transitions = List.rev !edges;

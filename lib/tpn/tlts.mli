@@ -31,8 +31,9 @@ val explore :
   ?on_state:(State.t -> unit) ->
   Pnet.t ->
   stats
-(** Breadth-first reachability from the initial state.
-    [max_states] defaults to 100_000. *)
+(** Breadth-first reachability from the initial state, a {!Reach.bfs}
+    walk: [max_states] (default 100_000) bounds the admitted states and
+    [on_state] sees each of them once. *)
 
 type graph = {
   nodes : State.t array;  (** index 0 is the initial state *)
@@ -41,7 +42,8 @@ type graph = {
 
 val graph : ?mode:mode -> ?max_states:int -> Pnet.t -> graph
 (** Materialized reachability graph ([max_states] defaults to 10_000 —
-    this is for small nets and debugging; use {!explore} for counting). *)
+    this is for small nets and debugging; use {!explore} for counting).
+    Edges into states the budget refused are dropped. *)
 
 val graph_to_dot : Pnet.t -> graph -> string
 (** Graphviz rendering of the reachability graph: nodes show the

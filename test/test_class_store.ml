@@ -19,6 +19,10 @@ let net_with lo hi =
 
 let cls lo hi = State_class.initial (net_with lo hi)
 
+let visit store (c : State_class.t) =
+  Class_store.visit store ~marking:c.State_class.marking
+    ~domain:c.State_class.domain
+
 let check_verdict msg expected actual =
   let s = function
     | Class_store.Fresh -> "fresh"
@@ -30,59 +34,59 @@ let check_verdict msg expected actual =
 let test_fresh_then_duplicate () =
   let store = Class_store.create () in
   check_verdict "first visit" Class_store.Fresh
-    (Class_store.visit store (cls 2 5));
+    (visit store (cls 2 5));
   check_verdict "identical domain" Class_store.Duplicate
-    (Class_store.visit store (cls 2 5));
+    (visit store (cls 2 5));
   check_int "one entry" 1 (Class_store.length store)
 
 let test_subsumed_by_wider () =
   let store = Class_store.create () in
-  ignore (Class_store.visit store (cls 2 5));
+  ignore (visit store (cls 2 5));
   (* [3,4] is strictly inside [2,5] over the same marking *)
   check_verdict "nested domain" Class_store.Subsumed
-    (Class_store.visit store (cls 3 4));
+    (visit store (cls 3 4));
   check_int "not stored" 1 (Class_store.length store)
 
 let test_wider_after_narrower_is_fresh () =
   let store = Class_store.create () in
-  ignore (Class_store.visit store (cls 3 4));
+  ignore (visit store (cls 3 4));
   (* [2,5] is NOT contained in [3,4]: it must be explored *)
   check_verdict "wider domain" Class_store.Fresh
-    (Class_store.visit store (cls 2 5));
+    (visit store (cls 2 5));
   check_int "both stored" 2 (Class_store.length store);
   check_int "one marking" 1 (Class_store.stats store).Class_store.skeletons
 
 let test_overlapping_not_subsumed () =
   let store = Class_store.create () in
-  ignore (Class_store.visit store (cls 2 5));
+  ignore (visit store (cls 2 5));
   (* [1,4] overlaps [2,5] without inclusion either way *)
-  check_verdict "overlap" Class_store.Fresh (Class_store.visit store (cls 1 4))
+  check_verdict "overlap" Class_store.Fresh (visit store (cls 1 4))
 
 let test_different_marking_is_fresh () =
   let store = Class_store.create () in
   let net = net_with 2 5 in
   let c0 = State_class.initial net in
-  ignore (Class_store.visit store c0);
+  ignore (visit store c0);
   let c1 = State_class.fire net c0 0 in
   check_verdict "successor marking" Class_store.Fresh
-    (Class_store.visit store c1);
+    (visit store c1);
   check_int "two markings" 2 (Class_store.stats store).Class_store.skeletons
 
 let test_subsume_disabled () =
   let store = Class_store.create ~subsume:false () in
   check_bool "flag off" false (Class_store.subsume_enabled store);
-  ignore (Class_store.visit store (cls 2 5));
+  ignore (visit store (cls 2 5));
   check_verdict "nested but stored" Class_store.Fresh
-    (Class_store.visit store (cls 3 4));
+    (visit store (cls 3 4));
   check_verdict "exact dup still caught" Class_store.Duplicate
-    (Class_store.visit store (cls 3 4));
+    (visit store (cls 3 4));
   check_int "no subsumed" 0 (Class_store.stats store).Class_store.subsumed
 
 let test_stats () =
   let store = Class_store.create () in
-  ignore (Class_store.visit store (cls 2 5));
-  ignore (Class_store.visit store (cls 2 5));
-  ignore (Class_store.visit store (cls 3 4));
+  ignore (visit store (cls 2 5));
+  ignore (visit store (cls 2 5));
+  ignore (visit store (cls 3 4));
   let s = Class_store.stats store in
   check_int "entries" 1 s.Class_store.entries;
   check_int "skeletons" 1 s.Class_store.skeletons;

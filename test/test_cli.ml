@@ -212,7 +212,16 @@ let test_model_check () =
   expect [ "model-check"; "--case"; "fig3"; "-q"; "EF pend >= 1" ] ~code:0
     ~needles:[ "witness" ];
   expect [ "model-check"; "--case"; "fig3"; "-q"; "EF nonsense >= 1" ]
-    ~code:1 ~needles:[ "unknown place" ]
+    ~code:1 ~needles:[ "unknown place" ];
+  (* a budget-refused state is not tested: the answer is unknown, which
+     model-check reports like a failed property, not as a crash *)
+  List.iter
+    (fun extra ->
+      expect
+        ([ "model-check"; "--case"; "fig3"; "-q"; "EF pproc = 0";
+           "--max-states"; "5" ] @ extra)
+        ~code:1 ~needles:[ "unknown (state budget exhausted)" ])
+    [ []; [ "--classes" ] ]
 
 let test_trace_output () =
   match Lazy.force binary with
