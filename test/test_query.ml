@@ -104,23 +104,6 @@ let test_translated_properties () =
   check_bool "precedence: T2 never computes before T1 finished" true
     (holds "AG (pwc_T2 = 0 || pf_T1 + pe_T1 >= 1)")
 
-let test_witness_replays () =
-  (* the EF witness is a real firing sequence: replay it *)
-  let model = Translate.translate Case_studies.quickstart in
-  let net = model.Translate.net in
-  match check_q net "EF pend >= 1" with
-  | Query.Holds witness ->
-    let s =
-      List.fold_left
-        (fun s name ->
-          let tid = Pnet.find_transition net name in
-          State.fire net s tid (State.dlb net s tid))
-        (State.initial net) witness
-    in
-    check_int "witness reaches MF" 1
-      (State.tokens s (Pnet.find_place net "pend"))
-  | v -> Alcotest.failf "expected a witness: %s" (Query.verdict_to_string v)
-
 (* An oracle for a property at one node, independent of Query's own
    evaluator: [deadlock] is the node's deadlock test. *)
 let rec holds_at net marking deadlock = function
@@ -160,7 +143,7 @@ let e8_queries =
    semantics: each named transition is fireable where it is named, and
    the last node satisfies the property for EF and violates it for
    AG.  [replay] returns the last node's marking and deadlock test. *)
-let test_every_witness_replays () =
+let test_witness_replays () =
   let replays = ref 0 in
   List.iter
     (fun (spec, queries) ->
@@ -284,7 +267,6 @@ let suite =
     case "budget exhaustion gives Unknown" test_unknown_on_budget;
     case "properties of a translated model" test_translated_properties;
     case "EF witnesses replay" test_witness_replays;
-    case "every E8 witness replays" test_every_witness_replays;
     case "budget boundary gives Unknown" test_budget_boundary;
     case "exclusion as a marking invariant" test_exclusion_property;
   ]
