@@ -171,12 +171,14 @@ let extract net sequence =
    the dense-time analogue of the discrete engine's earliest-first
    policy. *)
 let order_candidates net c candidates =
-  let key tid =
-    let lo, _ = State_class.delay_bounds net c tid in
-    (lo, tid)
+  let keyed =
+    List.map (fun tid -> (fst (State_class.delay_bounds net c tid), tid))
+      candidates
   in
-  List.map snd
-    (List.sort compare (List.map (fun tid -> (key tid, tid)) candidates))
+  let by_key ((l1 : int), (t1 : int)) (l2, t2) =
+    if l1 <> l2 then Int.compare l1 l2 else Int.compare t1 t2
+  in
+  List.map snd (List.sort by_key keyed)
 
 (* Inclusion pruning is sound for the feasibility verdict only when
    priorities cannot un-suppress a transition inside the subsumed
@@ -230,7 +232,6 @@ let subsumption_applicable (model : Translate.t) =
    choice is lost. *)
 let semantics model store =
   let net = model.Translate.net in
-  let firable = State_class.firable net in
   let marking (c : State_class.t) = c.State_class.marking in
   {
     Search.root = State_class.initial net;
@@ -247,9 +248,10 @@ let semantics model store =
         | Class_store.Fresh -> Search.Fresh
         | Class_store.Duplicate -> Search.Seen
         | Class_store.Subsumed -> Search.Subsumed);
-    fireable = firable;
+    fireable = State_class.firable net;
     forced =
-      (fun c -> match firable c with [ tid ] -> Some tid | [] | _ :: _ -> None);
+      (fun _ firable ->
+        match firable with [ tid ] -> Some tid | [] | _ :: _ -> None);
     branches = order_candidates net;
     advance = State_class.fire net;
     mark = (fun () -> 0);

@@ -85,12 +85,19 @@ let key_view policy model v tid =
       let started = if in_progress model v i then 0 else 1 in
       (started * no_urgency) + slack model v i)
 
+(* lexicographic on (key, dlb, tid): the order polymorphic [compare]
+   gives these int triples, without its generic traversal *)
+let compare_decorated ((k1 : int), (d1 : int), (t1 : int)) (k2, d2, t2) =
+  if k1 <> k2 then Int.compare k1 k2
+  else if d1 <> d2 then Int.compare d1 d2
+  else Int.compare t1 t2
+
 let order_view policy model v candidates =
   let decorated =
     List.map (fun tid -> (key_view policy model v tid, v.v_dlb tid, tid))
       candidates
   in
-  List.map (fun (_, _, tid) -> tid) (List.sort compare decorated)
+  List.map (fun (_, _, tid) -> tid) (List.sort compare_decorated decorated)
 
 let key policy model s tid =
   key_view policy model (view_of_state model.Translate.net s) tid

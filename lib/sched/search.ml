@@ -45,7 +45,7 @@ type ('node, 'step) semantics = {
   is_dead : 'node -> bool;
   claim : 'node -> claim;
   fireable : 'node -> Pnet.transition_id list;
-  forced : 'node -> 'step option;
+  forced : 'node -> Pnet.transition_id list -> 'step option;
   branches : 'node -> Pnet.transition_id list -> 'step list;
   advance : 'node -> 'step -> 'node;
   mark : unit -> int;
@@ -104,23 +104,27 @@ let explore (type node step) ~engine ~args ~max_stored ~cancel
      link, so a long forced chain cannot run past the caller's
      deadline. *)
   let rec descend depth path n =
-    if sem.is_final n || sem.is_dead n then expand depth path n
+    if sem.is_final n || sem.is_dead n then expand depth path n []
     else if cancel () then begin
       budget_hit := true;
-      expand depth path n
+      expand depth path n []
     end
     else
-      match sem.forced n with
+      let fireable = sem.fireable n in
+      match sem.forced n fireable with
       | Some step ->
         c.c_eager <- c.c_eager + 1;
         c.c_visited <- c.c_visited + 1;
         descend depth (step :: path) (sem.advance n step)
-      | None -> expand depth path n
+      | None -> expand depth path n fireable
   (* A node is claimed at its first visit: the DFS exhausts everything
      below it before any second copy is reached, so skipping copies
      (and subsumed nodes, whose behaviours a claimed node covers) loses
-     no witness, and a cycle terminates instead of recursing. *)
-  and expand depth path n =
+     no witness, and a cycle terminates instead of recursing.
+     [fireable] is the node's fireable set, computed once in [descend];
+     it is only read once the node is claimed, which a final, dead or
+     cancelled node never is. *)
+  and expand depth path n fireable =
     if depth > c.c_max_depth then c.c_max_depth <- depth;
     if sem.is_final n then raise (Found path);
     if cancel () then budget_hit := true;
@@ -133,7 +137,7 @@ let explore (type node step) ~engine ~args ~max_stored ~cancel
         c.c_stored <- c.c_stored + 1;
         c.c_visited <- c.c_visited + 1;
         Ezrt_obs.Progress.tick snapshot;
-        let steps = sem.branches n (sem.fireable n) in
+        let steps = sem.branches n fireable in
         let here = sem.mark () in
         List.iter
           (fun step ->
@@ -231,7 +235,7 @@ let copying options model =
           Fresh
         end);
     fireable = State.fireable net;
-    forced = (fun s -> forced_step options net (State.fireable net s));
+    forced = (fun _ fireable -> forced_step options net fireable);
     branches =
       (fun s fireable ->
         timed_steps options model
@@ -244,10 +248,12 @@ let copying options model =
 
 (* The incremental engine: one mutable [State.Incremental] engine walked
    fire/undo (the node is the engine itself), with a memo of packed
-   byte states with memoized hashes. *)
+   byte states with memoized hashes.  A node is keyed in a reused
+   scratch buffer; only a fresh one is copied into the memo. *)
 let incremental options model memo =
   let net = model.Translate.net in
   let eng = State.Incremental.create net in
+  let scratch = Packed_state.scratch eng in
   let view = Priority.view_of_engine eng in
   let marked p = State.Incremental.tokens eng p > 0 in
   {
@@ -256,15 +262,14 @@ let incremental options model memo =
     is_dead = (fun () -> List.exists marked model.Translate.dead_places);
     claim =
       (fun () ->
-        let key = Packed_state.of_engine eng in
+        let key = Packed_state.pack_scratch scratch in
         if Packed_state.Table.mem memo key then Seen
         else begin
-          Packed_state.Table.replace memo key ();
+          Packed_state.Table.add memo (Packed_state.persist key) ();
           Fresh
         end);
     fireable = (fun () -> State.Incremental.fireable eng);
-    forced =
-      (fun () -> forced_step options net (State.Incremental.fireable eng));
+    forced = (fun () fireable -> forced_step options net fireable);
     branches =
       (fun () fireable ->
         timed_steps options model

@@ -81,9 +81,12 @@ type ('node, 'step) semantics = {
   is_dead : 'node -> bool;  (** a deadline-miss marking: prune *)
   claim : 'node -> claim;  (** classify against the memo and record *)
   fireable : 'node -> Ezrt_tpn.Pnet.transition_id list;
-  forced : 'node -> 'step option;
-      (** the step to take without branching, when the node leaves no
-          choice *)
+      (** called once per visited node that is neither final nor dead;
+          the kernel hands the result to [forced] and then to
+          [branches] *)
+  forced : 'node -> Ezrt_tpn.Pnet.transition_id list -> 'step option;
+      (** the step to take without branching, when the node's fireable
+          set (the second argument) leaves no choice *)
   branches : 'node -> Ezrt_tpn.Pnet.transition_id list -> 'step list;
       (** the ordered steps to try from the fireable set;
           computed before the first one is taken *)

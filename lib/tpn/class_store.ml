@@ -21,9 +21,9 @@ module Skeleton = Hashtbl.Make (struct
 
   let hash (m : int array) =
     let h = ref 0x811c9dc5 in
-    Array.iter
-      (fun x -> h := (!h lxor (x land 0xffff)) * 0x01000193 land max_int)
-      m;
+    for i = 0 to Array.length m - 1 do
+      h := (!h lxor (m.(i) land 0xffff)) * 0x01000193 land max_int
+    done;
     !h
 end)
 

@@ -75,76 +75,80 @@ let is_empty t =
   let rec go i = i < t.size && (t.m.(i).(i) < 0 || go (i + 1)) in
   go 0
 
-let is_canonical_nonempty t =
-  let c = copy t in
-  canonicalize c;
-  not (is_empty c)
+let rec row_equal (ra : int array) rb j =
+  j >= Array.length ra || (ra.(j) = rb.(j) && row_equal ra rb (j + 1))
 
-let equal a b =
-  a.size = b.size
-  &&
-  let rec row i =
-    i >= a.size
-    ||
-    let rec col j = j >= a.size || (a.m.(i).(j) = b.m.(i).(j) && col (j + 1)) in
-    col 0 && row (i + 1)
-  in
-  row 0
+let rec row_le (ra : int array) rb j =
+  j >= Array.length ra || (ra.(j) <= rb.(j) && row_le ra rb (j + 1))
 
-let subset a b =
-  a.size = b.size
-  &&
-  let rec row i =
-    i >= a.size
-    ||
-    let rec col j =
-      j >= a.size || (a.m.(i).(j) <= b.m.(i).(j) && col (j + 1))
-    in
-    col 0 && row (i + 1)
-  in
-  row 0
+let rec rows_hold row_ok a b i =
+  i >= a.size || (row_ok a.m.(i) b.m.(i) 0 && rows_hold row_ok a b (i + 1))
+
+let equal a b = a.size = b.size && rows_hold row_equal a b 0
+let subset a b = a.size = b.size && rows_hold row_le a b 0
 
 let hash t =
   let h = ref 0x811c9dc5 in
-  Array.iter
-    (Array.iter (fun x ->
-         h := (!h lxor (x land 0xffff)) * 0x01000193 land max_int))
-    t.m;
-  !h
-
-(* Change of origin after firing variable f: the kept variables are
-   reinterpreted relative to x_f.  For i, j kept:
-   x'_i - x'_j = x_i - x_j        -> bound m.(i).(j)
-   x'_i - 0    = x_i - x_f        -> bound m.(i).(f)
-   0 - x'_i    = x_f - x_i        -> bound m.(f).(i) *)
-let rebase t f ~keep =
-  let k = List.length keep in
-  let fresh = create k in
-  List.iteri
-    (fun i' i ->
-      fresh.m.(i' + 1).(0) <- t.m.(i).(f);
-      fresh.m.(0).(i' + 1) <- t.m.(f).(i);
-      List.iteri
-        (fun j' j -> if i <> j then fresh.m.(i' + 1).(j' + 1) <- t.m.(i).(j))
-        keep)
-    keep;
-  fresh
-
-let add_fresh t bounds_list =
-  let extra = List.length bounds_list in
-  let fresh = create (dim t + extra) in
   for i = 0 to t.size - 1 do
+    let row = t.m.(i) in
     for j = 0 to t.size - 1 do
-      fresh.m.(i).(j) <- t.m.(i).(j)
+      h := (!h lxor (row.(j) land 0xffff)) * 0x01000193 land max_int
     done
   done;
-  List.iteri
-    (fun idx (lo, hi) ->
-      let v = t.size + idx in
-      fresh.m.(v).(0) <- hi;
-      fresh.m.(0).(v) <- -lo)
-    bounds_list;
-  fresh
+  !h
+
+(* The state-class successor in closed form (Berthomieu-Diaz).  The
+   fires-first constraints x_f - x_j <= 0 all leave f, so on a canonical
+   matrix the argument of [tighten] applies to the whole batch at once:
+   a shortest path uses at most one new edge (any cycle through f via a
+   new edge weighs 0 + m.(j).(f)), so
+
+     f can fire first  iff  m.(j).(f) >= 0 for every variable j, and
+     D'[p][q] = min (m.(p).(q), m.(p).(f) + min_j m.(j).(q)).
+
+   j = f may be included in the minimum: m.(p).(f) + m.(f).(q) never
+   beats m.(p).(q) on a canonical matrix. *)
+let rec column_nonneg m f j =
+  j >= Array.length m || (m.(j).(f) >= 0 && column_nonneg m f (j + 1))
+
+let can_fire_first t f = column_nonneg t.m f 1
+
+let column_mins t =
+  let n = t.size in
+  let mins = Array.make n infinity in
+  for j = 1 to n - 1 do
+    let row = t.m.(j) in
+    for q = 0 to n - 1 do
+      if row.(q) < mins.(q) then mins.(q) <- row.(q)
+    done
+  done;
+  mins
+
+(* Projection of the fires-first domain D' with change of origin to
+   x_f: new index a > 0 stands for old index [vars.(a - 1)] minus x_f,
+   and the new reference is x_f itself, so entry (a, b) is D' between
+   the two old indices.  A projection of a canonical matrix is
+   canonical, so nothing is re-closed; fresh variables stay
+   unconstrained. *)
+let successor t f vars =
+  let mins = column_mins t in
+  let k = Array.length vars in
+  let s = create k in
+  for a = 0 to k do
+    let oa = if a = 0 then f else vars.(a - 1) in
+    if oa >= 0 then begin
+      let old_row = t.m.(oa) and row = s.m.(a) in
+      let via = old_row.(f) in
+      for b = 0 to k do
+        let ob = if b = 0 then f else vars.(b - 1) in
+        if ob >= 0 && a <> b then begin
+          let direct = old_row.(ob) and through = sat_add via mins.(ob) in
+          row.(b) <- (if through < direct then through else direct)
+        end
+      done
+    end
+  done;
+  s
 
 let bounds t i = (-t.m.(0).(i), t.m.(i).(0))
 

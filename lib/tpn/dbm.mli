@@ -44,9 +44,6 @@ val is_empty : t -> bool
 (** True when the constraint set is unsatisfiable (requires canonical
     form). *)
 
-val is_canonical_nonempty : t -> bool
-(** Convenience: canonicalize a copy and test. *)
-
 val equal : t -> t -> bool
 (** Entry-wise equality — semantically meaningful on canonical forms. *)
 
@@ -56,16 +53,25 @@ val subset : t -> t -> bool
 
 val hash : t -> int
 
-val rebase : t -> int -> keep:int list -> t
-(** [rebase m f ~keep] performs the state-class change of origin: the
-    new DBM is over the variables [keep] (given in the desired order),
-    each reinterpreted as [x_i - x_f], with the reference row/column
-    taken from [f]'s relations.  Requires canonical [m]. *)
+val can_fire_first : t -> int -> bool
+(** [can_fire_first m f]: on a canonical nonempty [m], adding
+    [x_f - x_j <= 0] for every variable [j] stays consistent — the
+    transition of variable [f] can fire first.  O(n): it holds iff
+    [m.(j).(f) >= 0] for every variable [j]. *)
 
-val add_fresh : t -> (int * int) list -> t
-(** [add_fresh m bounds] appends one new variable per [(lo, hi)] pair,
-    constrained to [lo <= x <= hi] ([hi = infinity] for unbounded) and
-    unrelated to the others. *)
+val successor : t -> int -> int array -> t
+(** [successor m f vars] is the state-class successor domain after
+    [f] fires first, in O(n²).  The fires-first domain — canonical [m]
+    restricted to "[x_f] is smallest" — has the closed form
+    [D'(p,q) = min (m(p,q), m(p,f) + min_j m(j,q))] over the variables
+    [j], bit-identical to {!tighten}ing [x_f - x_j <= 0] for each [j]
+    in turn.  [successor] projects it with change of origin to [x_f]
+    without materializing it: variable [i+1] of the result is index
+    [vars.(i)] of [m] (0 being [m]'s reference) minus [x_f], and the
+    result's reference is [x_f]; [vars.(i) < 0] adds an unconstrained
+    fresh variable.  Canonical when [m] is canonical and
+    {!can_fire_first} holds; fresh variables are then bounded with
+    {!tighten}. *)
 
 val bounds : t -> int -> int * int
 (** [bounds m i] is [(lo, hi)] for variable [i] in canonical form:

@@ -18,41 +18,42 @@ type t = {
   hash : int;
 }
 
-let width_tag_2 = '\002'
-let width_tag_4 = '\004'
-let width_tag_8 = '\008'
-
-let serialize ~cells ~cell =
+(* The narrowest of 16/32/64-bit little-endian cells that holds every
+   cell; the byte count [1 + width * cells] then fixes the encoding. *)
+let width cells =
   let lo = ref 0 and hi = ref 0 in
-  for i = 0 to cells - 1 do
-    let v = cell i in
+  for i = 0 to Array.length cells - 1 do
+    let v = cells.(i) in
     if v < !lo then lo := v;
     if v > !hi then hi := v
   done;
-  if !lo >= -0x8000 && !hi <= 0x7fff then begin
-    let data = Bytes.create (1 + (2 * cells)) in
-    Bytes.unsafe_set data 0 width_tag_2;
-    for i = 0 to cells - 1 do
-      Bytes.set_int16_le data (1 + (2 * i)) (cell i)
-    done;
-    data
-  end
-  else if !lo >= -0x40000000 && !hi <= 0x3fffffff then begin
-    let data = Bytes.create (1 + (4 * cells)) in
-    Bytes.unsafe_set data 0 width_tag_4;
-    for i = 0 to cells - 1 do
-      Bytes.set_int32_le data (1 + (4 * i)) (Int32.of_int (cell i))
-    done;
-    data
-  end
-  else begin
-    let data = Bytes.create (1 + (8 * cells)) in
-    Bytes.unsafe_set data 0 width_tag_8;
-    for i = 0 to cells - 1 do
-      Bytes.set_int64_le data (1 + (8 * i)) (Int64.of_int (cell i))
-    done;
-    data
-  end
+  if !lo >= -0x8000 && !hi <= 0x7fff then 2
+  else if !lo >= -0x40000000 && !hi <= 0x3fffffff then 4
+  else 8
+
+(* [data] has length [1 + w * Array.length cells]; the first byte is
+   the width tag *)
+let encode data w cells =
+  Bytes.unsafe_set data 0 (Char.unsafe_chr w);
+  match w with
+  | 2 ->
+    for i = 0 to Array.length cells - 1 do
+      Bytes.set_int16_le data (1 + (2 * i)) cells.(i)
+    done
+  | 4 ->
+    for i = 0 to Array.length cells - 1 do
+      Bytes.set_int32_le data (1 + (4 * i)) (Int32.of_int cells.(i))
+    done
+  | _ ->
+    for i = 0 to Array.length cells - 1 do
+      Bytes.set_int64_le data (1 + (8 * i)) (Int64.of_int cells.(i))
+    done
+
+let serialize cells =
+  let w = width cells in
+  let data = Bytes.create (1 + (w * Array.length cells)) in
+  encode data w cells;
+  data
 
 let pack ~n_places ~n_transitions ~tokens ~clock =
   let cells = n_places + n_transitions in
@@ -65,7 +66,7 @@ let pack ~n_places ~n_transitions ~tokens ~clock =
     if i < n_places then hash := !hash lxor State.Zobrist.place i v
     else if v >= 0 then hash := !hash lxor State.Zobrist.clock (i - n_places) v
   done;
-  { data = serialize ~cells ~cell; hash = !hash }
+  { data = serialize (Array.init cells cell); hash = !hash }
 
 let of_state (s : State.t) =
   pack
@@ -74,15 +75,37 @@ let of_state (s : State.t) =
     ~tokens:(fun p -> s.State.marking.(p))
     ~clock:(fun t -> s.State.clocks.(t))
 
-let of_engine e =
+(* A reused cell vector and one reused buffer per width, so keying a
+   search node allocates nothing until the key is stored. *)
+type scratch = {
+  engine : State.Incremental.engine;
+  cells : int array;
+  w2 : bytes;
+  w4 : bytes;
+  w8 : bytes;
+}
+
+let scratch e =
   let net = State.Incremental.net e in
-  let n_places = Pnet.place_count net in
-  let cells = n_places + Pnet.transition_count net in
-  let cell i =
-    if i < n_places then State.Incremental.tokens e i
-    else State.Incremental.clock e (i - n_places)
-  in
-  { data = serialize ~cells ~cell; hash = State.Incremental.zhash e }
+  let n = Pnet.place_count net + Pnet.transition_count net in
+  {
+    engine = e;
+    cells = Array.make n 0;
+    w2 = Bytes.create (1 + (2 * n));
+    w4 = Bytes.create (1 + (4 * n));
+    w8 = Bytes.create (1 + (8 * n));
+  }
+
+let pack_scratch s =
+  let cells = s.cells in
+  State.Incremental.write_cells s.engine cells;
+  let w = width cells in
+  let data = match w with 2 -> s.w2 | 4 -> s.w4 | _ -> s.w8 in
+  encode data w cells;
+  { data; hash = State.Incremental.zhash s.engine }
+
+let persist p = { p with data = Bytes.copy p.data }
+let of_engine e = persist (pack_scratch (scratch e))
 
 let unpack p =
   let data = p.data in

@@ -21,11 +21,25 @@ val pack :
 
 val of_state : State.t -> t
 
+type scratch
+(** Reused buffers for keying one engine's states. *)
+
+val scratch : State.Incremental.engine -> scratch
+
+val pack_scratch : scratch -> t
+(** Pack the engine's current state into the scratch buffers, without
+    materializing a {!State.t} or allocating bytes.  Reuses the
+    engine's incrementally maintained {!State.Incremental.zhash}, so no
+    cell is hashed at all — keying a search node costs one
+    serialization scan.  The result is valid until the next
+    [pack_scratch] on the same scratch: {!persist} it before storing
+    it. *)
+
+val persist : t -> t
+(** A copy that owns its bytes. *)
+
 val of_engine : State.Incremental.engine -> t
-(** Pack the engine's current state without materializing a
-    {!State.t}.  Reuses the engine's incrementally maintained
-    {!State.Incremental.zhash}, so no cell is hashed at all — keying a
-    search node costs one serialization scan. *)
+(** [persist (pack_scratch (scratch e))]. *)
 
 val unpack : t -> int array
 (** Decode every cell back, in pack order: the [n_places] marking cells

@@ -19,8 +19,14 @@ let reset_write_counters () =
 
 let write_counters () = (!copy_writes, !incremental_writes, !fires)
 
+let rec arcs_enable marking arcs i =
+  i >= Array.length arcs
+  ||
+  let p, w = arcs.(i) in
+  marking.(p) >= w && arcs_enable marking arcs (i + 1)
+
 let marking_enables (net : Pnet.t) marking tid =
-  Array.for_all (fun (p, w) -> marking.(p) >= w) net.pre.(tid)
+  arcs_enable marking net.pre.(tid) 0
 
 let initial (net : Pnet.t) =
   let marking = Array.copy net.m0 in
@@ -204,11 +210,22 @@ end)
    backtracks by popping frames instead of keeping parent copies.  The
    candidate analysis (dlb/dub/min DUB/fireable) runs as one fused pass
    over the maintained enabled-set and is cached until the next
-   fire/undo. *)
+   fire/undo.
+
+   The hot paths allocate next to nothing: [create] resolves every
+   transition's EFT, LFT and priority into int arrays (an unbounded LFT
+   is [max_int]), the candidate pass sorts into a reused int buffer
+   with no [Time_interval.bound] boxes, and [fire] walks arcs and
+   consumers with plain loops, no closures or captured refs.  Per node
+   it allocates the fireable list, the horizon's bound and the undo
+   trail's growth, if any. *)
 
 module Incremental = struct
   type engine = {
     net : Pnet.t;
+    eft : int array;
+    lft : int array;  (* [unbounded] for an infinite LFT *)
+    priority : int array;
     marking : int array;
     enabled_at : int array;  (* meaningful only while in the enabled set *)
     mutable now : int;
@@ -223,13 +240,20 @@ module Incremental = struct
     (* incrementally maintained Zobrist hash of the current state;
        always equals [hash (snapshot e)] *)
     mutable zhash : int;
-    (* fused candidate analysis, invalidated by fire/undo *)
+    (* fused candidate analysis, invalidated by fire/undo: the min DUB
+       (as an int, [unbounded] when no LFT is finite, and as a bound),
+       the candidates ascending in [cands.(0 .. n_cands - 1)], the
+       fireable list and each enabled transition's DLB *)
     mutable cache_valid : bool;
+    mutable horizon : int;
     mutable cached_horizon : Time_interval.bound;
-    mutable cached_candidates : Pnet.transition_id list;
+    cands : int array;
+    mutable n_cands : int;
     mutable cached_fireable : Pnet.transition_id list;
     scratch_dlb : int array;
   }
+
+  let unbounded = max_int
 
   let push e x =
     if e.trail_len = Array.length e.trail then begin
@@ -247,9 +271,17 @@ module Incremental = struct
   let create (net : Pnet.t) =
     let n_places = Pnet.place_count net in
     let n_trans = Pnet.transition_count net in
+    let lft tid =
+      match Time_interval.lft (Pnet.interval net tid) with
+      | Time_interval.Finite l -> l
+      | Time_interval.Infinity -> unbounded
+    in
     let e =
       {
         net;
+        eft = Array.init n_trans (fun tid -> Time_interval.eft (Pnet.interval net tid));
+        lft = Array.init n_trans lft;
+        priority = Array.init n_trans (Pnet.priority net);
         marking = Array.copy net.m0;
         enabled_at = Array.make n_trans 0;
         now = 0;
@@ -261,8 +293,10 @@ module Incremental = struct
         depth = 0;
         zhash = 0;
         cache_valid = false;
+        horizon = unbounded;
         cached_horizon = Time_interval.Infinity;
-        cached_candidates = [];
+        cands = Array.make (max 1 n_trans) 0;
+        n_cands = 0;
         cached_fireable = [];
         scratch_dlb = Array.make n_trans 0;
       }
@@ -296,51 +330,64 @@ module Incremental = struct
 
   let dlb e tid =
     check_enabled "dlb" e tid;
-    max 0 (Time_interval.eft (Pnet.interval e.net tid) - (e.now - e.enabled_at.(tid)))
+    let d = e.eft.(tid) - (e.now - e.enabled_at.(tid)) in
+    if d > 0 then d else 0
 
   let dub e tid =
     check_enabled "dub" e tid;
-    Time_interval.bound_sub
-      (Time_interval.lft (Pnet.interval e.net tid))
-      (e.now - e.enabled_at.(tid))
+    let l = e.lft.(tid) in
+    if l = unbounded then Time_interval.Infinity
+    else Time_interval.Finite (l - (e.now - e.enabled_at.(tid)))
 
   (* Single fused pass: dynamic bounds, min DUB, candidate set and the
      priority-filtered fireable set, in ascending transition order so
-     the search explores exactly the order of the copy-based oracle. *)
+     the search explores exactly the order of the copy-based oracle.
+     The enabled set is unordered, so candidates are insertion-sorted
+     into [cands]. *)
   let ensure_cache e =
     if not e.cache_valid then begin
-      let horizon = ref Time_interval.Infinity in
+      let horizon = ref unbounded in
       for i = 0 to e.n_enabled - 1 do
         let tid = e.enabled.(i) in
         let c = e.now - e.enabled_at.(tid) in
-        let itv = Pnet.interval e.net tid in
-        e.scratch_dlb.(tid) <- max 0 (Time_interval.eft itv - c);
-        horizon :=
-          Time_interval.bound_min !horizon
-            (Time_interval.bound_sub (Time_interval.lft itv) c)
+        let d = e.eft.(tid) - c in
+        e.scratch_dlb.(tid) <- (if d > 0 then d else 0);
+        let l = e.lft.(tid) in
+        if l <> unbounded && l - c < !horizon then horizon := l - c
       done;
       let limit = !horizon in
-      let cands = ref [] and best = ref max_int in
+      let n = ref 0 and best = ref max_int in
       for i = 0 to e.n_enabled - 1 do
         let tid = e.enabled.(i) in
-        if Time_interval.bound_le (Time_interval.Finite e.scratch_dlb.(tid)) limit
-        then begin
-          cands := tid :: !cands;
-          let pri = Pnet.priority e.net tid in
+        if e.scratch_dlb.(tid) <= limit then begin
+          let j = ref !n in
+          while !j > 0 && e.cands.(!j - 1) > tid do
+            e.cands.(!j) <- e.cands.(!j - 1);
+            decr j
+          done;
+          e.cands.(!j) <- tid;
+          incr n;
+          let pri = e.priority.(tid) in
           if pri < !best then best := pri
         end
       done;
-      let cands = List.sort compare !cands in
-      e.cached_horizon <- limit;
-      e.cached_candidates <- cands;
-      e.cached_fireable <-
-        List.filter (fun tid -> Pnet.priority e.net tid = !best) cands;
+      let fireable = ref [] in
+      for i = !n - 1 downto 0 do
+        let tid = e.cands.(i) in
+        if e.priority.(tid) = !best then fireable := tid :: !fireable
+      done;
+      e.horizon <- limit;
+      e.cached_horizon <-
+        (if limit = unbounded then Time_interval.Infinity
+         else Time_interval.Finite limit);
+      e.n_cands <- !n;
+      e.cached_fireable <- !fireable;
       e.cache_valid <- true
     end
 
   let candidates e =
     ensure_cache e;
-    e.cached_candidates
+    List.init e.n_cands (fun i -> e.cands.(i))
 
   let fireable e =
     ensure_cache e;
@@ -373,16 +420,59 @@ module Incremental = struct
      twice lands back on its first pre-image; the saved hash word makes
      undo restore the Zobrist hash bit-for-bit without recomputing. *)
 
+  (* Move tokens along [arcs] ([sign] -1 consumes, +1 produces),
+     recording each touched place; returns the updated hash. *)
+  let move_tokens e arcs sign h =
+    let h = ref h in
+    for a = 0 to Array.length arcs - 1 do
+      let p, w = arcs.(a) in
+      let old = e.marking.(p) in
+      push e old;
+      push e p;
+      e.marking.(p) <- old + (sign * w);
+      h := !h lxor Zobrist.place p old lxor Zobrist.place p e.marking.(p)
+    done;
+    !h
+
+  (* Re-derive enabledness of the consumers of every place in [arcs],
+     recording each change; returns the updated hash. *)
+  let recheck_consumers e arcs h =
+    let h = ref h in
+    for a = 0 to Array.length arcs - 1 do
+      let p, _ = arcs.(a) in
+      let consumers = e.net.consumers.(p) in
+      for k = 0 to Array.length consumers - 1 do
+        let t = consumers.(k) in
+        let enabled_now = marking_enables e.net e.marking t in
+        let was = e.pos.(t) >= 0 in
+        if enabled_now && not was then begin
+          push e (-1);
+          push e t;
+          set_add e t;
+          e.enabled_at.(t) <- e.now;
+          h := !h lxor Zobrist.clock t 0
+        end
+        else if (not enabled_now) && was then begin
+          push e e.enabled_at.(t);
+          push e t;
+          (* contribution already advanced to the post-q clock *)
+          h := !h lxor Zobrist.clock t (e.now - e.enabled_at.(t));
+          set_remove e t
+        end
+      done
+    done;
+    !h
+
   let fire e tid q =
     check_enabled "fire" e tid;
     ensure_cache e;
-    let lo = e.scratch_dlb.(tid) and hi = e.cached_horizon in
-    if q < lo || not (Time_interval.bound_le (Time_interval.Finite q) hi) then
+    let lo = e.scratch_dlb.(tid) in
+    if q < lo || q > e.horizon then
       invalid_arg
         (Printf.sprintf
            "State.Incremental.fire: time %d outside firing domain [%d, %s] of %s"
            q lo
-           (Time_interval.bound_to_string hi)
+           (Time_interval.bound_to_string e.cached_horizon)
            (Pnet.transition_name e.net tid));
     let net = e.net in
     push e e.now;
@@ -399,66 +489,38 @@ module Incremental = struct
         h := !h lxor Zobrist.clock t c lxor Zobrist.clock t (c + q)
       done;
     e.now <- e.now + q;
-    let writes = ref 1 in
-    (* token moves, recording every touched place *)
-    let places_changed = ref 0 in
-    let touch p delta =
-      push e e.marking.(p);
-      push e p;
-      h := !h lxor Zobrist.place p e.marking.(p);
-      e.marking.(p) <- e.marking.(p) + delta;
-      h := !h lxor Zobrist.place p e.marking.(p);
-      incr places_changed;
-      incr writes
-    in
-    Array.iter (fun (p, w) -> touch p (-w)) net.pre.(tid);
-    Array.iter (fun (p, w) -> touch p w) net.post.(tid);
-    push e !places_changed;
+    let pre = net.pre.(tid) and post = net.post.(tid) in
+    let h = move_tokens e pre (-1) !h in
+    let h = move_tokens e post 1 h in
+    let places_changed = Array.length pre + Array.length post in
+    push e places_changed;
     (* enabledness can change only for consumers of touched places *)
-    let trans_changed = ref 0 in
-    let record_trans t old_at =
-      push e old_at;
-      push e t;
-      incr trans_changed;
-      incr writes
-    in
-    let recheck t =
-      let enabled_now = marking_enables net e.marking t in
-      let was = e.pos.(t) >= 0 in
-      if enabled_now && not was then begin
-        record_trans t (-1);
-        set_add e t;
-        e.enabled_at.(t) <- e.now;
-        h := !h lxor Zobrist.clock t 0
-      end
-      else if (not enabled_now) && was then begin
-        record_trans t e.enabled_at.(t);
-        (* contribution already advanced to the post-q clock above *)
-        h := !h lxor Zobrist.clock t (e.now - e.enabled_at.(t));
-        set_remove e t
-      end
-    in
-    let scan arcs =
-      Array.iter
-        (fun ((p : int), _) -> Array.iter recheck net.consumers.(p))
-        arcs
-    in
-    scan net.pre.(tid);
-    scan net.post.(tid);
+    let frame = e.trail_len in
+    let h = recheck_consumers e pre h in
+    let h = recheck_consumers e post h in
     (* Def 3.1: the fired transition's clock restarts when it remains
        enabled (a newly re-enabled one already carries [now]) *)
-    if e.pos.(tid) >= 0 && e.enabled_at.(tid) <> e.now then begin
-      record_trans tid e.enabled_at.(tid);
-      h := !h lxor Zobrist.clock tid (e.now - e.enabled_at.(tid))
-           lxor Zobrist.clock tid 0;
-      e.enabled_at.(tid) <- e.now
-    end;
-    push e !trans_changed;
-    e.zhash <- !h;
+    let h =
+      if e.pos.(tid) >= 0 && e.enabled_at.(tid) <> e.now then begin
+        push e e.enabled_at.(tid);
+        push e tid;
+        let h =
+          h lxor Zobrist.clock tid (e.now - e.enabled_at.(tid))
+          lxor Zobrist.clock tid 0
+        in
+        e.enabled_at.(tid) <- e.now;
+        h
+      end
+      else h
+    in
+    let trans_changed = (e.trail_len - frame) / 2 in
+    push e trans_changed;
+    e.zhash <- h;
     e.depth <- e.depth + 1;
     e.cache_valid <- false;
     incr fires;
-    incremental_writes := !incremental_writes + !writes
+    incremental_writes :=
+      !incremental_writes + 1 + places_changed + trans_changed
 
   let undo e =
     if e.depth = 0 then invalid_arg "State.Incremental.undo: at the root";
@@ -488,6 +550,14 @@ module Incremental = struct
       invalid_arg "State.Incremental.undo_to: bad target depth";
     while e.depth > target do
       undo e
+    done
+
+  let write_cells e cells =
+    let n_places = Array.length e.marking in
+    Array.blit e.marking 0 cells 0 n_places;
+    for tid = 0 to Array.length e.pos - 1 do
+      cells.(n_places + tid) <-
+        (if e.pos.(tid) >= 0 then e.now - e.enabled_at.(tid) else -1)
     done
 
   let snapshot e =

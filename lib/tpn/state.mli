@@ -98,7 +98,13 @@ val write_counters : unit -> int * int * int
     inspects transitions adjacent to touched places, and a fused
     candidate analysis.  Semantically equivalent to the copy-based
     functions above (checked by the differential test suite); clock
-    values are represented as [now - enabled_at t]. *)
+    values are represented as [now - enabled_at t].
+
+    Built for the search's per-node cost: {!create} resolves every
+    transition's EFT, LFT and priority into int arrays, {!fire} and
+    the candidate analysis are closure-free loops over them, and the
+    candidates are sorted in a reused buffer.  A node's analysis
+    allocates only its {!fireable} list and its horizon bound. *)
 module Incremental : sig
   type engine
 
@@ -147,6 +153,12 @@ module Incremental : sig
 
   val undo_to : engine -> int -> unit
   (** [undo_to e d] pops firings until [depth e = d]. *)
+
+  val write_cells : engine -> int array -> unit
+  (** [write_cells e cells] writes the current state into
+      [cells.(0 .. |P| + |T| - 1)]: the marking, then one clock per
+      transition ([-1] when disabled) — {!snapshot}'s cells, in place
+      of a fresh state. *)
 
   val snapshot : engine -> t
   (** Immutable copy of the current state (allocates). *)

@@ -42,34 +42,20 @@ let var_of c tid =
   in
   go 0
 
-(* Domain restricted to "tid fires first": θ_f <= θ_j for every other
-   enabled j.  The class domain is canonical, so each added constraint
-   is an O(n²) incremental tightening — and most are no-ops (the bound
-   already holds), so the common cost is far below the full O(n³)
-   re-canonicalization this used to pay. *)
-let fires_first_domain c f_var =
-  let d = Dbm.copy c.domain in
-  for j = 1 to Dbm.dim d do
-    if j <> f_var then Dbm.tighten d f_var j 0
-  done;
-  d
-
-let time_firable c tid =
-  match var_of c tid with
-  | None -> false
-  | Some f_var -> not (Dbm.is_empty (fires_first_domain c f_var))
-
+(* Time-firability is the closed form of {!Dbm.can_fire_first}: one
+   column scan of the canonical domain per enabled transition. *)
 let firable ?(priorities = true) net c =
-  let candidates = List.filter (time_firable c) (enabled_ids c) in
-  match candidates with
-  | [] -> []
-  | _ :: _ when not priorities -> candidates
-  | _ :: _ ->
-    let best =
-      List.fold_left (fun acc tid -> min acc (Pnet.priority net tid)) max_int
-        candidates
-    in
-    List.filter (fun tid -> Pnet.priority net tid = best) candidates
+  let candidates = ref [] and best = ref max_int in
+  for i = Array.length c.enabled - 1 downto 0 do
+    if Dbm.can_fire_first c.domain (i + 1) then begin
+      let tid = c.enabled.(i) in
+      candidates := tid :: !candidates;
+      let pri = Pnet.priority net tid in
+      if pri < !best then best := pri
+    end
+  done;
+  if not priorities then !candidates
+  else List.filter (fun tid -> Pnet.priority net tid = !best) !candidates
 
 let delay_bounds _net c tid =
   match var_of c tid with
@@ -87,8 +73,7 @@ let fire (net : Pnet.t) c tid =
         (Printf.sprintf "State_class.fire: %s not enabled"
            (Pnet.transition_name net tid))
   in
-  let fired = fires_first_domain c f_var in
-  if Dbm.is_empty fired then
+  if not (Dbm.can_fire_first c.domain f_var) then
     invalid_arg
       (Printf.sprintf "State_class.fire: %s cannot fire first"
          (Pnet.transition_name net tid));
@@ -97,51 +82,29 @@ let fire (net : Pnet.t) c tid =
   Array.iter (fun (p, w) -> marking.(p) <- marking.(p) + w) net.Pnet.post.(tid);
   let enabled' = enabled_of_marking net marking in
   (* Def 3.1 persistence: enabled before and after, and not the fired
-     transition itself. *)
-  let persistent_var tid' =
-    if tid' = tid then None
-    else
-      match var_of c tid' with
-      | Some v when State.marking_enables net c.marking tid' -> Some v
-      | Some _ | None -> None
-  in
-  let k = Array.length enabled' in
-  let domain = Dbm.create k in
-  (* Pass 1 — persistent block: a projection of the canonical [fired]
-     matrix onto the kept variables (change of origin to θ_f).  A
-     projection of a canonical DBM is canonical, and the untouched
-     newly-enabled rows/columns stay at infinity, so the whole matrix
-     is canonical after this pass. *)
-  Array.iteri
-    (fun i tid_i ->
-      match persistent_var tid_i with
-      | Some vi ->
-        (* new variable is θ_i - θ_f *)
-        Dbm.constrain domain (i + 1) 0 (Dbm.get fired vi f_var);
-        Dbm.constrain domain 0 (i + 1) (Dbm.get fired f_var vi);
-        Array.iteri
-          (fun j tid_j ->
-            if i <> j then
-              match persistent_var tid_j with
-              | Some vj -> Dbm.constrain domain (i + 1) (j + 1) (Dbm.get fired vi vj)
-              | None -> ())
-          enabled'
-      | None -> ())
-    enabled';
-  (* Pass 2 — newly enabled variables: static bounds added one
-     constraint at a time through the O(n²) incremental closure, which
-     keeps the matrix canonical with no final Floyd–Warshall.  The
-     closed form is unique, so the resulting class is bit-identical to
-     the constrain-then-canonicalize construction this replaces. *)
-  Array.iteri
-    (fun i tid_i ->
-      match persistent_var tid_i with
-      | Some _ -> ()
-      | None ->
-        let lo, hi = static_bounds net tid_i in
-        Dbm.tighten domain (i + 1) 0 hi;
-        Dbm.tighten domain 0 (i + 1) (-lo))
-    enabled';
+     transition itself.  Both enabled arrays ascend, so one merge maps
+     each new variable to its old one (-1: newly enabled). *)
+  let n_old = Array.length c.enabled in
+  let vars = Array.make (Array.length enabled') (-1) in
+  let j = ref 0 in
+  for i = 0 to Array.length enabled' - 1 do
+    let tid_i = enabled'.(i) in
+    while !j < n_old && c.enabled.(!j) < tid_i do incr j done;
+    if !j < n_old && c.enabled.(!j) = tid_i && tid_i <> tid then
+      vars.(i) <- !j + 1
+  done;
+  (* the persistent block is projected straight from the closed-form
+     fires-first domain, canonical as it stands; newly enabled
+     variables get their static bounds through the O(n²) incremental
+     closure, so no Floyd–Warshall runs *)
+  let domain = Dbm.successor c.domain f_var vars in
+  for i = 0 to Array.length enabled' - 1 do
+    if vars.(i) < 0 then begin
+      let lo, hi = static_bounds net enabled'.(i) in
+      Dbm.tighten domain (i + 1) 0 hi;
+      Dbm.tighten domain 0 (i + 1) (-lo)
+    end
+  done;
   { marking; enabled = enabled'; domain }
 
 type stats = {

@@ -52,32 +52,6 @@ let test_equal_hash () =
   Dbm.constrain b 1 0 2;
   check_bool "not equal after change" false (Dbm.equal a b)
 
-let test_rebase () =
-  (* two clocks x1 in [1,3], x2 in [2,5]; fire variable 1 first and
-     rebase: x2' = x2 - x1 in [max(0,2-3), 5-1] = [0,4] with the
-     fires-first constraint applied beforehand *)
-  let d = Dbm.create 2 in
-  Dbm.constrain d 1 0 3;
-  Dbm.constrain d 0 1 (-1);
-  Dbm.constrain d 2 0 5;
-  Dbm.constrain d 0 2 (-2);
-  Dbm.constrain d 1 2 0;  (* x1 <= x2: fires first *)
-  Dbm.canonicalize d;
-  let r = Dbm.rebase d 1 ~keep:[ 2 ] in
-  Dbm.canonicalize r;
-  check_bool "nonempty" false (Dbm.is_empty r);
-  check_bool "rebased bounds" true (Dbm.bounds r 1 = (0, 4))
-
-let test_add_fresh () =
-  let d = Dbm.create 1 in
-  Dbm.constrain d 1 0 3;
-  Dbm.constrain d 0 1 0;
-  let d' = Dbm.add_fresh d [ (2, 6); (0, Dbm.infinity) ] in
-  Dbm.canonicalize d';
-  check_int "three variables" 3 (Dbm.dim d');
-  check_bool "fresh bounds" true (Dbm.bounds d' 2 = (2, 6));
-  check_bool "unbounded fresh" true (snd (Dbm.bounds d' 3) >= Dbm.infinity)
-
 let test_subset () =
   let mk hi =
     let d = Dbm.create 1 in
@@ -140,51 +114,101 @@ let prop_subset_partial_order =
         Dbm.subset a a
         && ((not (Dbm.subset a b && Dbm.subset b a)) || Dbm.equal a b))
 
-let prop_add_fresh_preserves_bounds =
-  qcheck ~count:300 "add_fresh preserves bounds"
-    QCheck.(pair (int_range 1 3) (int_range 0 1_000_000))
-    (fun (dim, seed) ->
-      let d, next = random_canonical dim seed in
-      if Dbm.is_empty d then true
-      else begin
-        let lo = next () mod 5 in
-        let hi = lo + (next () mod 5) in
-        let d' = Dbm.add_fresh d [ (lo, hi) ] in
-        Dbm.canonicalize d';
-        (not (Dbm.is_empty d'))
-        && List.for_all
-             (fun v -> Dbm.bounds d' v = Dbm.bounds d v)
-             (List.init dim (fun i -> i + 1))
-        && Dbm.bounds d' (dim + 1) = (lo, hi)
-      end)
+(* The reference the closed forms replace: the fires-first domain as a
+   chain of incremental tightenings x_f - x_j <= 0, one per other
+   variable j, on a copy. *)
+let tighten_chain d f =
+  let r = Dbm.copy d in
+  for j = 1 to Dbm.dim r do
+    if j <> f then Dbm.tighten r f j 0
+  done;
+  r
 
-(* The property State_class.fire's persistent-block pass relies on: a
-   projection with change of origin of a canonical matrix is already
-   canonical (re-closing it is a no-op), and pairwise differences
-   between kept variables are untouched. *)
-let prop_rebase_preserves_canonicality =
-  qcheck ~count:300 "rebase preserves canonicality and pairwise bounds"
-    QCheck.(pair (int_range 2 4) (int_range 0 1_000_000))
+(* Random canonical matrices with every variable bounded below by 0
+   and above, like a class domain, plus a few random differences. *)
+let random_domain dim seed =
+  let d = Dbm.create dim in
+  let rng = ref seed in
+  let next () =
+    rng := ((!rng * 1103515245) + 12345) land 0x3fffffff;
+    !rng
+  in
+  for v = 1 to dim do
+    let lo = next () mod 6 in
+    Dbm.constrain d 0 v (-lo);
+    if next () mod 4 <> 0 then Dbm.constrain d v 0 (lo + (next () mod 8))
+  done;
+  for _ = 1 to next () mod 4 do
+    let i = 1 + (next () mod dim) and j = 1 + (next () mod dim) in
+    if i <> j then Dbm.constrain d i j ((next () mod 9) - 4)
+  done;
+  Dbm.canonicalize d;
+  (d, next)
+
+(* Entry (a, b) of [successor d f vars] is the fires-first domain
+   between old indices [src a] and [src b], the new reference standing
+   for x_f; fresh variables are unconstrained. *)
+let successor_matches chain d f vars =
+  let s = Dbm.successor d f vars in
+  let src a = if a = 0 then f else vars.(a - 1) in
+  let indices = List.init (Array.length vars + 1) Fun.id in
+  List.for_all
+    (fun a ->
+      List.for_all
+        (fun b ->
+          let expected =
+            if a = b then 0
+            else if src a < 0 || src b < 0 then Dbm.infinity
+            else Dbm.get chain (src a) (src b)
+          in
+          Dbm.get s a b = expected)
+        indices)
+    indices
+
+(* The verdict and the whole fires-first domain: keeping every old
+   index but f, the old reference 0 included, [successor] reads out
+   every entry of the closed form. *)
+let prop_fires_first_closed_form =
+  qcheck ~count:1000 "fires-first closed form = tighten chain (bit-for-bit)"
+    QCheck.(triple (int_range 1 6) (int_range 0 1_000_000) bool)
+    (fun (dim, seed, domain_like) ->
+      let d, next =
+        if domain_like then random_domain dim seed else random_canonical dim seed
+      in
+      Dbm.is_empty d
+      ||
+      let f = 1 + (next () mod dim) in
+      let chain = tighten_chain d f in
+      let firable = not (Dbm.is_empty chain) in
+      Dbm.can_fire_first d f = firable
+      && ((not firable)
+         ||
+         let all_but_f =
+           Array.of_list
+             (List.filter (fun v -> v <> f) (List.init (dim + 1) Fun.id))
+         in
+         successor_matches chain d f all_but_f))
+
+(* The projection State_class.fire asks for: some variables, in any
+   order, plus fresh ones; the result is already canonical. *)
+let prop_successor_projects_closed_form =
+  qcheck ~count:500 "successor projects the fires-first domain"
+    QCheck.(pair (int_range 1 6) (int_range 0 1_000_000))
     (fun (dim, seed) ->
-      let d, next = random_canonical dim seed in
-      if Dbm.is_empty d then true
-      else begin
-        let f = 1 + (next () mod dim) in
-        let keep =
-          List.filter (fun v -> v <> f) (List.init dim (fun i -> i + 1))
-        in
-        let r = Dbm.rebase d f ~keep in
-        let again = Dbm.copy r in
-        Dbm.canonicalize again;
-        Dbm.equal r again
-        && List.for_all
-             (fun (i', i) ->
-               List.for_all
-                 (fun (j', j) ->
-                   i = j || Dbm.get r (i' + 1) (j' + 1) = Dbm.get d i j)
-                 (List.mapi (fun j' j -> (j', j)) keep))
-             (List.mapi (fun i' i -> (i', i)) keep)
-      end)
+      let d, next = random_domain dim seed in
+      let f = 1 + (next () mod dim) in
+      let chain = tighten_chain d f in
+      Dbm.is_empty chain
+      ||
+      let vars =
+        Array.init (next () mod (dim + 2)) (fun _ ->
+            let v = 1 + (next () mod (dim + 1)) in
+            if v = f || v > dim then -1 else v)
+      in
+      let s = Dbm.successor d f vars in
+      let again = Dbm.copy s in
+      Dbm.canonicalize again;
+      Dbm.equal s again && successor_matches chain d f vars)
 
 let prop_canonical_idempotent =
   qcheck ~count:100 "canonicalize is idempotent"
@@ -217,11 +241,9 @@ let suite =
     case "transitive tightening" test_transitive_tightening;
     case "equality and hashing" test_equal_hash;
     case "subset (inclusion)" test_subset;
-    case "rebase (change of origin)" test_rebase;
-    case "add fresh variables" test_add_fresh;
     prop_canonical_idempotent;
     prop_tighten_bit_identical;
     prop_subset_partial_order;
-    prop_add_fresh_preserves_bounds;
-    prop_rebase_preserves_canonicality;
+    prop_fires_first_closed_form;
+    prop_successor_projects_closed_form;
   ]

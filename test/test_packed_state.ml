@@ -116,6 +116,42 @@ let test_of_engine_matches_of_state () =
   State.Incremental.fire eng 1 0;
   check_point ()
 
+(* One scratch keys a whole walk: each [pack_scratch] overwrites the
+   buffer of its width, a persisted copy survives later packs, and a
+   state whose clock outgrows 16 bits switches to the 4-byte buffer. *)
+let test_scratch_key_reuse () =
+  let b = Pnet.Builder.create "wide" in
+  let p0 = Pnet.Builder.add_place b ~tokens:1 "p0" in
+  let p1 = Pnet.Builder.add_place b ~tokens:1 "p1" in
+  let q0 = Pnet.Builder.add_place b "q0" in
+  let q1 = Pnet.Builder.add_place b "q1" in
+  let t0 = Pnet.Builder.add_transition b "t0" (Time_interval.point 40_000) in
+  let t1 = Pnet.Builder.add_transition b "t1" (Time_interval.make 0 100_000) in
+  Pnet.Builder.arc_pt b p0 t0;
+  Pnet.Builder.arc_tp b t0 q0;
+  Pnet.Builder.arc_pt b p1 t1;
+  Pnet.Builder.arc_tp b t1 q1;
+  let net = Pnet.Builder.build b in
+  let eng = State.Incremental.create net in
+  let of_snapshot () = Packed_state.of_state (State.Incremental.snapshot eng) in
+  let scratch = Packed_state.scratch eng in
+  let root = Packed_state.persist (Packed_state.pack_scratch scratch) in
+  let root_state = of_snapshot () in
+  State.Incremental.fire eng t0 40_000;
+  let wide = Packed_state.pack_scratch scratch in
+  check_bool "wide key = of_state" true
+    (Packed_state.equal wide (of_snapshot ()));
+  check_int "4-byte cells" (1 + (4 * 6)) (Packed_state.byte_size wide);
+  State.Incremental.undo eng;
+  let narrow = Packed_state.pack_scratch scratch in
+  check_bool "narrow again" true (Packed_state.equal narrow root_state);
+  check_bool "persisted key untouched" true
+    (Packed_state.equal root root_state);
+  State.Incremental.fire eng t1 3;
+  ignore (Packed_state.pack_scratch scratch);
+  check_bool "persisted key survives a pack of the same width" true
+    (Packed_state.equal root root_state && not (Packed_state.equal root (of_snapshot ())))
+
 let suite =
   [
     prop_roundtrip;
@@ -125,4 +161,5 @@ let suite =
     case "equal states encode to equal bytes" test_equal_states_equal_bytes;
     case "distinct states differ" test_distinct_states_distinct_bytes;
     case "of_engine matches of_state" test_of_engine_matches_of_state;
+    case "scratch key reuse" test_scratch_key_reuse;
   ]

@@ -159,6 +159,41 @@ let test_inclusion_abstraction () =
   check_bool "substantial shrinkage on fig4" true
     (incl.State_class.classes * 2 < plain.State_class.classes)
 
+(* [fire] projects each successor straight from the closed-form
+   fires-first domain and never re-closes it: every successor domain
+   on the case studies' class graphs (first 3000 classes each) must
+   already be canonical, so [canonicalize] is a no-op on it. *)
+let test_successor_domains_canonical () =
+  List.iter
+    (fun (name, spec) ->
+      let net = (Translate.translate spec).Translate.net in
+      let store = Class_store.create ~subsume:false () in
+      let checked = ref 0 in
+      let canonical (c : State_class.t) =
+        let again = Dbm.copy c.State_class.domain in
+        Dbm.canonicalize again;
+        incr checked;
+        Dbm.equal c.State_class.domain again
+      in
+      let (_ : Pnet.transition_id Reach.outcome) =
+        Reach.bfs ~max_nodes:3000
+          ~fresh:(fun (c : State_class.t) ->
+            Class_store.visit store ~marking:c.State_class.marking
+              ~domain:c.State_class.domain
+            = Class_store.Fresh)
+          ~on_edge:(fun _ tid c ->
+            if not (canonical c) then
+              Alcotest.failf "%s: successor by %s is not canonical" name
+                (Pnet.transition_name net tid))
+          ~successors:(fun c ->
+            List.map
+              (fun tid -> (tid, State_class.fire net c tid))
+              (State_class.firable net c))
+          (State_class.initial net)
+      in
+      check_bool (name ^ ": successors checked") true (!checked > 0))
+    Case_studies.all
+
 let prop_rings_agree =
   qcheck ~count:40 "class and discrete markings agree on rings"
     QCheck.(pair (int_range 2 5) (int_range 0 60))
@@ -179,5 +214,6 @@ let suite =
     case "inclusion abstraction" test_inclusion_abstraction;
     case "markings agree with discrete TLTS" test_markings_agree_on_case_studies;
     case "class graph covers the discrete walk" test_class_graph_covers_discrete;
+    case "successor domains are canonical" test_successor_domains_canonical;
     prop_rings_agree;
   ]
