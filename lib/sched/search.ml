@@ -250,8 +250,9 @@ let copying options model =
    fire/undo (the node is the engine itself), with a memo of packed
    byte states with memoized hashes.  A node is keyed in a reused
    scratch buffer; only a fresh one is copied into the memo. *)
-let incremental options model memo =
+let incremental options model =
   let net = model.Translate.net in
+  let memo = Packed_state.Table.create 4096 in
   let eng = State.Incremental.create net in
   let scratch = Packed_state.scratch eng in
   let view = Priority.view_of_engine eng in
@@ -290,26 +291,6 @@ let find_schedule ?(options = default_options) ?(cancel = no_cancel) model =
     in
     (Result.map Schedule.of_actions outcome, metrics)
   in
-  if not options.incremental then run "discrete-copying" (copying options model)
-  else begin
-    (* Size the memo from the stored-state budget (capped — Hashtbl
-       grows on demand, this only avoids rehash churn on the way up
-       without zeroing megabytes for searches that stay small). *)
-    let memo =
-      Packed_state.Table.create (max 1024 (min options.max_stored 0x10000))
-    in
-    let result = run "discrete-incremental" (incremental options model memo) in
-    let st = Packed_state.Table.load_stats memo in
-    let bump name help v =
-      Ezrt_obs.Metrics.add
-        (Ezrt_obs.Metrics.counter ~help
-           ~labels:[ ("engine", "discrete-incremental") ]
-           name)
-        v
-    in
-    bump "ezrt_search_table_entries_total" "Claimed-state memo entries"
-      st.Packed_state.entries;
-    bump "ezrt_search_table_collisions_total"
-      "Claimed-state memo entries sharing a bucket" st.Packed_state.collisions;
-    result
-  end
+  if options.incremental then
+    run "discrete-incremental" (incremental options model)
+  else run "discrete-copying" (copying options model)

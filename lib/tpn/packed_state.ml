@@ -6,8 +6,8 @@
    [Bytes.t] of fixed-width little-endian cells (the narrowest of
    16/32/64 bits that fits every cell, chosen per state so equal states
    encode identically) with the full-width Zobrist hash memoized next
-   to it.  A 500k-entry failed-state table shrinks by ~4x and lookups
-   reduce to a stored-int compare plus [Bytes.equal].
+   to it.  A memo of claimed states shrinks by ~4x and lookups reduce
+   to a stored-int compare plus [Bytes.equal].
 
    [of_engine] takes the incremental engine's maintained Zobrist word
    directly, so keying a search node costs only the serialization scan
@@ -122,39 +122,9 @@ let equal a b = a.hash = b.hash && Bytes.equal a.data b.data
 let hash p = p.hash
 let byte_size p = Bytes.length p.data
 
-type table_stats = {
-  entries : int;
-  buckets : int;
-  load : float;
-  collisions : int;
-  max_bucket : int;
-}
+module Table = Hashtbl.Make (struct
+  type nonrec t = t
 
-module Table = struct
-  include Hashtbl.Make (struct
-    type nonrec t = t
-
-    let equal = equal
-    let hash = hash
-  end)
-
-  let load_stats t =
-    let s = stats t in
-    let nonempty =
-      let n = ref 0 in
-      Array.iteri
-        (fun len count -> if len > 0 then n := !n + count)
-        s.Hashtbl.bucket_histogram;
-      !n
-    in
-    {
-      entries = s.Hashtbl.num_bindings;
-      buckets = s.Hashtbl.num_buckets;
-      load =
-        (if s.Hashtbl.num_buckets = 0 then 0.
-         else float_of_int s.Hashtbl.num_bindings
-              /. float_of_int s.Hashtbl.num_buckets);
-      collisions = s.Hashtbl.num_bindings - nonempty;
-      max_bucket = s.Hashtbl.max_bucket_length;
-    }
-end
+  let equal = equal
+  let hash = hash
+end)

@@ -53,18 +53,5 @@ val hash : t -> int
 
 val byte_size : t -> int
 
-type table_stats = {
-  entries : int;
-  buckets : int;
-  load : float;  (** entries / buckets *)
-  collisions : int;  (** entries sharing a bucket with an earlier one *)
-  max_bucket : int;
-}
-
-(** Hash tables keyed by packed states, plus occupancy introspection
-    for the metrics flush at the end of a search. *)
-module Table : sig
-  include Hashtbl.S with type key = t
-
-  val load_stats : 'a t -> table_stats
-end
+(** Hash tables keyed by packed states. *)
+module Table : Hashtbl.S with type key = t

@@ -131,15 +131,6 @@ let portfolio_line spec model =
           (fun (a : Portfolio.attempt) -> Portfolio.config_to_string a.config)
           race.Portfolio.attempts))
 
-let load_corpus () =
-  Sys.readdir "corpus" |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".xml")
-  |> List.sort compare
-  |> List.map (fun f ->
-         match Dsl.load_file (Filename.concat "corpus" f) with
-         | Ok spec -> (f, spec)
-         | Error e -> Alcotest.fail (Dsl.error_to_string e))
-
 let test_search_counts_golden () =
   let lines (name, spec) =
     let model = Translate.translate spec in

@@ -119,6 +119,36 @@ let test_schedule_spans_hyperperiod () =
       (Schedule.makespan schedule <= model.Translate.horizon)
   | Error _ -> Alcotest.fail "infeasible"
 
+(* Eight tasks with tight deadlines over periods 25/50/100: an
+   exhaustive infeasibility proof that stores several times more states
+   than the memo's initial bucket count, so the memo must grow. *)
+let large_tight_spec =
+  let periods = [| 25; 50; 100 |] in
+  let tasks =
+    List.init 8 (fun i ->
+        let period = periods.(i mod 3) in
+        let wcet = 2 * (2 + (i mod 3)) in
+        Task.make
+          ~name:(Printf.sprintf "t%d" i)
+          ~wcet
+          ~deadline:(min period (wcet + 2 + (i mod 4)))
+          ~period ())
+  in
+  Spec.make ~name:"large-tight-8" ~tasks ()
+
+let test_memo_growth () =
+  let model = Translate.translate large_tight_spec in
+  List.iter
+    (fun (name, incremental) ->
+      let options = { Search.default_options with incremental } in
+      match Search.find_schedule ~options model with
+      | Error Search.Infeasible, m ->
+        check_int (name ^ " stored") 24_239 m.Search.stored;
+        check_int (name ^ " visited") 24_706 m.Search.visited
+      | (Ok _ | Error Search.Budget_exhausted), _ ->
+        Alcotest.failf "%s: expected an infeasibility proof" name)
+    [ ("copying", false); ("incremental", true) ]
+
 (* Found schedules on random specs always certify; infeasibility
    answers must agree with a preemptive-EDF necessary check (if EDF
    with full preemption schedules it and there are no relations, the
@@ -144,5 +174,6 @@ let suite =
     case "greedy trap" test_greedy_trap_needs_inserted_idle;
     case "search is deterministic" test_deterministic;
     case "schedule covers the hyper-period" test_schedule_spans_hyperperiod;
+    slow_case "memo grows past its initial size" test_memo_growth;
     prop_found_schedules_certify;
   ]

@@ -246,36 +246,46 @@ let test_packed_smaller () =
 
 (* The acceptance bar for the engine swap: both search engines produce
    action-for-action identical schedules and identical node counts on
-   every case study. *)
+   every case study and corpus spec, at the default budget and at
+   budgets small enough to stop the search early — the memo must not
+   depend on the budget. *)
 let test_search_parity () =
   List.iter
-    (fun (name, spec) ->
+    (fun (spec_name, spec) ->
       let model = Translate.translate spec in
-      let run incremental =
-        Search.find_schedule
-          ~options:{ Search.default_options with incremental }
-          model
-      in
-      let copy_outcome, copy_m = run false in
-      let incr_outcome, incr_m = run true in
-      (match (copy_outcome, incr_outcome) with
-      | Ok a, Ok b ->
-        check_bool
-          (name ^ " identical schedules")
-          true
-          (a.Schedule.entries = b.Schedule.entries)
-      | Error a, Error b ->
-        check_string (name ^ " same failure") (Search.failure_to_string a)
-          (Search.failure_to_string b)
-      | _ -> Alcotest.failf "%s: engines disagree on feasibility" name);
-      check_int (name ^ " stored") copy_m.Search.stored incr_m.Search.stored;
-      check_int (name ^ " visited") copy_m.Search.visited incr_m.Search.visited;
-      check_int (name ^ " eager") copy_m.Search.eager incr_m.Search.eager;
-      check_int (name ^ " backtracks") copy_m.Search.backtracks
-        incr_m.Search.backtracks;
-      check_int (name ^ " max_depth") copy_m.Search.max_depth
-        incr_m.Search.max_depth)
-    Case_studies.all
+      List.iter
+        (fun max_stored ->
+          let name = Printf.sprintf "%s at %d" spec_name max_stored in
+          let run incremental =
+            Search.find_schedule
+              ~options:{ Search.default_options with incremental; max_stored }
+              model
+          in
+          let copy_outcome, copy_m = run false in
+          let incr_outcome, incr_m = run true in
+          (match (copy_outcome, incr_outcome) with
+          | Ok a, Ok b ->
+            check_bool
+              (name ^ " identical schedules")
+              true
+              (a.Schedule.entries = b.Schedule.entries)
+          | Error a, Error b ->
+            check_string (name ^ " same failure") (Search.failure_to_string a)
+              (Search.failure_to_string b)
+          | _ -> Alcotest.failf "%s: engines disagree on feasibility" name);
+          check_int (name ^ " stored") copy_m.Search.stored
+            incr_m.Search.stored;
+          check_bool (name ^ " stored within budget") true
+            (incr_m.Search.stored <= max_stored);
+          check_int (name ^ " visited") copy_m.Search.visited
+            incr_m.Search.visited;
+          check_int (name ^ " eager") copy_m.Search.eager incr_m.Search.eager;
+          check_int (name ^ " backtracks") copy_m.Search.backtracks
+            incr_m.Search.backtracks;
+          check_int (name ^ " max_depth") copy_m.Search.max_depth
+            incr_m.Search.max_depth)
+        [ Search.default_options.max_stored; 1; 5; 37 ])
+    (Case_studies.all @ load_corpus ())
 
 (* Zobrist maintenance: along a random walk, [zhash] must equal the
    from-scratch [State.hash] at every prefix, and unwinding with

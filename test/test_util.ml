@@ -12,6 +12,17 @@ let check_string = Alcotest.(check string)
 let qcheck ?(count = 200) name gen law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen law)
 
+(* The test/corpus specs as [(file name, spec)], in file-name order. *)
+let load_corpus () =
+  let module Dsl = Ezrt_spec.Dsl in
+  Sys.readdir "corpus" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".xml")
+  |> List.sort compare
+  |> List.map (fun f ->
+         match Dsl.load_file (Filename.concat "corpus" f) with
+         | Ok spec -> (f, spec)
+         | Error e -> Alcotest.fail (Dsl.error_to_string e))
+
 (* A tiny net: two sequential transitions
    p0 --t0[2,5]--> p1 --t1[0,0]--> p2. *)
 let sequential_net () =
