@@ -239,6 +239,7 @@ let semantics model store =
     is_dead =
       (fun c ->
         List.exists (fun p -> (marking c).(p) > 0) model.Translate.dead_places);
+    seen = (fun _ -> false);
     claim =
       (fun c ->
         match

@@ -43,6 +43,7 @@ type ('node, 'step) semantics = {
   root : 'node;
   is_final : 'node -> bool;
   is_dead : 'node -> bool;
+  seen : 'node -> bool;
   claim : 'node -> claim;
   fireable : 'node -> Pnet.transition_id list;
   forced : 'node -> Pnet.transition_id list -> 'step option;
@@ -102,13 +103,18 @@ let explore (type node step) ~engine ~args ~max_stored ~cancel
   (* A forced firing leaves no choice and no time passes, so the node
      it leaves need not become a search node.  Cancel is polled at each
      link, so a long forced chain cannot run past the caller's
-     deadline. *)
+     deadline.  A node already in the memo is answered before its
+     fireable set is computed: forcedness depends on the state alone
+     and only unforced states are claimed, so such a node would have
+     reached [claim] and come back [Seen].  [revisit] keeps the rest of
+     that path: the depth update and the second cancel poll. *)
   let rec descend depth path n =
     if sem.is_final n || sem.is_dead n then expand depth path n []
     else if cancel () then begin
       budget_hit := true;
       expand depth path n []
     end
+    else if sem.seen n then revisit depth
     else
       let fireable = sem.fireable n in
       match sem.forced n fireable with
@@ -117,13 +123,17 @@ let explore (type node step) ~engine ~args ~max_stored ~cancel
         c.c_visited <- c.c_visited + 1;
         descend depth (step :: path) (sem.advance n step)
       | None -> expand depth path n fireable
+  and revisit depth =
+    if depth > c.c_max_depth then c.c_max_depth <- depth;
+    if cancel () then budget_hit := true
   (* A node is claimed at its first visit: the DFS exhausts everything
      below it before any second copy is reached, so skipping copies
      (and subsumed nodes, whose behaviours a claimed node covers) loses
      no witness, and a cycle terminates instead of recursing.
      [fireable] is the node's fireable set, computed once in [descend];
      it is only read once the node is claimed, which a final, dead or
-     cancelled node never is. *)
+     cancelled node never is.  [claim] only ever follows a [seen] that
+     said false on the same node. *)
   and expand depth path n fireable =
     if depth > c.c_max_depth then c.c_max_depth <- depth;
     if sem.is_final n then raise (Found path);
@@ -227,13 +237,11 @@ let copying options model =
     root = State.initial net;
     is_final = Translate.is_final model;
     is_dead = Translate.is_dead model;
+    seen = State.Table.mem memo;
     claim =
       (fun s ->
-        if State.Table.mem memo s then Seen
-        else begin
-          State.Table.replace memo s ();
-          Fresh
-        end);
+        State.Table.replace memo s ();
+        Fresh);
     fireable = State.fireable net;
     forced = (fun _ fireable -> forced_step options net fireable);
     branches =
@@ -248,27 +256,29 @@ let copying options model =
 
 (* The incremental engine: one mutable [State.Incremental] engine walked
    fire/undo (the node is the engine itself), with a memo of packed
-   byte states with memoized hashes.  A node is keyed in a reused
-   scratch buffer; only a fresh one is copied into the memo. *)
+   byte states keyed by the engine's maintained Zobrist word.  [seen]
+   writes the node's cells into one reused vector and looks them up in
+   place; [claim], which follows it on the same node, packs that vector
+   into the memo. *)
 let incremental options model =
   let net = model.Translate.net in
-  let memo = Packed_state.Table.create 4096 in
+  let memo = Packed_state.Memo.create () in
   let eng = State.Incremental.create net in
-  let scratch = Packed_state.scratch eng in
+  let cells = Array.make (Pnet.place_count net + Pnet.transition_count net) 0 in
   let view = Priority.view_of_engine eng in
   let marked p = State.Incremental.tokens eng p > 0 in
   {
     root = ();
     is_final = (fun () -> marked model.Translate.final_place);
     is_dead = (fun () -> List.exists marked model.Translate.dead_places);
+    seen =
+      (fun () ->
+        State.Incremental.write_cells eng cells;
+        Packed_state.Memo.mem memo ~hash:(State.Incremental.zhash eng) cells);
     claim =
       (fun () ->
-        let key = Packed_state.pack_scratch scratch in
-        if Packed_state.Table.mem memo key then Seen
-        else begin
-          Packed_state.Table.add memo (Packed_state.persist key) ();
-          Fresh
-        end);
+        Packed_state.Memo.add memo ~hash:(State.Incremental.zhash eng) cells;
+        Fresh);
     fireable = (fun () -> State.Incremental.fireable eng);
     forced = (fun () fireable -> forced_step options net fireable);
     branches =

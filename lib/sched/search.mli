@@ -11,7 +11,8 @@
     - the {e incremental} discrete engine (default) walks one mutable
       {!Ezrt_tpn.State.Incremental} state fire/undo, firing in O(arcs)
       instead of O(|T|·|F|), and memoizes states as packed byte
-      strings ({!Ezrt_tpn.Packed_state}) with memoized hashes;
+      strings ({!Ezrt_tpn.Packed_state.Memo}) keyed by the engine's
+      maintained Zobrist hash;
     - the {e copying} discrete engine is the original immutable-state
       implementation, kept as the semantic oracle;
     - the dense-time class engine ({!Class_search}) walks
@@ -79,10 +80,19 @@ type ('node, 'step) semantics = {
   root : 'node;
   is_final : 'node -> bool;
   is_dead : 'node -> bool;  (** a deadline-miss marking: prune *)
-  claim : 'node -> claim;  (** classify against the memo and record *)
+  seen : 'node -> bool;
+      (** whether the node's state is already in the memo.  Asked first
+          of every node that is neither final nor dead, before
+          [fireable]; a [true] answer ends the visit there.  A
+          semantics whose memo is not exact-match only ([Subsumed])
+          may always say [false] and leave the verdict to [claim]. *)
+  claim : 'node -> claim;
+      (** classify against the memo and record.  Called only on a node
+          that [seen] just called unseen, with no [advance] in between,
+          so an exact-match memo can record and answer [Fresh] *)
   fireable : 'node -> Ezrt_tpn.Pnet.transition_id list;
-      (** called once per visited node that is neither final nor dead;
-          the kernel hands the result to [forced] and then to
+      (** called once per visited node that is neither final, dead nor
+          [seen]; the kernel hands the result to [forced] and then to
           [branches] *)
   forced : 'node -> Ezrt_tpn.Pnet.transition_id list -> 'step option;
       (** the step to take without branching, when the node's fireable
@@ -110,7 +120,9 @@ val explore :
     [cancel] is polled at every node, forced
     chains included; once it returns [true] the search unwinds and
     reports {!Budget_exhausted}, as it does past [max_stored] claimed
-    nodes. *)
+    nodes.  A node that [seen] answers costs the kernel only a depth
+    update and a second [cancel] poll: the same polls, in the same
+    order, as the claim that would have found it [Seen]. *)
 
 (** {1 The discrete engines} *)
 

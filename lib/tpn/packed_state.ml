@@ -1,4 +1,4 @@
-(* Packed TLTS states for the search's memo tables.
+(* Packed TLTS states for the search's memo.
 
    A boxed [State.t] costs two int arrays plus a record — roughly
    8 bytes per cell plus three headers — and hashing it walks boxed
@@ -6,12 +6,12 @@
    [Bytes.t] of fixed-width little-endian cells (the narrowest of
    16/32/64 bits that fits every cell, chosen per state so equal states
    encode identically) with the full-width Zobrist hash memoized next
-   to it.  A memo of claimed states shrinks by ~4x and lookups reduce
-   to a stored-int compare plus [Bytes.equal].
+   to it, so a memo of claimed states shrinks by ~4x.
 
-   [of_engine] takes the incremental engine's maintained Zobrist word
-   directly, so keying a search node costs only the serialization scan
-   — no rehash of the marking at all. *)
+   [Memo] is the incremental search's memo.  It takes the engine's
+   maintained Zobrist word and its cells as an unpacked vector, and
+   answers a lookup by decoding the stored keys with that hash in
+   place, so a revisited state is never packed; only an added one is. *)
 
 type t = {
   data : bytes;
@@ -75,38 +75,6 @@ let of_state (s : State.t) =
     ~tokens:(fun p -> s.State.marking.(p))
     ~clock:(fun t -> s.State.clocks.(t))
 
-(* A reused cell vector and one reused buffer per width, so keying a
-   search node allocates nothing until the key is stored. *)
-type scratch = {
-  engine : State.Incremental.engine;
-  cells : int array;
-  w2 : bytes;
-  w4 : bytes;
-  w8 : bytes;
-}
-
-let scratch e =
-  let net = State.Incremental.net e in
-  let n = Pnet.place_count net + Pnet.transition_count net in
-  {
-    engine = e;
-    cells = Array.make n 0;
-    w2 = Bytes.create (1 + (2 * n));
-    w4 = Bytes.create (1 + (4 * n));
-    w8 = Bytes.create (1 + (8 * n));
-  }
-
-let pack_scratch s =
-  let cells = s.cells in
-  State.Incremental.write_cells s.engine cells;
-  let w = width cells in
-  let data = match w with 2 -> s.w2 | 4 -> s.w4 | _ -> s.w8 in
-  encode data w cells;
-  { data; hash = State.Incremental.zhash s.engine }
-
-let persist p = { p with data = Bytes.copy p.data }
-let of_engine e = persist (pack_scratch (scratch e))
-
 let unpack p =
   let data = p.data in
   let width = Char.code (Bytes.get data 0) in
@@ -122,9 +90,91 @@ let equal a b = a.hash = b.hash && Bytes.equal a.data b.data
 let hash p = p.hash
 let byte_size p = Bytes.length p.data
 
-module Table = Hashtbl.Make (struct
-  type nonrec t = t
+external get_uint16_unsafe : bytes -> int -> int = "%caml_bytes_get16u"
+external swap16 : int -> int = "%bswap16"
 
-  let equal = equal
-  let hash = hash
-end)
+(* [Bytes.get_int16_le] without the bounds check, for the memo's hot
+   16-bit compare: it halves the cost of a revisit's lookup. *)
+let get_int16_le_unsafe data off =
+  let x = get_uint16_unsafe data off in
+  let x = if Sys.big_endian then swap16 x else x in
+  (x lsl (Sys.int_size - 16)) asr (Sys.int_size - 16)
+
+(* [data] decodes to exactly [cells].  Decoding inverts the encoding
+   at every width, so this holds iff [data] is the packing of [cells].
+   The length check bounds every read below. *)
+let decodes_to data cells =
+  let n = Array.length cells in
+  let w = Char.code (Bytes.get data 0) in
+  Bytes.length data = 1 + (w * n)
+  &&
+  let i = ref 0 in
+  (match w with
+  | 2 ->
+    while
+      !i < n
+      && get_int16_le_unsafe data (1 + (2 * !i)) = Array.unsafe_get cells !i
+    do
+      incr i
+    done
+  | 4 ->
+    while
+      !i < n
+      && Int32.to_int (Bytes.get_int32_le data (1 + (4 * !i))) = cells.(!i)
+    do
+      incr i
+    done
+  | _ ->
+    while
+      !i < n
+      && Int64.to_int (Bytes.get_int64_le data (1 + (8 * !i))) = cells.(!i)
+    do
+      incr i
+    done);
+  !i = n
+
+module Memo = struct
+  (* Parallel slot arrays; a free slot holds the empty key (a stored
+     key always has its width byte).  The slot count is a power of two
+     and at most half the slots are taken, so every probe ends. *)
+  type t = {
+    mutable hashes : int array;
+    mutable keys : bytes array;
+    mutable count : int;
+  }
+
+  let create () =
+    { hashes = Array.make 4096 0; keys = Array.make 4096 Bytes.empty;
+      count = 0 }
+
+  let rec probe t i ~hash cells =
+    let key = t.keys.(i) in
+    Bytes.length key > 0
+    && ((t.hashes.(i) = hash && decodes_to key cells)
+       || probe t ((i + 1) land (Array.length t.keys - 1)) ~hash cells)
+
+  let mem t ~hash cells = probe t (hash land (Array.length t.keys - 1)) ~hash cells
+
+  let rec place t i ~hash key =
+    if Bytes.length t.keys.(i) = 0 then begin
+      t.keys.(i) <- key;
+      t.hashes.(i) <- hash
+    end
+    else place t ((i + 1) land (Array.length t.keys - 1)) ~hash key
+
+  let grow t =
+    let hashes = t.hashes and keys = t.keys in
+    let slots = 2 * Array.length keys in
+    t.hashes <- Array.make slots 0;
+    t.keys <- Array.make slots Bytes.empty;
+    Array.iteri
+      (fun i key ->
+        if Bytes.length key > 0 then
+          place t (hashes.(i) land (slots - 1)) ~hash:hashes.(i) key)
+      keys
+
+  let add t ~hash cells =
+    if 2 * (t.count + 1) > Array.length t.keys then grow t;
+    place t (hash land (Array.length t.keys - 1)) ~hash (serialize cells);
+    t.count <- t.count + 1
+end

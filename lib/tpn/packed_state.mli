@@ -1,9 +1,10 @@
 (** Packed TLTS states: a state serialized into a compact [Bytes.t]
-    with its full-width Zobrist hash memoized, for the search's large
-    memo tables.  The encoding picks the narrowest cell width (16, 32
-    or 64-bit little-endian) that fits every marking/clock cell of the
-    state, so equal states always encode to equal bytes, and the hash
-    agrees with {!State.hash} on the same logical state. *)
+    with its full-width Zobrist hash memoized, and {!Memo}, the
+    discrete search's memo of such states.  The encoding picks the
+    narrowest cell width (16, 32 or 64-bit little-endian) that fits
+    every marking/clock cell of the state, so equal states always
+    encode to equal bytes, and the hash agrees with {!State.hash} on
+    the same logical state. *)
 
 type t = private {
   data : bytes;
@@ -21,26 +22,6 @@ val pack :
 
 val of_state : State.t -> t
 
-type scratch
-(** Reused buffers for keying one engine's states. *)
-
-val scratch : State.Incremental.engine -> scratch
-
-val pack_scratch : scratch -> t
-(** Pack the engine's current state into the scratch buffers, without
-    materializing a {!State.t} or allocating bytes.  Reuses the
-    engine's incrementally maintained {!State.Incremental.zhash}, so no
-    cell is hashed at all — keying a search node costs one
-    serialization scan.  The result is valid until the next
-    [pack_scratch] on the same scratch: {!persist} it before storing
-    it. *)
-
-val persist : t -> t
-(** A copy that owns its bytes. *)
-
-val of_engine : State.Incremental.engine -> t
-(** [persist (pack_scratch (scratch e))]. *)
-
 val unpack : t -> int array
 (** Decode every cell back, in pack order: the [n_places] marking cells
     followed by the [n_transitions] clock cells.  Inverse of {!pack}
@@ -53,5 +34,24 @@ val hash : t -> int
 
 val byte_size : t -> int
 
-(** Hash tables keyed by packed states. *)
-module Table : Hashtbl.S with type key = t
+(** A set of cell vectors (a state's marking cells then its clock
+    cells, as {!State.Incremental.write_cells} writes them), each
+    stored packed in the encoding above under a caller-supplied hash —
+    in the search, the engine's maintained {!State.Incremental.zhash}.
+    Open addressing with linear probing over a hash array and a key
+    array: 4096 slots at the start, doubling at half load. *)
+module Memo : sig
+  type t
+
+  val create : unit -> t
+
+  val mem : t -> hash:int -> int array -> bool
+  (** [mem t ~hash cells] is true when a vector equal to [cells] was
+      added under [hash].  Each stored key with the same hash is
+      compared by decoding its cells in place: nothing is packed or
+      allocated. *)
+
+  val add : t -> hash:int -> int array -> unit
+  (** Packs [cells] into fresh bytes and stores them under [hash].
+      The vector must not be present already ([mem] said false). *)
+end

@@ -314,7 +314,6 @@ module Incremental = struct
         ~clocks:(fun t -> if e.pos.(t) >= 0 then 0 else -1);
     e
 
-  let net e = e.net
   let depth e = e.depth
   let now e = e.now
   let tokens e p = e.marking.(p)
@@ -552,12 +551,24 @@ module Incremental = struct
       undo e
     done
 
+  (* Plain loops, not [Array.blit]: a blit into an [int array] that
+     lives in the major heap (as the search's reused vector soon does)
+     goes through the write barrier cell by cell.  The one length check
+     bounds every unchecked access ([pos] and [enabled_at] both have
+     |T| cells). *)
   let write_cells e cells =
-    let n_places = Array.length e.marking in
-    Array.blit e.marking 0 cells 0 n_places;
-    for tid = 0 to Array.length e.pos - 1 do
-      cells.(n_places + tid) <-
-        (if e.pos.(tid) >= 0 then e.now - e.enabled_at.(tid) else -1)
+    let marking = e.marking and pos = e.pos and enabled_at = e.enabled_at in
+    let now = e.now and n_places = Array.length marking in
+    if Array.length cells < n_places + Array.length pos then
+      invalid_arg "State.Incremental.write_cells: vector too short";
+    for p = 0 to n_places - 1 do
+      Array.unsafe_set cells p (Array.unsafe_get marking p)
+    done;
+    for tid = 0 to Array.length pos - 1 do
+      Array.unsafe_set cells (n_places + tid)
+        (if Array.unsafe_get pos tid >= 0 then
+           now - Array.unsafe_get enabled_at tid
+         else -1)
     done
 
   let snapshot e =

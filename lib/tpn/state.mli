@@ -111,8 +111,6 @@ module Incremental : sig
   val create : Pnet.t -> engine
   (** Fresh engine at the initial marking, depth 0. *)
 
-  val net : engine -> Pnet.t
-
   val depth : engine -> int
   (** Number of firings applied and not undone. *)
 
@@ -158,7 +156,8 @@ module Incremental : sig
   (** [write_cells e cells] writes the current state into
       [cells.(0 .. |P| + |T| - 1)]: the marking, then one clock per
       transition ([-1] when disabled) — {!snapshot}'s cells, in place
-      of a fresh state. *)
+      of a fresh state.  Raises [Invalid_argument] when [cells] is
+      shorter than that. *)
 
   val snapshot : engine -> t
   (** Immutable copy of the current state (allocates). *)

@@ -1,7 +1,7 @@
 (* Packed_state properties: pack/unpack round-trips at every cell
-   width, the memoized hash agrees with State.hash, and equal logical
-   states always encode to equal bytes (the property the search's memo
-   table relies on). *)
+   width, the memoized hash agrees with State.hash, equal logical
+   states always encode to equal bytes, and the search's Memo finds
+   exactly the cell vectors added to it. *)
 
 open Ezrt_tpn
 open Test_util
@@ -99,27 +99,47 @@ let test_distinct_states_distinct_bytes () =
       (Packed_state.equal (Packed_state.of_state s0) (Packed_state.of_state s1))
   | _ -> Alcotest.fail "walk should reach two states"
 
-let test_of_engine_matches_of_state () =
-  let net = sequential_net () in
-  let eng = State.Incremental.create net in
-  let check_point () =
-    let from_engine = Packed_state.of_engine eng in
-    let from_state = Packed_state.of_state (State.Incremental.snapshot eng) in
-    check_bool "of_engine = of_state" true
-      (Packed_state.equal from_engine from_state);
-    check_int "hash too" (Packed_state.hash from_state)
-      (Packed_state.hash from_engine)
-  in
-  check_point ();
-  State.Incremental.fire eng 0 2;
-  check_point ();
-  State.Incremental.fire eng 1 0;
-  check_point ()
+(* --- Memo ------------------------------------------------------------ *)
 
-(* One scratch keys a whole walk: each [pack_scratch] overwrites the
-   buffer of its width, a persisted copy survives later packs, and a
-   state whose clock outgrows 16 bits switches to the 4-byte buffer. *)
-let test_scratch_key_reuse () =
+let memo_cells eng net =
+  let cells = Array.make (Pnet.place_count net + Pnet.transition_count net) 0 in
+  State.Incremental.write_cells eng cells;
+  cells
+
+(* Distinct vectors under one forced hash: a 16-bit key, 32-bit keys
+   whose low halves match a 16-bit key's cells, and a 64-bit key.
+   Each is unseen until it is added and seen from then on. *)
+let test_memo_collisions () =
+  let memo = Packed_state.Memo.create () in
+  let vectors =
+    [
+      [| 0; 1; -1 |];
+      [| 0; 1; 0xffff |];
+      [| 0; 1; 0x7fff |];
+      [| 0; 1; 0x7fff + 0x10000 |];
+      [| -0x8001; 1; 0x7fff |];
+      [| 0; 1; 1 lsl 40 |];
+    ]
+  in
+  List.iteri
+    (fun k v ->
+      List.iteri
+        (fun j w ->
+          check_bool
+            (Printf.sprintf "vector %d before adding %d" j k)
+            (j < k)
+            (Packed_state.Memo.mem memo ~hash:42 w))
+        vectors;
+      Packed_state.Memo.add memo ~hash:42 v;
+      check_bool "seen once added" true (Packed_state.Memo.mem memo ~hash:42 v);
+      check_bool "not under another hash" false
+        (Packed_state.Memo.mem memo ~hash:43 v))
+    vectors
+
+(* One engine's walk keyed by its Zobrist word: the root packs to
+   16-bit cells, a clock past 16 bits makes a 32-bit key, and the
+   narrow key stays found after the wide one is added. *)
+let test_memo_engine_widths () =
   let b = Pnet.Builder.create "wide" in
   let p0 = Pnet.Builder.add_place b ~tokens:1 "p0" in
   let p1 = Pnet.Builder.add_place b ~tokens:1 "p1" in
@@ -133,24 +153,94 @@ let test_scratch_key_reuse () =
   Pnet.Builder.arc_tp b t1 q1;
   let net = Pnet.Builder.build b in
   let eng = State.Incremental.create net in
-  let of_snapshot () = Packed_state.of_state (State.Incremental.snapshot eng) in
-  let scratch = Packed_state.scratch eng in
-  let root = Packed_state.persist (Packed_state.pack_scratch scratch) in
-  let root_state = of_snapshot () in
+  let memo = Packed_state.Memo.create () in
+  let mem () =
+    Packed_state.Memo.mem memo ~hash:(State.Incremental.zhash eng)
+      (memo_cells eng net)
+  in
+  let add () =
+    Packed_state.Memo.add memo ~hash:(State.Incremental.zhash eng)
+      (memo_cells eng net)
+  in
+  let key_size () =
+    Packed_state.byte_size (Packed_state.of_state (State.Incremental.snapshot eng))
+  in
+  check_int "2-byte root" (1 + (2 * 6)) (key_size ());
+  check_bool "root unseen" false (mem ());
+  add ();
+  check_bool "root seen" true (mem ());
   State.Incremental.fire eng t0 40_000;
-  let wide = Packed_state.pack_scratch scratch in
-  check_bool "wide key = of_state" true
-    (Packed_state.equal wide (of_snapshot ()));
-  check_int "4-byte cells" (1 + (4 * 6)) (Packed_state.byte_size wide);
+  check_int "4-byte cells" (1 + (4 * 6)) (key_size ());
+  check_bool "wide unseen" false (mem ());
+  add ();
+  check_bool "wide seen" true (mem ());
   State.Incremental.undo eng;
-  let narrow = Packed_state.pack_scratch scratch in
-  check_bool "narrow again" true (Packed_state.equal narrow root_state);
-  check_bool "persisted key untouched" true
-    (Packed_state.equal root root_state);
+  check_bool "narrow root still seen" true (mem ());
   State.Incremental.fire eng t1 3;
-  ignore (Packed_state.pack_scratch scratch);
-  check_bool "persisted key survives a pack of the same width" true
-    (Packed_state.equal root root_state && not (Packed_state.equal root (of_snapshot ())))
+  check_bool "new narrow state unseen" false (mem ())
+
+(* Keys survive every doubling: 10 000 vectors, four per hash. *)
+let test_memo_growth () =
+  let memo = Packed_state.Memo.create () in
+  let hash i = (i / 4) * 0x9E3779B9 in
+  for i = 0 to 9_999 do
+    Packed_state.Memo.add memo ~hash:(hash i) [| i; 7 * i |]
+  done;
+  for i = 0 to 9_999 do
+    if not (Packed_state.Memo.mem memo ~hash:(hash i) [| i; 7 * i |]) then
+      Alcotest.failf "vector %d lost" i;
+    if Packed_state.Memo.mem memo ~hash:(hash i) [| i; (7 * i) + 1 |] then
+      Alcotest.failf "vector %d found but never added" i
+  done
+
+(* On random fire/undo walks over the mine-pump net, [Memo.mem] agrees
+   with "an equal [of_state] was added", both under the engine's
+   Zobrist word and under a 2-bit hash that makes most keys collide. *)
+let prop_memo_agrees_with_of_state =
+  let net =
+    (Ezrt_blocks.Translate.translate Ezrt_spec.Case_studies.mine_pump)
+      .Ezrt_blocks.Translate.net
+  in
+  qcheck ~count:40 "memo agrees with of_state on fire/undo walks"
+    QCheck.int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let eng = State.Incremental.create net in
+      let full = Packed_state.Memo.create () in
+      let weak = Packed_state.Memo.create () in
+      let added = ref [] in
+      let ok = ref true in
+      for _ = 1 to 80 do
+        let cells = memo_cells eng net in
+        let h = State.Incremental.zhash eng in
+        let p = Packed_state.of_state (State.Incremental.snapshot eng) in
+        let expected = List.exists (Packed_state.equal p) !added in
+        if
+          Packed_state.Memo.mem full ~hash:h cells <> expected
+          || Packed_state.Memo.mem weak ~hash:(h land 3) cells <> expected
+        then ok := false;
+        if (not expected) && Rng.bool rng then begin
+          Packed_state.Memo.add full ~hash:h cells;
+          Packed_state.Memo.add weak ~hash:(h land 3) cells;
+          added := p :: !added
+        end;
+        let tids = State.Incremental.fireable eng in
+        if State.Incremental.depth eng > 0 && (tids = [] || Rng.chance rng 0.3)
+        then State.Incremental.undo eng
+        else if tids <> [] then begin
+          let tid = List.nth tids (Rng.int rng (List.length tids)) in
+          let lo, hi = State.Incremental.firing_domain eng tid in
+          let q =
+            match hi with
+            | Time_interval.Finite h when h > lo ->
+              lo + Rng.int rng (min 4 (h - lo) + 1)
+            | Time_interval.Finite _ -> lo
+            | Time_interval.Infinity -> lo + Rng.int rng 3
+          in
+          State.Incremental.fire eng tid q
+        end
+      done;
+      !ok)
 
 let suite =
   [
@@ -160,6 +250,8 @@ let suite =
     case "hash agrees with State.hash" test_hash_agrees_with_state;
     case "equal states encode to equal bytes" test_equal_states_equal_bytes;
     case "distinct states differ" test_distinct_states_distinct_bytes;
-    case "of_engine matches of_state" test_of_engine_matches_of_state;
-    case "scratch key reuse" test_scratch_key_reuse;
+    case "memo separates vectors under one hash" test_memo_collisions;
+    case "memo keys an engine walk across cell widths" test_memo_engine_widths;
+    case "memo keeps every key across growth" test_memo_growth;
+    prop_memo_agrees_with_of_state;
   ]

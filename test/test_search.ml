@@ -121,7 +121,7 @@ let test_schedule_spans_hyperperiod () =
 
 (* Eight tasks with tight deadlines over periods 25/50/100: an
    exhaustive infeasibility proof that stores several times more states
-   than the memo's initial bucket count, so the memo must grow. *)
+   than the memo's initial slot count, so the memo must grow. *)
 let large_tight_spec =
   let periods = [| 25; 50; 100 |] in
   let tasks =
@@ -149,6 +149,59 @@ let test_memo_growth () =
         Alcotest.failf "%s: expected an infeasibility proof" name)
     [ ("copying", false); ("incremental", true) ]
 
+(* A [cancel] that counts its polls and trips from poll [trip] on. *)
+let counting_cancel ?(trip = max_int) () =
+  let polls = ref 0 in
+  ( polls,
+    fun () ->
+      incr polls;
+      !polls >= trip )
+
+let discrete_engines = [ ("copying", false); ("incremental", true) ]
+
+let relations_spec () = List.assoc "relations.xml" (load_corpus ())
+
+(* The kernel answers a revisited state before computing anything else
+   about it, yet polls [cancel] twice per revisit, as it did when every
+   node's fireable set came first.  These counts for a full search were
+   recorded with that order. *)
+let test_cancel_polls_pinned () =
+  List.iter
+    (fun (name, spec, want) ->
+      let model = Translate.translate spec in
+      List.iter
+        (fun (engine, incremental) ->
+          let polls, cancel = counting_cancel () in
+          let options = { Search.default_options with incremental } in
+          ignore (Search.find_schedule ~options ~cancel model);
+          check_int (Printf.sprintf "%s %s polls" name engine) want !polls)
+        discrete_engines)
+    [ ("mine-pump", Case_studies.mine_pump, 8854);
+      ("relations", relations_spec (), 2137) ]
+
+(* Tripping [cancel] at the same poll stops both discrete engines at the
+   same node with the same counts. *)
+let test_cancel_trip_points () =
+  List.iter
+    (fun (name, spec) ->
+      let model = Translate.translate spec in
+      List.iter
+        (fun trip ->
+          let run incremental =
+            let _, cancel = counting_cancel ~trip () in
+            let options = { Search.default_options with incremental } in
+            match Search.find_schedule ~options ~cancel model with
+            | Error Search.Budget_exhausted, m -> { m with Search.elapsed_s = 0. }
+            | (Ok _ | Error Search.Infeasible), _ ->
+              Alcotest.failf "%s, trip %d: expected Budget_exhausted" name trip
+          in
+          check_bool
+            (Printf.sprintf "%s, trip %d: equal metrics" name trip)
+            true
+            (run false = run true))
+        [ 1; 2; 3; 7; 50; 333; 1000; 2000 ])
+    [ ("mine-pump", Case_studies.mine_pump); ("relations", relations_spec ()) ]
+
 (* Found schedules on random specs always certify; infeasibility
    answers must agree with a preemptive-EDF necessary check (if EDF
    with full preemption schedules it and there are no relations, the
@@ -175,5 +228,7 @@ let suite =
     case "search is deterministic" test_deterministic;
     case "schedule covers the hyper-period" test_schedule_spans_hyperperiod;
     slow_case "memo grows past its initial size" test_memo_growth;
+    case "cancel polls of a full search are pinned" test_cancel_polls_pinned;
+    case "engines stop alike at every cancel trip point" test_cancel_trip_points;
     prop_found_schedules_certify;
   ]

@@ -101,10 +101,12 @@ let agree ctx net (s : State.t) eng =
   check_bool (ctx ^ " snapshot equal") true (State.equal s snap);
   check_int (ctx ^ " snapshot hash") (State.hash s) (State.hash snap);
   let ps = Packed_state.of_state s in
-  let pe = Packed_state.of_engine eng in
-  check_bool (ctx ^ " packed equal") true (Packed_state.equal ps pe);
+  let cells = Array.make (Array.length s.State.marking + Array.length s.State.clocks) 0 in
+  State.Incremental.write_cells eng cells;
+  check_bool (ctx ^ " written cells = packed cells") true
+    (Packed_state.unpack ps = cells);
   check_int (ctx ^ " packed hash = State.hash") (State.hash s)
-    (Packed_state.hash pe);
+    (Packed_state.hash ps);
   check_int (ctx ^ " zhash = State.hash") (State.hash s)
     (State.Incremental.zhash eng)
 
@@ -186,7 +188,10 @@ let test_fire_validation () =
   raises_invalid "q above min dub" (fun () -> State.Incremental.fire eng 0 4);
   State.Incremental.fire eng 0 2;
   raises_invalid "disabled transition" (fun () ->
-      State.Incremental.fire eng 1 0)
+      State.Incremental.fire eng 1 0);
+  raises_invalid "write_cells into a short vector" (fun () ->
+      State.Incremental.write_cells eng
+        (Array.make (Pnet.place_count net + Pnet.transition_count net - 1) 0))
 
 (* Packed encoding picks a cell width from the extreme cells; wide
    cells must round-trip through the 32- and 64-bit layouts and still
