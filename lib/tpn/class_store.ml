@@ -17,7 +17,11 @@ type entry = {
 module Skeleton = Hashtbl.Make (struct
   type t = int array
 
-  let equal = ( = )
+  let rec equal_from (a : int array) b i =
+    i >= Array.length a || (a.(i) = b.(i) && equal_from a b (i + 1))
+
+  let equal (a : int array) b =
+    Array.length a = Array.length b && equal_from a b 0
 
   let hash (m : int array) =
     let h = ref 0x811c9dc5 in

@@ -34,43 +34,6 @@ let canonicalize t =
     done
   done
 
-(* Incremental closure: add one constraint x_i - x_j <= b to a matrix
-   already in canonical form and restore canonicality in O(n^2) instead
-   of re-running the O(n^3) Floyd-Warshall.  The closed form is unique
-   (entries are shortest paths), so on consistent inputs the result is
-   bit-identical to [constrain] + [canonicalize] — the qcheck suite in
-   test_dbm.ml pins that.  An inconsistent constraint (it would close a
-   negative cycle) is recorded by making the diagonal negative, which is
-   exactly what [is_empty] tests; entries of an empty DBM are otherwise
-   unspecified, as with Floyd-Warshall.
-
-   Why one pass suffices: any path using the new edge (i,j) more than
-   once is no shorter than one using it once (the cycle through it has
-   weight m.(j).(i) + b >= 0 on consistent inputs), so the new shortest
-   path p->q is min(m.(p).(q), m.(p).(i) + b + m.(j).(q)) over the OLD
-   entries.  Row j and column i are fixpoints of that update, so in-place
-   evaluation order cannot interfere. *)
-let tighten t i j b =
-  if b < t.m.(i).(j) then begin
-    if i = j then t.m.(i).(i) <- b
-    else begin
-      let cycle = sat_add t.m.(j).(i) b in
-      if cycle < 0 then t.m.(i).(i) <- cycle
-      else begin
-        let n = t.size in
-        let m = t.m in
-        for p = 0 to n - 1 do
-          let via = sat_add m.(p).(i) b in
-          if via < infinity then
-            for q = 0 to n - 1 do
-              let through = sat_add via m.(j).(q) in
-              if through < m.(p).(q) then m.(p).(q) <- through
-            done
-        done
-      end
-    end
-  end
-
 let is_empty t =
   let rec go i = i < t.size && (t.m.(i).(i) < 0 || go (i + 1)) in
   go 0
@@ -99,9 +62,8 @@ let hash t =
 
 (* The state-class successor in closed form (Berthomieu-Diaz).  The
    fires-first constraints x_f - x_j <= 0 all leave f, so on a canonical
-   matrix the argument of [tighten] applies to the whole batch at once:
-   a shortest path uses at most one new edge (any cycle through f via a
-   new edge weighs 0 + m.(j).(f)), so
+   matrix a shortest path uses at most one new edge (any cycle through
+   f via a new edge weighs 0 + m.(j).(f)), so
 
      f can fire first  iff  m.(j).(f) >= 0 for every variable j, and
      D'[p][q] = min (m.(p).(q), m.(p).(f) + min_j m.(j).(q)).
@@ -128,23 +90,35 @@ let column_mins t =
    x_f: new index a > 0 stands for old index [vars.(a - 1)] minus x_f,
    and the new reference is x_f itself, so entry (a, b) is D' between
    the two old indices.  A projection of a canonical matrix is
-   canonical, so nothing is re-closed; fresh variables stay
-   unconstrained. *)
-let successor t f vars =
+   canonical.  A fresh variable n with static interval [lo, hi] is
+   linked to the rest only through the new reference, so its shortest
+   paths all pass index 0: D[n][b] = hi + D[0][b] and
+   D[a][n] = D[a][0] - lo, fresh a and b included.  Row 0 and each
+   row's column 0 are written before they are read. *)
+let successor t f vars ~lo ~hi =
   let mins = column_mins t in
   let k = Array.length vars in
   let s = create k in
+  let ref_row = s.m.(0) in
   for a = 0 to k do
-    let oa = if a = 0 then f else vars.(a - 1) in
+    let oa = if a = 0 then f else vars.(a - 1) and row = s.m.(a) in
     if oa >= 0 then begin
-      let old_row = t.m.(oa) and row = s.m.(a) in
+      let old_row = t.m.(oa) in
       let via = old_row.(f) in
       for b = 0 to k do
         let ob = if b = 0 then f else vars.(b - 1) in
-        if ob >= 0 && a <> b then begin
-          let direct = old_row.(ob) and through = sat_add via mins.(ob) in
-          row.(b) <- (if through < direct then through else direct)
-        end
+        if a <> b then
+          row.(b) <-
+            (if ob >= 0 then
+               let direct = old_row.(ob) and through = sat_add via mins.(ob) in
+               if through < direct then through else direct
+             else sat_add row.(0) (-lo.(b - 1)))
+      done
+    end
+    else begin
+      let h = hi.(a - 1) in
+      for b = 0 to k do
+        if a <> b then row.(b) <- sat_add h ref_row.(b)
       done
     end
   done;

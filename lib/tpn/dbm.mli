@@ -31,15 +31,6 @@ val canonicalize : t -> unit
 (** All-pairs shortest paths; after this, entries are the tightest
     implied bounds and {!is_empty} is meaningful. *)
 
-val tighten : t -> int -> int -> int -> unit
-(** [tighten m i j b] adds [x_i - x_j <= b] to a {e canonical} matrix
-    and restores canonical form in O(n²) (one row-column propagation
-    instead of the O(n³) Floyd–Warshall).  On consistent inputs the
-    result is bit-identical to {!constrain} followed by
-    {!canonicalize}; an inconsistent constraint leaves a negative
-    diagonal entry so {!is_empty} holds (other entries are then
-    unspecified, and further [tighten] calls keep the matrix empty). *)
-
 val is_empty : t -> bool
 (** True when the constraint set is unsatisfiable (requires canonical
     form). *)
@@ -59,19 +50,25 @@ val can_fire_first : t -> int -> bool
     transition of variable [f] can fire first.  O(n): it holds iff
     [m.(j).(f) >= 0] for every variable [j]. *)
 
-val successor : t -> int -> int array -> t
-(** [successor m f vars] is the state-class successor domain after
-    [f] fires first, in O(n²).  The fires-first domain — canonical [m]
-    restricted to "[x_f] is smallest" — has the closed form
+val successor : t -> int -> int array -> lo:int array -> hi:int array -> t
+(** [successor m f vars ~lo ~hi] is the canonical state-class
+    successor domain after [f] fires first, in O(n²) with no closure
+    pass.  The fires-first domain — canonical [m] restricted to "[x_f]
+    is smallest" — has the closed form
     [D'(p,q) = min (m(p,q), m(p,f) + min_j m(j,q))] over the variables
-    [j], bit-identical to {!tighten}ing [x_f - x_j <= 0] for each [j]
-    in turn.  [successor] projects it with change of origin to [x_f]
+    [j], which [successor] projects with change of origin to [x_f]
     without materializing it: variable [i+1] of the result is index
     [vars.(i)] of [m] (0 being [m]'s reference) minus [x_f], and the
-    result's reference is [x_f]; [vars.(i) < 0] adds an unconstrained
-    fresh variable.  Canonical when [m] is canonical and
-    {!can_fire_first} holds; fresh variables are then bounded with
-    {!tighten}. *)
+    result's reference is [x_f].  [vars.(i) < 0] adds a fresh variable
+    with static interval [[lo.(i), hi.(i)]] ([hi.(i) = infinity] when
+    unbounded); [lo] and [hi] are read only there.  A fresh variable
+    [n] is linked to the rest only through the reference, so its
+    entries are [D(n,b) = hi + D(0,b)] and [D(a,n) = D(a,0) - lo],
+    saturating at {!infinity}.  The result is canonical when [m] is
+    canonical, {!can_fire_first} holds and [lo.(i) <= hi.(i)]; it is
+    then bit-identical to bounding the fresh variables with
+    {!constrain} and running {!canonicalize}.  [lo.(i) = -infinity]
+    with [hi.(i) = infinity] leaves a fresh variable unconstrained. *)
 
 val bounds : t -> int -> int * int
 (** [bounds m i] is [(lo, hi)] for variable [i] in canonical form:

@@ -6,13 +6,6 @@ type t = {
 
 let enabled_ids c = Array.to_list c.enabled
 
-let enabled_of_marking (net : Pnet.t) marking =
-  let acc = ref [] in
-  for tid = Pnet.transition_count net - 1 downto 0 do
-    if State.marking_enables net marking tid then acc := tid :: !acc
-  done;
-  Array.of_list !acc
-
 let static_bounds net tid =
   let itv = Pnet.interval net tid in
   let hi =
@@ -24,7 +17,11 @@ let static_bounds net tid =
 
 let initial (net : Pnet.t) =
   let marking = Array.copy net.Pnet.m0 in
-  let enabled = enabled_of_marking net marking in
+  let enabled =
+    List.init (Pnet.transition_count net) Fun.id
+    |> List.filter (State.marking_enables net marking)
+    |> Array.of_list
+  in
   let domain = Dbm.create (Array.length enabled) in
   Array.iteri
     (fun i tid ->
@@ -80,32 +77,53 @@ let fire (net : Pnet.t) c tid =
   let marking = Array.copy c.marking in
   Array.iter (fun (p, w) -> marking.(p) <- marking.(p) - w) net.Pnet.pre.(tid);
   Array.iter (fun (p, w) -> marking.(p) <- marking.(p) + w) net.Pnet.post.(tid);
-  let enabled' = enabled_of_marking net marking in
-  (* Def 3.1 persistence: enabled before and after, and not the fired
-     transition itself.  Both enabled arrays ascend, so one merge maps
-     each new variable to its old one (-1: newly enabled). *)
-  let n_old = Array.length c.enabled in
-  let vars = Array.make (Array.length enabled') (-1) in
-  let j = ref 0 in
-  for i = 0 to Array.length enabled' - 1 do
-    let tid_i = enabled'.(i) in
-    while !j < n_old && c.enabled.(!j) < tid_i do incr j done;
-    if !j < n_old && c.enabled.(!j) = tid_i && tid_i <> tid then
-      vars.(i) <- !j + 1
-  done;
-  (* the persistent block is projected straight from the closed-form
-     fires-first domain, canonical as it stands; newly enabled
-     variables get their static bounds through the O(n²) incremental
-     closure, so no Floyd–Warshall runs *)
-  let domain = Dbm.successor c.domain f_var vars in
-  for i = 0 to Array.length enabled' - 1 do
-    if vars.(i) < 0 then begin
-      let lo, hi = static_bounds net enabled'.(i) in
-      Dbm.tighten domain (i + 1) 0 hi;
-      Dbm.tighten domain 0 (i + 1) (-lo)
+  (* Only a consumer of a touched place can change enabledness.  Each
+     one is re-tested and inserted into or removed from a copy of the
+     old ascending enabled array; every other transition keeps its
+     answer, so no full scan runs. *)
+  let old = c.enabled in
+  let n_old = Array.length old in
+  let arcs = Array.append net.Pnet.pre.(tid) net.Pnet.post.(tid) in
+  let room n (p, _) = n + Array.length net.Pnet.consumers.(p) in
+  let buf = Array.make (Array.fold_left room n_old arcs) 0 in
+  let len = ref n_old in
+  Array.blit old 0 buf 0 n_old;
+  let retest t =
+    let i = ref 0 in
+    while !i < !len && buf.(!i) < t do incr i done;
+    let present = !i < !len && buf.(!i) = t in
+    if State.marking_enables net marking t then begin
+      if not present then begin
+        Array.blit buf !i buf (!i + 1) (!len - !i);
+        buf.(!i) <- t;
+        incr len
+      end
     end
-  done;
-  { marking; enabled = enabled'; domain }
+    else if present then begin
+      Array.blit buf (!i + 1) buf !i (!len - !i - 1);
+      decr len
+    end
+  in
+  Array.iter (fun (p, _) -> Array.iter retest net.Pnet.consumers.(p)) arcs;
+  (* Def 3.1 persistence: enabled before and after, and not the fired
+     transition itself.  Both arrays ascend, so one merge maps each new
+     variable to its old one; a newly enabled one gets its static
+     bounds, which [Dbm.successor] writes in closed form, so the
+     successor domain is canonical as built. *)
+  let k = !len and j = ref 0 in
+  let enabled = Array.sub buf 0 k and vars = Array.make k (-1) in
+  let lo = Array.make k 0 and hi = Array.make k 0 in
+  Array.iteri
+    (fun v t ->
+      while !j < n_old && old.(!j) < t do incr j done;
+      if !j < n_old && old.(!j) = t && t <> tid then vars.(v) <- !j + 1
+      else begin
+        let l, h = static_bounds net t in
+        lo.(v) <- l;
+        hi.(v) <- h
+      end)
+    enabled;
+  { marking; enabled; domain = Dbm.successor c.domain f_var vars ~lo ~hi }
 
 type stats = {
   classes : int;

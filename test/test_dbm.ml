@@ -81,27 +81,6 @@ let random_canonical dim seed =
   Dbm.canonicalize d;
   (d, next)
 
-let prop_tighten_bit_identical =
-  qcheck ~count:500 "tighten = constrain + canonicalize (bit-for-bit)"
-    QCheck.(pair (int_range 1 4) (int_range 0 1_000_000))
-    (fun (dim, seed) ->
-      let d, next = random_canonical dim seed in
-      if Dbm.is_empty d then true
-      else begin
-        (* a short chain, like State_class.fire applies *)
-        let inc = Dbm.copy d and full = Dbm.copy d in
-        for _ = 1 to 3 do
-          let i = next () mod (dim + 1) and j = next () mod (dim + 1) in
-          if i <> j then begin
-            let b = (next () mod 15) - 5 in
-            Dbm.tighten inc i j b;
-            Dbm.constrain full i j b
-          end
-        done;
-        Dbm.canonicalize full;
-        if Dbm.is_empty full then Dbm.is_empty inc else Dbm.equal inc full
-      end)
-
 let prop_subset_partial_order =
   qcheck ~count:300 "subset reflexive + antisymmetric on canonical forms"
     QCheck.(triple (int_range 1 3) (int_range 0 1_000_000)
@@ -114,15 +93,19 @@ let prop_subset_partial_order =
         Dbm.subset a a
         && ((not (Dbm.subset a b && Dbm.subset b a)) || Dbm.equal a b))
 
-(* The reference the closed forms replace: the fires-first domain as a
-   chain of incremental tightenings x_f - x_j <= 0, one per other
-   variable j, on a copy. *)
+(* The reference the closed forms replace: the fires-first domain as
+   the constraints x_f - x_j <= 0, one per other variable j, added to
+   a copy and closed by Floyd-Warshall. *)
 let tighten_chain d f =
   let r = Dbm.copy d in
   for j = 1 to Dbm.dim r do
-    if j <> f then Dbm.tighten r f j 0
+    if j <> f then Dbm.constrain r f j 0
   done;
+  Dbm.canonicalize r;
   r
+
+(* Bounds that leave every fresh variable of a successor unconstrained. *)
+let unbounded k = (Array.make k (-Dbm.infinity), Array.make k Dbm.infinity)
 
 (* Random canonical matrices with every variable bounded below by 0
    and above, like a class domain, plus a few random differences. *)
@@ -149,7 +132,8 @@ let random_domain dim seed =
    between old indices [src a] and [src b], the new reference standing
    for x_f; fresh variables are unconstrained. *)
 let successor_matches chain d f vars =
-  let s = Dbm.successor d f vars in
+  let lo, hi = unbounded (Array.length vars) in
+  let s = Dbm.successor d f vars ~lo ~hi in
   let src a = if a = 0 then f else vars.(a - 1) in
   let indices = List.init (Array.length vars + 1) Fun.id in
   List.for_all
@@ -205,10 +189,62 @@ let prop_successor_projects_closed_form =
             let v = 1 + (next () mod (dim + 1)) in
             if v = f || v > dim then -1 else v)
       in
-      let s = Dbm.successor d f vars in
+      let lo, hi = unbounded (Array.length vars) in
+      let s = Dbm.successor d f vars ~lo ~hi in
       let again = Dbm.copy s in
       Dbm.canonicalize again;
       Dbm.equal s again && successor_matches chain d f vars)
+
+(* Fresh variables in closed form: [successor] with static bounds must
+   equal, bit for bit, the successor with unconstrained fresh variables
+   bounded afterwards by [constrain] and closed by [canonicalize].
+   Projections keep 0 to [dim] old variables, add 1 to 3 fresh ones
+   anywhere among them, and draw point intervals and unbounded upper
+   ends along with ordinary ones. *)
+let prop_fresh_closed_form =
+  qcheck ~count:1000
+    "fresh variables closed form = constrain + canonicalize (bit-for-bit)"
+    QCheck.(triple (int_range 1 6) (int_range 0 1_000_000) bool)
+    (fun (dim, seed, domain_like) ->
+      let d, next =
+        if domain_like then random_domain dim seed else random_canonical dim seed
+      in
+      Dbm.is_empty d
+      ||
+      let f = 1 + (next () mod dim) in
+      (not (Dbm.can_fire_first d f))
+      ||
+      let persistent =
+        List.filter
+          (fun v -> v <> f && next () mod 3 <> 0)
+          (List.init dim (fun v -> v + 1))
+      in
+      let vars =
+        persistent @ List.init (1 + (next () mod 3)) (fun _ -> -1)
+        |> List.map (fun v -> (next (), v))
+        |> List.sort compare |> List.map snd |> Array.of_list
+      in
+      let k = Array.length vars in
+      let lo = Array.init k (fun _ -> next () mod 6) in
+      let hi =
+        Array.init k (fun i ->
+            match next () mod 4 with
+            | 0 -> lo.(i)
+            | 1 -> Dbm.infinity
+            | _ -> lo.(i) + (next () mod 8))
+      in
+      let s = Dbm.successor d f vars ~lo ~hi in
+      let ulo, uhi = unbounded k in
+      let reference = Dbm.successor d f vars ~lo:ulo ~hi:uhi in
+      Array.iteri
+        (fun i v ->
+          if v < 0 then begin
+            Dbm.constrain reference (i + 1) 0 hi.(i);
+            Dbm.constrain reference 0 (i + 1) (-lo.(i))
+          end)
+        vars;
+      Dbm.canonicalize reference;
+      Dbm.equal s reference)
 
 let prop_canonical_idempotent =
   qcheck ~count:100 "canonicalize is idempotent"
@@ -242,8 +278,8 @@ let suite =
     case "equality and hashing" test_equal_hash;
     case "subset (inclusion)" test_subset;
     prop_canonical_idempotent;
-    prop_tighten_bit_identical;
     prop_subset_partial_order;
     prop_fires_first_closed_form;
     prop_successor_projects_closed_form;
+    prop_fresh_closed_form;
   ]

@@ -160,9 +160,13 @@ let test_inclusion_abstraction () =
     (incl.State_class.classes * 2 < plain.State_class.classes)
 
 (* [fire] projects each successor straight from the closed-form
-   fires-first domain and never re-closes it: every successor domain
-   on the case studies' class graphs (first 3000 classes each) must
-   already be canonical, so [canonicalize] is a no-op on it. *)
+   fires-first domain, bounds its fresh variables in closed form and
+   never re-closes it: every successor domain on the class graphs
+   (first 3000 classes each) of the case studies, the relations spec
+   and the test corpus must already be canonical, so [canonicalize] is
+   a no-op on it.  [fire] re-tests only the transitions whose input
+   places the firing touched, so each successor's enabled set must
+   also equal a full ascending scan of its marking. *)
 let test_successor_domains_canonical () =
   List.iter
     (fun (name, spec) ->
@@ -175,6 +179,11 @@ let test_successor_domains_canonical () =
         incr checked;
         Dbm.equal c.State_class.domain again
       in
+      let scanned (c : State_class.t) =
+        List.filter
+          (State.marking_enables net c.State_class.marking)
+          (List.init (Pnet.transition_count net) Fun.id)
+      in
       let (_ : Pnet.transition_id Reach.outcome) =
         Reach.bfs ~max_nodes:3000
           ~fresh:(fun (c : State_class.t) ->
@@ -184,7 +193,10 @@ let test_successor_domains_canonical () =
           ~on_edge:(fun _ tid c ->
             if not (canonical c) then
               Alcotest.failf "%s: successor by %s is not canonical" name
-                (Pnet.transition_name net tid))
+                (Pnet.transition_name net tid);
+            if State_class.enabled_ids c <> scanned c then
+              Alcotest.failf "%s: successor by %s has a stale enabled set"
+                name (Pnet.transition_name net tid))
           ~successors:(fun c ->
             List.map
               (fun tid -> (tid, State_class.fire net c tid))
@@ -192,7 +204,8 @@ let test_successor_domains_canonical () =
           (State_class.initial net)
       in
       check_bool (name ^ ": successors checked") true (!checked > 0))
-    Case_studies.all
+    ((("relations", Test_class_search.relations_spec) :: Case_studies.all)
+    @ load_corpus ())
 
 let prop_rings_agree =
   qcheck ~count:40 "class and discrete markings agree on rings"
