@@ -1396,19 +1396,32 @@ let check_against ~require_all ~current path =
    --smoke (CI subset: E1, A14, A17, A18, A19, A21) and
    --check BASELINE.json (regression guard, applied to the entries the
    run just wrote).  No cmdliner here — a
-   hand scan of argv keeps bench dependency-free. *)
+   hand scan of argv keeps bench dependency-free.  Any other argument
+   prints the usage and exits 2 before a section runs or a file is
+   written; --help prints it and exits 0. *)
+let usage =
+  "usage: bench/main.exe [--smoke] [--check FILE] [--trace FILE] \
+   [--metrics FILE] [--progress]"
+
 let obs_setup () =
-  let argv = Sys.argv in
-  let n = Array.length argv in
-  let value_of flag =
-    let found = ref None in
-    for i = 1 to n - 2 do
-      if String.equal argv.(i) flag then found := Some argv.(i + 1)
-    done;
-    !found
+  let smoke = ref false and progress = ref false in
+  let check = ref None and trace = ref None and metrics = ref None in
+  let rec scan = function
+    | [] -> ()
+    | "--help" :: _ ->
+      print_endline usage;
+      exit 0
+    | "--smoke" :: rest -> smoke := true; scan rest
+    | "--progress" :: rest -> progress := true; scan rest
+    | "--check" :: file :: rest -> check := Some file; scan rest
+    | "--trace" :: file :: rest -> trace := Some file; scan rest
+    | "--metrics" :: file :: rest -> metrics := Some file; scan rest
+    | arg :: _ ->
+      Printf.eprintf "bench: unexpected argument %S\n%s\n" arg usage;
+      exit 2
   in
-  let has flag = Array.exists (String.equal flag) argv in
-  (match value_of "--trace" with
+  scan (List.tl (Array.to_list Sys.argv));
+  (match !trace with
   | Some path ->
     let sink = Obs_trace.create () in
     Obs_trace.install sink;
@@ -1416,14 +1429,14 @@ let obs_setup () =
         Obs_trace.save_file path sink;
         Format.printf "trace written to %s@." path)
   | None -> ());
-  (match value_of "--metrics" with
+  (match !metrics with
   | Some path ->
     at_exit (fun () ->
         Obs_metrics.save_file path;
         Format.printf "metrics written to %s@." path)
   | None -> ());
-  if has "--progress" then Obs_progress.install (Obs_progress.create ());
-  (has "--smoke", value_of "--check")
+  if !progress then Obs_progress.install (Obs_progress.create ());
+  (!smoke, !check)
 
 let () =
   let smoke, check = obs_setup () in

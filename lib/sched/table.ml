@@ -14,30 +14,31 @@ let of_segments segments =
     List.sort (fun a b -> compare a.Timeline.start b.Timeline.start) segments
   in
   (* A row preempts instance X when X has a segment ending exactly at
-     the row's start and a later segment still to run. *)
-  let cut_instance_at time =
-    List.find_map
-      (fun (s : Timeline.segment) ->
-        if
-          s.Timeline.finish = time
-          && List.exists
-               (fun (later : Timeline.segment) ->
-                 later.Timeline.task = s.Timeline.task
-                 && later.Timeline.instance = s.Timeline.instance
-                 && later.Timeline.start > time)
-               segments
-        then Some (s.Timeline.task, s.Timeline.instance)
-        else None)
-      segments
-  in
+     the row's start and a later segment still to run.  Two linear
+     passes answer that for every start time: the first records each
+     instance's last start (the sort puts it last), the second records,
+     for each finish time, the first segment in start order whose
+     instance still starts again after it. *)
+  let last_start = Hashtbl.create 64 and cuts = Hashtbl.create 64 in
+  List.iter
+    (fun (s : Timeline.segment) ->
+      Hashtbl.replace last_start (s.task, s.instance) s.start)
+    segments;
+  List.iter
+    (fun (s : Timeline.segment) ->
+      if
+        Hashtbl.find last_start (s.task, s.instance) > s.finish
+        && not (Hashtbl.mem cuts s.finish)
+      then Hashtbl.add cuts s.finish (s.task, s.instance))
+    segments;
   List.map
     (fun (s : Timeline.segment) ->
       {
-        start = s.Timeline.start;
-        resumed = s.Timeline.resumed;
-        task = s.Timeline.task;
-        instance = s.Timeline.instance;
-        preempts = (if s.Timeline.resumed then None else cut_instance_at s.Timeline.start);
+        start = s.start;
+        resumed = s.resumed;
+        task = s.task;
+        instance = s.instance;
+        preempts = (if s.resumed then None else Hashtbl.find_opt cuts s.start);
       })
     segments
 

@@ -35,10 +35,6 @@ let weighted_tokens y marking =
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
-let normalize row =
-  let g = Array.fold_left (fun acc x -> gcd acc (abs x)) 0 row in
-  if g > 1 then Array.map (fun x -> x / g) row else row
-
 let support row =
   let acc = ref [] in
   Array.iteri (fun i x -> if x <> 0 then acc := i :: !acc) row;
@@ -94,103 +90,105 @@ end)
    and the support of [y] as a bitset. *)
 type row = { y : int array; r : int array; support : int array }
 
-let select f rows = Array.of_seq (Seq.filter f (Array.to_seq rows))
-
-let finalize rows =
-  List.map (fun row -> normalize row.y) (Array.to_list rows)
-  |> List.filter (fun y -> support y <> [])
-  |> List.sort compare
+(* The combination that cancels column [t]: [p1] positive there, [p2]
+   negative, both weighted positively and divided by the gcd of [y]'s
+   entries, which divides r = y . C too.  Nonnegative rows combined
+   with positive weights: the support is the union of the parents'. *)
+let combine t p1 p2 =
+  let a = -p2.r.(t) and b = p1.r.(t) in
+  let n_places = Array.length p1.y and n_trans = Array.length p1.r in
+  let y = Array.make n_places 0 and g = ref 0 in
+  for p = 0 to n_places - 1 do
+    let x = (a * p1.y.(p)) + (b * p2.y.(p)) in
+    y.(p) <- x;
+    if x <> 0 && !g <> 1 then g := gcd !g x
+  done;
+  let g = !g in
+  if g > 1 then
+    for p = 0 to n_places - 1 do
+      y.(p) <- y.(p) / g
+    done;
+  let r = Array.make n_trans 0 in
+  for j = 0 to n_trans - 1 do
+    r.(j) <- ((a * p1.r.(j)) + (b * p2.r.(j))) / g
+  done;
+  { y; r; support = Array.map2 ( lor ) p1.support p2.support }
 
 (* Farkas algorithm: eliminate each transition column in turn by
    nonnegative combinations of rows with opposite signs there, keeping
-   only rows of minimal support.  Rows zero in the column carry over
-   untested: they were pairwise minimal after the previous column, and
-   a combination's support contains its positive parent's, so none can
-   lie under them.  Only the new combinations are tested, against the
-   carried rows and each other. *)
+   only rows of minimal support.  The rows are pairwise support-minimal
+   after every column, so the rows zero in the column carry over
+   untouched: a combination's support contains both parents', so none
+   can lie under a carried row or equal one.  Only the new combinations
+   are tested, against the carried rows and each other, and only they
+   are deduplicated.  Row order is irrelevant: the result is sorted. *)
 let p_invariants ?(max_rows = default_max_rows) (net : Pnet.t) =
   let c = incidence net in
   let n_places = Array.length c in
   let n_trans = Pnet.transition_count net in
   let n_words = (n_places + word_bits - 1) / word_bits in
-  let rows =
-    ref
-      (Array.init n_places (fun p ->
-           let y = Array.make n_places 0 in
-           y.(p) <- 1;
-           { y; r = Array.copy c.(p); support = bitset_of n_words y }))
-  in
-  let truncated = ref false in
-  let t = ref 0 in
-  while (not !truncated) && !t < n_trans do
-    let t' = !t in
-    let zero = select (fun row -> row.r.(t') = 0) !rows in
-    let pos = select (fun row -> row.r.(t') > 0) !rows in
-    let neg = select (fun row -> row.r.(t') < 0) !rows in
-    (* seeded with the carried rows so a combination equal to one of
-       them is dropped as a duplicate *)
-    let seen = Vec.create (Array.length zero + 16) in
-    Array.iter (fun row -> Vec.replace seen row.y ()) zero;
-    let combos = ref [] in
-    Array.iter
-      (fun p1 ->
-        Array.iter
-          (fun p2 ->
-            let a = -p2.r.(t') and b = p1.r.(t') in
-            let y =
-              Array.init n_places (fun p -> (a * p1.y.(p)) + (b * p2.y.(p)))
-            in
-            let r =
-              Array.init n_trans (fun j -> (a * p1.r.(j)) + (b * p2.r.(j)))
-            in
-            let g =
-              Array.fold_left (fun acc x -> gcd acc (abs x))
-                (Array.fold_left (fun acc x -> gcd acc (abs x)) 0 y)
-                r
-            in
-            let y, r =
-              if g > 1 then
-                (Array.map (fun x -> x / g) y, Array.map (fun x -> x / g) r)
-              else (y, r)
-            in
-            if not (Vec.mem seen y) then begin
-              Vec.add seen y ();
-              (* nonnegative rows combined with positive weights: the
-                 support is the union of the parents' *)
-              let support = Array.map2 ( lor ) p1.support p2.support in
-              combos := { y; r; support } :: !combos
-            end)
-          neg)
-      pos;
-    (* a row goes when another, different row's support lies within
-       its own — so two different rows with equal supports both go *)
-    let fresh = Array.of_list !combos in
-    let minimal =
-      select
-        (fun row ->
-          not
-            (Array.exists (fun z -> subset z.support row.support) zero
-            || Array.exists
-                 (fun other -> other != row && subset other.support row.support)
-                 fresh))
-        fresh
-    in
-    let next = Array.append zero minimal in
-    if Array.length next > max_rows then begin
-      (* Row bound tripped mid-elimination.  Rows whose residual is
-         already all-zero satisfy y . C = 0 outright, so they are
-         genuine invariants even though later columns were never
-         processed — salvage those and report the truncation. *)
-      truncated := true;
-      rows := select (fun row -> Array.for_all (fun x -> x = 0) row.r) next
-    end
+  (* every row is nonzero with coprime weights: a unit row, or a
+     combination divided by its gcd *)
+  let finalize rows = List.sort compare (List.map (fun row -> row.y) rows) in
+  let rec eliminate t rows =
+    if t = n_trans then Complete (finalize rows)
     else begin
-      rows := next;
-      incr t
+      (* one pass splits the rows by their sign in the column *)
+      let neg = ref [] and zero = ref [] and pos = ref [] in
+      List.iter
+        (fun row ->
+          let x = row.r.(t) in
+          let side = if x > 0 then pos else if x < 0 then neg else zero in
+          side := row :: !side)
+        rows;
+      let next =
+        if List.is_empty !pos && List.is_empty !neg then rows
+        else begin
+          let seen = Vec.create 64 in
+          let fresh =
+            List.concat_map
+              (fun p1 ->
+                List.filter_map
+                  (fun p2 ->
+                    let row = combine t p1 p2 in
+                    if Vec.mem seen row.y then None
+                    else begin
+                      Vec.add seen row.y ();
+                      Some row
+                    end)
+                  !neg)
+              !pos
+          in
+          (* a row goes when another, different row's support lies
+             within its own — so two different rows with equal supports
+             both go *)
+          let carried = Array.of_list !zero and others = Array.of_list fresh in
+          let minimal row =
+            not
+              (Array.exists (fun z -> subset z.support row.support) carried
+              || Array.exists
+                   (fun o -> o != row && subset o.support row.support)
+                   others)
+          in
+          !zero @ List.filter minimal fresh
+        end
+      in
+      if List.compare_length_with next max_rows > 0 then
+        (* Row bound tripped mid-elimination.  Rows whose residual is
+           already all-zero satisfy y . C = 0 outright, so they are
+           genuine invariants even though later columns were never
+           processed — salvage those and report the truncation. *)
+        Truncated
+          (finalize
+             (List.filter (fun row -> Array.for_all (( = ) 0) row.r) next))
+      else eliminate (t + 1) next
     end
-  done;
-  let ys = finalize !rows in
-  if !truncated then Truncated ys else Complete ys
+  in
+  eliminate 0
+    (List.init n_places (fun p ->
+         let y = Array.make n_places 0 in
+         y.(p) <- 1;
+         { y; r = Array.copy c.(p); support = bitset_of n_words y }))
 
 let invariant_covering _net place invariants =
   List.find_opt (fun y -> y.(place) <> 0) invariants

@@ -10,10 +10,11 @@
     Computed with the Farkas algorithm restricted to minimal-support
     invariants.  Each row carries its support as a bitset of 63-bit
     words.  Eliminating a transition column keeps the rows that are zero
-    there untested (they were pairwise minimal after the previous
-    column) and tests only the new pos x neg combinations, each against
-    those rows and the other combinations, by bitset inclusion; new
-    combinations are deduplicated through a hashtable keyed on the
+    there untouched (they were pairwise minimal after the previous
+    column, so no combination can equal or lie under one) and tests
+    only the new pos x neg combinations, each against those rows and
+    the other combinations, by bitset inclusion; only the new
+    combinations are deduplicated, through a hashtable keyed on the
     vector, hashed over its nonzero entries.  A column with [Z] zero
     rows and [N] new combinations so costs [O(N (Z + N) P / 63)] for [P]
     places instead of a quadratic pass over every row.  The algorithm is

@@ -25,7 +25,13 @@
    budgets: TLTS and class-graph statistics, an MD5 of the TLTS graph,
    the marking comparison, the reachability report and five queries
    under both semantics; regenerate it the same way and copy
-   test/golden/reach.txt. *)
+   test/golden/reach.txt.
+
+   The emitted-C golden pins an MD5 of the C program `synthesize`
+   emits for every case study and corpus spec that schedules, so every
+   schedule-table row comment (starts, preempts, resumes) is pinned
+   byte-for-byte; regenerate it the same way and copy
+   test/golden/emit.txt. *)
 
 open Ezrealtime
 open Test_util
@@ -187,6 +193,25 @@ let test_invariants_golden () =
     check_string "Farkas outcomes match the golden file" (read_file path)
       actual
 
+(* --- emitted C program --------------------------------------------- *)
+
+let test_emit_golden () =
+  let line (name, spec) =
+    match synthesize spec with
+    | Ok artifact ->
+      Printf.sprintf "%s: md5=%s\n" name
+        (Digest.to_hex (Digest.string artifact.c_program))
+    | Error _ -> Printf.sprintf "%s: no schedule\n" name
+  in
+  let actual =
+    String.concat "" (List.map line (Case_studies.all @ load_corpus ()))
+  in
+  let path = golden "emit.txt" in
+  if update_golden then write_file path actual
+  else
+    check_string "emitted C programs match the golden file" (read_file path)
+      actual
+
 (* --- breadth-first reachability walks ------------------------------ *)
 
 let reach_queries =
@@ -277,5 +302,6 @@ let suite =
     case "codegen golden" test_codegen_golden;
     case "search counts golden" test_search_counts_golden;
     case "invariants golden" test_invariants_golden;
+    case "emitted C golden" test_emit_golden;
     case "reachability golden" test_reach_golden;
   ]

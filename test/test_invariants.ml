@@ -102,13 +102,25 @@ let test_row_bound () =
   | Invariants.Complete _ ->
     Alcotest.fail "expected the row bound to trip"
 
-(* The contract invariants.mli promises for a complete outcome:
-   invariant rows of minimal support with coprime weights, each once,
-   in sorted order. *)
-let check_contract name net =
-  let outcome = Invariants.p_invariants net in
-  check_bool (name ^ ": complete") false (Invariants.is_truncated outcome);
+(* The contract invariants.mli promises: invariant rows of minimal
+   support with coprime weights, each once, in sorted order.  Under the
+   default bound the outcome must be complete; under an explicit one a
+   truncated outcome may keep only zero-residual rows, each of which
+   the complete outcome also holds. *)
+let check_contract ?max_rows name net =
+  let outcome = Invariants.p_invariants ?max_rows net in
   let invs = Invariants.invariants_of outcome in
+  (match max_rows with
+  | None ->
+    check_bool (name ^ ": complete") false (Invariants.is_truncated outcome)
+  | Some _ when Invariants.is_truncated outcome ->
+    let complete = Invariants.invariants_of (Invariants.p_invariants net) in
+    List.iter
+      (fun y ->
+        check_bool (name ^ ": salvaged row is a complete-outcome row") true
+          (List.mem y complete))
+      invs
+  | Some _ -> ());
   let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
   let subset a b = List.for_all (fun p -> List.mem p (Invariants.support b)) a in
   check_bool (name ^ ": sorted") true (List.sort compare invs = invs);
@@ -161,6 +173,33 @@ let test_minimal_support_contract () =
         (Translate.translate spec).Translate.net)
     [ 0; 1; 2; 3; 4; 5 ]
 
+let row_bounds = [ Some 1; Some 5; Some 30; None ]
+
+let prop_contract_on_generated_specs =
+  qcheck ~count:40 "contract on generated specs under every row bound"
+    QCheck.(int_range 0 999)
+    (fun i ->
+      let net =
+        (Translate.translate (Spec_gen.spec_at ~seed:42 i)).Translate.net
+      in
+      List.iter
+        (fun max_rows ->
+          check_contract ?max_rows (Printf.sprintf "gen-42-%d" i) net)
+        row_bounds;
+      true)
+
+let prop_contract_on_rings =
+  qcheck ~count:60 "contract on ring nets under every row bound"
+    QCheck.(pair (int_range 2 12) (int_range 0 50))
+    (fun (n, seed) ->
+      List.iter
+        (fun max_rows ->
+          check_contract ?max_rows
+            (Printf.sprintf "ring %d/%d" n seed)
+            (ring_net n seed))
+        row_bounds;
+      true)
+
 let prop_invariants_hold_along_runs =
   qcheck ~count:60 "invariants constant along random ring runs"
     QCheck.(pair (int_range 2 5) (int_range 0 50))
@@ -193,5 +232,7 @@ let suite =
     case "resources are structurally safe" test_resources_structurally_safe;
     case "row bound trips gracefully" test_row_bound;
     case "minimal-support contract" test_minimal_support_contract;
+    prop_contract_on_generated_specs;
+    prop_contract_on_rings;
     prop_invariants_hold_along_runs;
   ]

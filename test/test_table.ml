@@ -73,6 +73,82 @@ let test_preempts_field_consistency () =
           (not item.Table.resumed))
     items
 
+(* The original quadratic definition, kept as the oracle: a row
+   preempts the first segment in start order that ends exactly at the
+   row's start and whose instance still has a segment starting later. *)
+let of_segments_oracle segments =
+  let segments =
+    List.sort (fun a b -> compare a.Timeline.start b.Timeline.start) segments
+  in
+  let cut_instance_at time =
+    List.find_map
+      (fun (s : Timeline.segment) ->
+        if
+          s.finish = time
+          && List.exists
+               (fun (later : Timeline.segment) ->
+                 later.task = s.task && later.instance = s.instance
+                 && later.start > time)
+               segments
+        then Some (s.task, s.instance)
+        else None)
+      segments
+  in
+  List.map
+    (fun (s : Timeline.segment) ->
+      {
+        Table.start = s.start;
+        resumed = s.resumed;
+        task = s.task;
+        instance = s.instance;
+        preempts = (if s.resumed then None else cut_instance_at s.start);
+      })
+    segments
+
+(* Each instance runs as a chain of segments separated by gaps of 0..2
+   (0 is a zero-gap resume); the chains of up to 3 tasks x 3 instances
+   start in 0..12, so finish times collide often, and are shuffled. *)
+let segments_arb =
+  let open QCheck.Gen in
+  let chain task instance =
+    let* start = int_bound 12
+    and* pieces =
+      list_size (int_range 1 3) (pair (int_bound 2) (int_range 1 3))
+    in
+    let _, segs =
+      List.fold_left
+        (fun (at, acc) (gap, len) ->
+          let start = at + gap in
+          let seg =
+            { Timeline.task; instance; start; finish = start + len;
+              resumed = acc <> [] }
+          in
+          (start + len, seg :: acc))
+        (start, []) pieces
+    in
+    return segs
+  in
+  let instance = pair (int_bound 2) (int_bound 2) in
+  let gen =
+    let* keys = list_size (int_range 0 9) instance in
+    let keys = List.sort_uniq compare keys in
+    let* chains = flatten_l (List.map (fun (t, i) -> chain t i) keys) in
+    shuffle_l (List.concat chains)
+  in
+  let print segs =
+    String.concat "; "
+      (List.map
+         (fun (s : Timeline.segment) ->
+           Printf.sprintf "%d#%d [%d,%d)%s" s.task s.instance s.start s.finish
+             (if s.resumed then "r" else ""))
+         segs)
+  in
+  QCheck.make ~print gen
+
+let prop_of_segments_matches_oracle =
+  qcheck ~count:500 "of_segments equals the quadratic oracle" segments_arb
+    (fun segs -> Table.of_segments segs = of_segments_oracle segs)
+
 let suite =
   [
     case "rows sorted with resume flags" test_rows_sorted_and_flagged;
@@ -80,4 +156,5 @@ let suite =
     case "Fig 8 short names" test_fig8_short_names;
     case "non-preemptive tables have no resumes" test_np_table_has_no_resumes;
     case "preempts field consistency" test_preempts_field_consistency;
+    prop_of_segments_matches_oracle;
   ]
