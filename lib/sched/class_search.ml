@@ -25,20 +25,24 @@ let failure_to_string = function
   | Extraction_failed -> "class path could not be realized at integer times"
 
 (* Fast path: realize the sequence at the earliest legal integer
-   times, step by step. *)
+   times, step by step, on one in-place engine: each firing costs its
+   arcs, not a copy of the state.  The earliest time is the domain's
+   lower bound, so only its upper end can reject it. *)
 let extract_greedy net sequence =
-  let rec go s acc = function
+  let e = State.Incremental.create net in
+  let rec go acc = function
     | [] -> Some (Schedule.of_actions (List.rev acc))
     | tid :: rest ->
-      if not (State.is_enabled s tid) then None
+      if not (State.Incremental.is_enabled e tid) then None
       else
-        let q = State.dlb net s tid in
-        let lo, hi = State.firing_domain net s tid in
-        if q < lo || not (Time_interval.bound_le (Time_interval.Finite q) hi)
-        then None
-        else go (State.fire net s tid q) ((tid, q) :: acc) rest
+        let q, hi = State.Incremental.firing_domain e tid in
+        if not (Time_interval.bound_le (Time_interval.Finite q) hi) then None
+        else begin
+          State.Incremental.fire e tid q;
+          go ((tid, q) :: acc) rest
+        end
   in
-  go (State.initial net) [] sequence
+  go [] sequence
 
 (* Exact path: the firing dates S_1..S_n of the sequence form a system
    of difference constraints —

@@ -57,3 +57,13 @@ val find_schedule :
     — the hook the caller's wall-clock deadline ([--timeout], service
     jobs) maps onto.  The search itself is {!Search.explore} over the
     class semantics. *)
+
+val extract_greedy :
+  Ezrt_tpn.Pnet.t -> Ezrt_tpn.Pnet.transition_id list -> Schedule.t option
+(** [extract_greedy net path] fires [path] from the initial state, each
+    transition at the earliest time of its firing domain, on one
+    {!Ezrt_tpn.State.Incremental} engine.  [None] when a transition is
+    disabled or its earliest time is past the domain's upper end.
+    {!find_schedule} tries it first and falls back to solving the
+    path's firing dates exactly, a result it certifies with
+    {!Schedule.replay}. *)

@@ -99,8 +99,5 @@ let order_view policy model v candidates =
   in
   List.map (fun (_, _, tid) -> tid) (List.sort compare_decorated decorated)
 
-let key policy model s tid =
-  key_view policy model (view_of_state model.Translate.net s) tid
-
 let order policy model s candidates =
   order_view policy model (view_of_state model.Translate.net s) candidates

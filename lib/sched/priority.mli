@@ -32,11 +32,7 @@ type view = {
   v_tokens : Pnet.place_id -> int;
 }
 
-val view_of_state : Pnet.t -> State.t -> view
 val view_of_engine : State.Incremental.engine -> view
-
-val key_view :
-  policy -> Ezrt_blocks.Translate.t -> view -> Pnet.transition_id -> int
 
 val order_view :
   policy ->
@@ -45,16 +41,12 @@ val order_view :
   Pnet.transition_id list ->
   Pnet.transition_id list
 
-val key :
-  policy -> Ezrt_blocks.Translate.t -> State.t -> Pnet.transition_id -> int
-(** Ordering key of a candidate transition in a state.  Transitions not
-    belonging to a task (bookkeeping, messages) sort last. *)
-
 val order :
   policy ->
   Ezrt_blocks.Translate.t ->
   State.t ->
   Pnet.transition_id list ->
   Pnet.transition_id list
-(** Stable sort of the candidates by {!key}, tie-broken by earliest
-    dynamic lower bound and then transition id. *)
+(** Stable sort of the candidates by the policy's key, tie-broken by
+    earliest dynamic lower bound and then transition id.  Transitions
+    not belonging to a task (bookkeeping, messages) sort last. *)

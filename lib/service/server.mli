@@ -104,8 +104,6 @@ val shutdown : t -> unit
     ["status"]: ["ok"] (with digest/verdict fields), ["error"],
     or ["overloaded"].  See [docs/SERVICE.md]. *)
 
-val response_to_json : response -> Json.t
-
 val serve_channels : t -> in_channel -> out_channel -> [ `Eof | `Shutdown ]
 (** Read requests until EOF or a [shutdown] op; responses are written
     (and flushed) as jobs complete, in completion order.  Returns

@@ -97,8 +97,6 @@ let map_task spec id f =
         spec.tasks;
   }
 
-let excluded_pairs spec = spec.exclusions
-
 let precedes spec a b =
   List.exists (fun (x, y) -> String.equal x a && String.equal y b)
     spec.precedences

@@ -75,7 +75,6 @@ val map_task : t -> string -> (Task.t -> Task.t) -> t
 (** Rewrite one task in place (by id), leaving the rest of the
     specification untouched. *)
 
-val excluded_pairs : t -> (string * string) list
 val precedes : t -> string -> string -> bool
 val excludes : t -> string -> string -> bool
 

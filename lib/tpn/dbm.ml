@@ -86,43 +86,78 @@ let column_mins t =
   done;
   mins
 
+(* A column minimum that stands for "no finite bound": any [via] above
+   [-infinity] added to it stays at or above [infinity], so
+   [min direct (via + unbounded_min)] is [direct] without a saturation
+   test.  Twice [infinity] plus [infinity] still fits in an int. *)
+let unbounded_min = 2 * infinity
+
 (* Projection of the fires-first domain D' with change of origin to
-   x_f: new index a > 0 stands for old index [vars.(a - 1)] minus x_f,
-   and the new reference is x_f itself, so entry (a, b) is D' between
-   the two old indices.  A projection of a canonical matrix is
-   canonical.  A fresh variable n with static interval [lo, hi] is
-   linked to the rest only through the new reference, so its shortest
-   paths all pass index 0: D[n][b] = hi + D[0][b] and
-   D[a][n] = D[a][0] - lo, fresh a and b included.  Row 0 and each
-   row's column 0 are written before they are read. *)
+   x_f: new index a > 0 stands for old index [src.(a)] = [vars.(a - 1)]
+   minus x_f, and the new reference [src.(0)] = f is x_f itself, so
+   entry (a, b) is D' between the two old indices.  A projection of a
+   canonical matrix is canonical.  A fresh variable n ([src.(n)] = -1)
+   with static interval [lo, hi] is linked to the rest only through the
+   new reference, so its shortest paths all pass index 0:
+   D[n][b] = hi + D[0][b] and D[a][n] = D[a][0] - lo, fresh a and b
+   included.
+
+   Each persistent row is one loop over every column: a fresh column
+   reads old column 0 against [unbounded_min] and is overwritten by the
+   fresh loop after it, and the diagonal is written between the two.
+   Row 0 is persistent and comes first, so a fresh row reads it
+   complete; each row's column 0 is persistent, so a fresh column
+   reads it written. *)
 let successor t f vars ~lo ~hi =
-  let mins = column_mins t in
   let k = Array.length vars in
-  let s = create k in
-  let ref_row = s.m.(0) in
+  let size = k + 1 in
+  let src = Array.make size f in
+  Array.blit vars 0 src 1 k;
+  let old_mins = column_mins t in
+  let col = Array.make size 0 and mins = Array.make size unbounded_min in
+  let fresh = ref [] in
+  for b = 0 to k do
+    let ob = src.(b) in
+    if ob < 0 then fresh := b :: !fresh
+    else begin
+      col.(b) <- ob;
+      if old_mins.(ob) < infinity then mins.(b) <- old_mins.(ob)
+    end
+  done;
+  let fresh = Array.of_list !fresh in
+  let m = Array.make size [||] in
   for a = 0 to k do
-    let oa = if a = 0 then f else vars.(a - 1) and row = s.m.(a) in
+    let row = Array.make size 0 in
+    let oa = src.(a) in
     if oa >= 0 then begin
       let old_row = t.m.(oa) in
       let via = old_row.(f) in
-      for b = 0 to k do
-        let ob = if b = 0 then f else vars.(b - 1) in
-        if a <> b then
-          row.(b) <-
-            (if ob >= 0 then
-               let direct = old_row.(ob) and through = sat_add via mins.(ob) in
-               if through < direct then through else direct
-             else sat_add row.(0) (-lo.(b - 1)))
+      if via >= infinity then
+        for b = 0 to k do
+          row.(b) <- old_row.(col.(b))
+        done
+      else
+        for b = 0 to k do
+          let direct = old_row.(col.(b)) and through = via + mins.(b) in
+          row.(b) <- (if through < direct then through else direct)
+        done;
+      row.(a) <- 0;
+      let base = row.(0) in
+      for i = 0 to Array.length fresh - 1 do
+        let b = fresh.(i) in
+        row.(b) <- sat_add base (-lo.(b - 1))
       done
     end
     else begin
-      let h = hi.(a - 1) in
+      let h = hi.(a - 1) and ref_row = m.(0) in
       for b = 0 to k do
-        if a <> b then row.(b) <- sat_add h ref_row.(b)
-      done
-    end
+        row.(b) <- sat_add h ref_row.(b)
+      done;
+      row.(a) <- 0
+    end;
+    m.(a) <- row
   done;
-  s
+  { size; m }
 
 let bounds t i = (-t.m.(0).(i), t.m.(i).(0))
 

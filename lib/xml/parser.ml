@@ -265,7 +265,3 @@ let parse s =
   | root -> Ok root
   | exception Parse_error e -> Error e
 
-let parse_exn s =
-  match parse s with
-  | Ok node -> node
-  | Error e -> failwith (error_to_string e)

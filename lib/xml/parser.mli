@@ -17,5 +17,3 @@ val error_to_string : error -> string
 val parse : string -> (Doc.node, error) result
 (** [parse s] parses the root element of [s]. *)
 
-val parse_exn : string -> Doc.node
-(** Like {!parse}; raises [Failure] with a positioned message. *)

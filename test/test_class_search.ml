@@ -7,6 +7,9 @@ module Validator = Ezrt_sched.Validator
 module Task = Ezrt_spec.Task
 module Spec = Ezrt_spec.Spec
 module Case_studies = Ezrt_spec.Case_studies
+module Spec_gen = Ezrt_gen.Spec_gen
+module State = Ezrt_tpn.State
+module Time_interval = Ezrt_tpn.Time_interval
 open Test_util
 
 let solve spec =
@@ -254,6 +257,105 @@ let prop_subsume_verdict_agreement =
       let off = fst (Class_search.find_schedule ~subsume:false model) in
       Result.is_ok on = Result.is_ok off)
 
+(* The greedy realization as it was written on the copying [State.t],
+   kept as the oracle of the in-place one.  It also says which test
+   rejected a path. *)
+type greedy_oracle = Realized of Schedule.t | Disabled | Out_of_domain
+
+let copying_greedy net sequence =
+  let rec go s acc = function
+    | [] -> Realized (Schedule.of_actions (List.rev acc))
+    | tid :: rest ->
+      if not (State.is_enabled s tid) then Disabled
+      else
+        let q = State.dlb net s tid in
+        let lo, hi = State.firing_domain net s tid in
+        if q < lo || not (Time_interval.bound_le (Time_interval.Finite q) hi)
+        then Out_of_domain
+        else go (State.fire net s tid q) ((tid, q) :: acc) rest
+  in
+  go (State.initial net) [] sequence
+
+(* Either realization keeps the class path's transitions in order. *)
+let class_path (schedule : Schedule.t) =
+  List.map (fun (e : Schedule.entry) -> e.Schedule.tid) schedule.Schedule.entries
+
+(* One step dropped and two neighbouring steps swapped, at five places
+   spread along the path. *)
+let mutations path =
+  let steps = Array.of_list path in
+  let n = Array.length steps in
+  let at j = j * (n - 1) / 4 in
+  let dropped i = List.filteri (fun j _ -> j <> i) path in
+  let swapped i =
+    let a = Array.copy steps in
+    a.(i) <- steps.(i + 1);
+    a.(i + 1) <- steps.(i);
+    Array.to_list a
+  in
+  if n < 2 then []
+  else
+    List.concat_map
+      (fun j -> [ dropped (at j); swapped (min (at j) (n - 2)) ])
+      [ 0; 1; 2; 3; 4 ]
+
+(* The in-place greedy realization gives the copying one's answer on
+   the class path of every case study, corpus spec and 200 generated
+   specs, and on mutations of those paths that reach both of its
+   rejections. *)
+let test_greedy_matches_copying () =
+  let generated =
+    List.init 200 (fun i ->
+        (Printf.sprintf "gen-42-%d" i, Spec_gen.spec_at ~seed:42 i))
+  in
+  let paths = ref 0 and disabled = ref 0 and out_of_domain = ref 0 in
+  let check name net path =
+    let expected = copying_greedy net path in
+    (match expected with
+    | Realized _ -> ()
+    | Disabled -> incr disabled
+    | Out_of_domain -> incr out_of_domain);
+    let ok =
+      match (expected, Class_search.extract_greedy net path) with
+      | Realized a, Some b -> a = b
+      | (Disabled | Out_of_domain), None -> true
+      | Realized _, None | (Disabled | Out_of_domain), Some _ -> false
+    in
+    check_bool (name ^ ": in-place greedy = copying greedy") true ok
+  in
+  List.iter
+    (fun (name, spec) ->
+      let model = Translate.translate spec in
+      match fst (Class_search.find_schedule ~max_stored:20_000 model) with
+      | Error _ -> ()
+      | Ok schedule ->
+        incr paths;
+        let path = class_path schedule in
+        let net = model.Translate.net in
+        check name net path;
+        List.iteri
+          (fun i p -> check (Printf.sprintf "%s mutation %d" name i) net p)
+          (mutations path))
+    (Case_studies.all @ load_corpus () @ generated);
+  check_int "feasible specs with a class path" 82 !paths;
+  check_bool "a mutation hits a disabled transition" true (!disabled > 0);
+  check_bool "a mutation leaves the firing domain" true (!out_of_domain > 0)
+
+(* mine-pump's class path realizes at the earliest times; greedy-trap's
+   needs the exact firing dates. *)
+let test_greedy_extraction_pins () =
+  let greedy spec =
+    let model = Translate.translate spec in
+    match fst (Class_search.find_schedule model) with
+    | Ok schedule ->
+      Class_search.extract_greedy model.Translate.net (class_path schedule)
+    | Error f -> Alcotest.fail (Class_search.failure_to_string f)
+  in
+  check_bool "mine-pump realizes greedily" true
+    (greedy Case_studies.mine_pump <> None);
+  check_bool "greedy-trap needs the exact dates" true
+    (greedy Case_studies.greedy_trap = None)
+
 let suite =
   [
     case "case studies via state classes" test_all_case_studies;
@@ -271,6 +373,9 @@ let suite =
     case "subsume off matches on" test_subsume_off_matches_on;
     case "cancel stops at the first class" test_cancel_is_prompt;
     case "subsumption statically applicable" test_subsumption_applicability;
+    case "in-place greedy realization matches the copying one"
+      test_greedy_matches_copying;
+    case "mine-pump greedy, greedy-trap exact" test_greedy_extraction_pins;
     prop_class_schedules_certify;
     prop_discrete_implies_class;
     prop_subsume_verdict_agreement;

@@ -108,8 +108,9 @@ let tighten_chain d f =
 let unbounded k = (Array.make k (-Dbm.infinity), Array.make k Dbm.infinity)
 
 (* Random canonical matrices with every variable bounded below by 0
-   and above, like a class domain, plus a few random differences. *)
-let random_domain dim seed =
+   and above, like a class domain, plus up to [max_differences - 1]
+   random differences. *)
+let random_domain ?(max_differences = 4) dim seed =
   let d = Dbm.create dim in
   let rng = ref seed in
   let next () =
@@ -121,7 +122,7 @@ let random_domain dim seed =
     Dbm.constrain d 0 v (-lo);
     if next () mod 4 <> 0 then Dbm.constrain d v 0 (lo + (next () mod 8))
   done;
-  for _ = 1 to next () mod 4 do
+  for _ = 1 to next () mod max_differences do
     let i = 1 + (next () mod dim) and j = 1 + (next () mod dim) in
     if i <> j then Dbm.constrain d i j ((next () mod 9) - 4)
   done;
@@ -200,7 +201,45 @@ let prop_successor_projects_closed_form =
    bounded afterwards by [constrain] and closed by [canonicalize].
    Projections keep 0 to [dim] old variables, add 1 to 3 fresh ones
    anywhere among them, and draw point intervals and unbounded upper
-   ends along with ordinary ones. *)
+   ends along with ordinary ones.  The unconstrained successor is also
+   checked against the fires-first domain closed by Floyd-Warshall. *)
+let fresh_closed_form ~f d next dim =
+  (not (Dbm.can_fire_first d f))
+  ||
+  let persistent =
+    List.filter
+      (fun v -> v <> f && next () mod 3 <> 0)
+      (List.init dim (fun v -> v + 1))
+  in
+  let vars =
+    persistent @ List.init (1 + (next () mod 3)) (fun _ -> -1)
+    |> List.map (fun v -> (next (), v))
+    |> List.sort compare |> List.map snd |> Array.of_list
+  in
+  let k = Array.length vars in
+  let lo = Array.init k (fun _ -> next () mod 6) in
+  let hi =
+    Array.init k (fun i ->
+        match next () mod 4 with
+        | 0 -> lo.(i)
+        | 1 -> Dbm.infinity
+        | _ -> lo.(i) + (next () mod 8))
+  in
+  let s = Dbm.successor d f vars ~lo ~hi in
+  successor_matches (tighten_chain d f) d f vars
+  &&
+  let ulo, uhi = unbounded k in
+  let reference = Dbm.successor d f vars ~lo:ulo ~hi:uhi in
+  Array.iteri
+    (fun i v ->
+      if v < 0 then begin
+        Dbm.constrain reference (i + 1) 0 hi.(i);
+        Dbm.constrain reference 0 (i + 1) (-lo.(i))
+      end)
+    vars;
+  Dbm.canonicalize reference;
+  Dbm.equal s reference
+
 let prop_fresh_closed_form =
   qcheck ~count:1000
     "fresh variables closed form = constrain + canonicalize (bit-for-bit)"
@@ -209,42 +248,29 @@ let prop_fresh_closed_form =
       let d, next =
         if domain_like then random_domain dim seed else random_canonical dim seed
       in
+      Dbm.is_empty d || fresh_closed_form ~f:(1 + (next () mod dim)) d next dim)
+
+(* The same at the dimensions the class engine runs at (mine-pump's
+   domains have about 16 variables), on class-like domains with up to
+   [dim / 2 - 1] random differences.  At these sizes a variable drawn
+   at random seldom can fire first, so [f] is the first one that can,
+   counting from a random variable; about 70% of the draws reach the
+   comparison, the rest are empty or have no such variable. *)
+let prop_fresh_closed_form_engine_sizes =
+  qcheck ~count:300
+    "successor at dimensions 7-24 = constrain + canonicalize (bit-for-bit)"
+    QCheck.(pair (int_range 7 24) (int_range 0 1_000_000))
+    (fun (dim, seed) ->
+      let d, next = random_domain ~max_differences:(dim / 2) dim seed in
       Dbm.is_empty d
       ||
-      let f = 1 + (next () mod dim) in
-      (not (Dbm.can_fire_first d f))
-      ||
-      let persistent =
-        List.filter
-          (fun v -> v <> f && next () mod 3 <> 0)
-          (List.init dim (fun v -> v + 1))
-      in
-      let vars =
-        persistent @ List.init (1 + (next () mod 3)) (fun _ -> -1)
-        |> List.map (fun v -> (next (), v))
-        |> List.sort compare |> List.map snd |> Array.of_list
-      in
-      let k = Array.length vars in
-      let lo = Array.init k (fun _ -> next () mod 6) in
-      let hi =
-        Array.init k (fun i ->
-            match next () mod 4 with
-            | 0 -> lo.(i)
-            | 1 -> Dbm.infinity
-            | _ -> lo.(i) + (next () mod 8))
-      in
-      let s = Dbm.successor d f vars ~lo ~hi in
-      let ulo, uhi = unbounded k in
-      let reference = Dbm.successor d f vars ~lo:ulo ~hi:uhi in
-      Array.iteri
-        (fun i v ->
-          if v < 0 then begin
-            Dbm.constrain reference (i + 1) 0 hi.(i);
-            Dbm.constrain reference 0 (i + 1) (-lo.(i))
-          end)
-        vars;
-      Dbm.canonicalize reference;
-      Dbm.equal s reference)
+      let start = next () in
+      match
+        List.find_opt (Dbm.can_fire_first d)
+          (List.init dim (fun i -> 1 + ((start + i) mod dim)))
+      with
+      | None -> true
+      | Some f -> fresh_closed_form ~f d next dim)
 
 let prop_canonical_idempotent =
   qcheck ~count:100 "canonicalize is idempotent"
@@ -282,4 +308,5 @@ let suite =
     prop_fires_first_closed_form;
     prop_successor_projects_closed_form;
     prop_fresh_closed_form;
+    prop_fresh_closed_form_engine_sizes;
   ]
