@@ -1,9 +1,14 @@
 (* Benchmark harness: regenerates every measurable table and figure of
-   the paper (see DESIGN.md's experiment index) and runs one Bechamel
-   micro-benchmark per experiment.
+   the paper (see DESIGN.md's experiment index).
 
-   Sections E1-E7 print paper-reported versus measured values;
-   sections A1-A6 are the ablations DESIGN.md calls out. *)
+   Sections E1-E8 print paper-reported versus measured values; the A
+   sections are the ablations and subsystem measurements DESIGN.md and
+   EXPERIMENTS.md cite.  The search, class, portfolio, service, lint
+   and fuzz sections also append a record to BENCH_search.json.  The
+   harness reports; regression checks live in the tests and in
+   perfbench/.
+
+   Run with:  dune exec bench/main.exe [-- --smoke] *)
 
 open Ezrealtime
 
@@ -20,8 +25,8 @@ let solve ?options spec =
 let ms metrics = metrics.Search.elapsed_s *. 1000.
 
 (* --- machine-readable output (BENCH_search.json) --------------------- *)
-(* Besides the pretty tables, every search experiment appends a record
-   here; the file lets CI track the perf trajectory across PRs. *)
+(* Besides the pretty tables, those experiments append a record here,
+   for tools that read the numbers instead of the tables. *)
 
 let json_entries : (string * string) list ref = ref []
 
@@ -37,9 +42,8 @@ let jfloat f = Printf.sprintf "%.3f" f
 let jbool = string_of_bool
 let jstr s = Printf.sprintf "%S" s
 
-(* Run metadata, first entry in the file: lets CI distinguish schema
-   revisions and attribute a perf trajectory to the machine and
-   compiler that produced it. *)
+(* Run metadata, first entry in the file: the schema revision and the
+   machine and compiler that produced the numbers. *)
 let record_meta () =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   let generated_utc =
@@ -653,8 +657,7 @@ let a10 () =
       ("fig8", Case_studies.fig8_preemptive);
       ("flight-control", Case_studies.flight_control);
     ];
-  (* preemption counts per ordering policy on fig8, against the exact
-     branch-and-bound optimum *)
+  (* preemption counts per ordering policy on fig8 *)
   Format.printf "preemptions by policy (fig8):@.";
   List.iter
     (fun (name, policy) ->
@@ -667,16 +670,7 @@ let a10 () =
           q.Quality.total_preemptions q.Quality.context_switches
       | _, Error f, _ ->
         Format.printf "  %-12s %s@." name (Search.failure_to_string f))
-    Priority.all;
-  (match
-     Optimize.min_preemptions (Translate.translate Case_studies.fig8_preemptive)
-   with
-  | Ok o ->
-    Format.printf
-      "  %-12s %d preemptions (proven minimum, %d B&B nodes)@." "exact"
-      o.Optimize.preemptions o.Optimize.explored
-  | Error f ->
-    Format.printf "  %-12s %s@." "exact" (Search.failure_to_string f))
+    Priority.all
 
 (* --- A11: schedulability vs utilization (random campaign) ------------- *)
 
@@ -1217,195 +1211,19 @@ let a15 () =
       ("specs_per_s", jfloat (Fuzz.specs_per_s stats));
     ]
 
-(* --- Bechamel micro-benchmarks ---------------------------------------- *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let mine_model = Translate.translate Case_studies.mine_pump in
-  let mine_table =
-    match Search.find_schedule mine_model with
-    | Ok schedule, _ -> Table.of_schedule mine_model schedule
-    | Error _, _ -> failwith "mine pump must be schedulable"
-  in
-  let mine_pnml = Pnml.to_string mine_model.Translate.net in
-  let mine_dsl = Dsl.to_string Case_studies.mine_pump in
-  let no_po = { Search.default_options with partial_order = false } in
-  let tests =
-    [
-      Test.make ~name:"e1-mine-pump-schedule"
-        (Staged.stage (fun () -> ignore (Search.find_schedule mine_model)));
-      Test.make ~name:"e1-mine-pump-translate"
-        (Staged.stage (fun () ->
-             ignore (Translate.translate Case_studies.mine_pump)));
-      Test.make ~name:"e2-fig8-synthesize"
-        (Staged.stage (fun () ->
-             ignore (synthesize Case_studies.fig8_preemptive)));
-      Test.make ~name:"e3-fig3-synthesize"
-        (Staged.stage (fun () ->
-             ignore (synthesize Case_studies.fig3_precedence)));
-      Test.make ~name:"e4-fig4-synthesize"
-        (Staged.stage (fun () ->
-             ignore (synthesize Case_studies.fig4_exclusion)));
-      Test.make ~name:"e6-dsl-roundtrip"
-        (Staged.stage (fun () -> ignore (Dsl.of_string mine_dsl)));
-      Test.make ~name:"e7-pnml-roundtrip"
-        (Staged.stage (fun () -> ignore (Pnml.of_string mine_pnml)));
-      Test.make ~name:"a1-search-no-partial-order"
-        (Staged.stage (fun () ->
-             ignore (Search.find_schedule ~options:no_po mine_model)));
-      Test.make ~name:"a3-baseline-edf-mine-pump"
-        (Staged.stage (fun () ->
-             ignore
-               (Baseline_sim.simulate Baseline_sim.Edf Case_studies.mine_pump)));
-      Test.make ~name:"vm-execute-mine-pump"
-        (Staged.stage (fun () -> ignore (Vm.execute mine_model mine_table)));
-      Test.make ~name:"codegen-mine-pump"
-        (Staged.stage (fun () -> ignore (Emit.program mine_model mine_table)));
-      Test.make ~name:"a8-class-search-mine-pump"
-        (Staged.stage (fun () -> ignore (Class_search.find_schedule mine_model)));
-      Test.make ~name:"a8-flight-control-synthesize"
-        (Staged.stage (fun () ->
-             ignore (synthesize Case_studies.flight_control)));
-      Test.make ~name:"a10-quality-mine-pump"
-        (Staged.stage
-           (let segments =
-              Timeline.of_schedule mine_model
-                (match Search.find_schedule mine_model with
-                | Ok s, _ -> s
-                | Error _, _ -> assert false)
-            in
-            fun () -> ignore (Quality.of_timeline mine_model segments)));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let raw =
-    Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"ezrealtime" tests)
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let nanos =
-          match Analyze.OLS.estimates ols with
-          | Some (est :: _) -> est
-          | Some [] | None -> nan
-        in
-        (name, nanos) :: acc)
-      results []
-  in
-  section "BENCH" "Bechamel micro-benchmarks (monotonic clock)";
-  List.iter
-    (fun (name, nanos) ->
-      Format.printf "  %-44s %12.0f ns/run  (%8.3f ms)@." name nanos
-        (nanos /. 1e6))
-    (List.sort compare rows)
-
-(* --- regression guard (--check BASELINE.json) --------------------------- *)
-
-(* Compares the entries just written against a committed baseline
-   (BASELINE.json): verdicts must match exactly; stored_states may grow
-   by at most 25% (plus a small absolute allowance for small counts);
-   states_per_s — and specs_per_s for the lint experiment —
-   may drop to no less than 40% of the baseline: hosts differ,
-   order-of-magnitude slowdowns are what the guard is for.  Lint
-   gate-explain mismatches must stay at zero.  With [require_all] (the full run), baseline keys missing from
-   the current run fail too: a renamed experiment must update the
-   baseline deliberately.  Any violation exits non-zero so CI blocks
-   the regression. *)
-let check_against ~require_all ~current path =
-  let parse file =
-    let ic = open_in_bin file in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Service_json.of_string s with
-    | Ok (Service_json.Obj fields) -> fields
-    | Ok _ -> failwith (file ^ ": expected a JSON object")
-    | Error msg -> failwith (file ^ ": " ^ msg)
-  in
-  let base = parse path and cur = parse current in
-  let violations = ref [] in
-  let bad fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
-  let compared = ref 0 in
-  List.iter
-    (fun (key, bentry) ->
-      match List.assoc_opt key cur with
-      | None ->
-        if require_all && key <> "meta" then
-          bad "%s: present in %s but missing from the current run" key path
-      | Some _ when key = "meta" -> ()
-      | Some centry ->
-        incr compared;
-        let field name entry conv =
-          Option.bind (Service_json.member name entry) conv
-        in
-        let to_bool = function Service_json.Bool b -> Some b | _ -> None in
-        (match
-           (field "feasible" bentry to_bool, field "feasible" centry to_bool)
-         with
-        | Some b, Some c when b <> c ->
-          bad "%s: verdict changed (baseline feasible=%b, now %b)" key b c
-        | _ -> ());
-        (match
-           ( field "stored_states" bentry Service_json.to_int,
-             field "stored_states" centry Service_json.to_int )
-         with
-        | Some b, Some c when c > (b * 5 / 4) + 64 ->
-          bad "%s: stored_states regressed (baseline %d, now %d)" key b c
-        | _ -> ());
-        (match
-           ( field "states_per_s" bentry Service_json.to_num,
-             field "states_per_s" centry Service_json.to_num )
-         with
-        | Some b, Some c when b > 0. && c < 0.4 *. b ->
-          bad "%s: states_per_s regressed (baseline %.0f, now %.0f)" key b c
-        | _ -> ());
-        (match
-           ( field "specs_per_s" bentry Service_json.to_num,
-             field "specs_per_s" centry Service_json.to_num )
-         with
-        | Some b, Some c when b > 0. && c < 0.4 *. b ->
-          bad "%s: specs_per_s regressed (baseline %.0f, now %.0f)" key b c
-        | _ -> ());
-        (match
-           ( field "gate_mismatches" bentry Service_json.to_int,
-             field "gate_mismatches" centry Service_json.to_int )
-         with
-        | Some 0, Some c when c > 0 ->
-          bad "%s: gate-explain mismatches appeared (now %d)" key c
-        | _ -> ()))
-    base;
-  match !violations with
-  | [] ->
-    Format.printf "check: %d entr%s within tolerance of %s@." !compared
-      (if !compared = 1 then "y" else "ies")
-      path
-  | vs ->
-    List.iter (fun v -> Format.printf "check FAILED: %s@." v) (List.rev vs);
-    exit 1
-
 (* The harness takes the same observability flags as ezrt: --trace FILE,
-   --metrics FILE and --progress — plus
-   --smoke (CI subset: E1, A14, A17, A18, A19, A21) and
-   --check BASELINE.json (regression guard, applied to the entries the
-   run just wrote).  No cmdliner here — a
-   hand scan of argv keeps bench dependency-free.  Any other argument
-   prints the usage and exits 2 before a section runs or a file is
-   written; --help prints it and exits 0. *)
+   --metrics FILE and --progress — plus --smoke (CI subset: E1, A14,
+   A17, A18, A19, A21).  No cmdliner here — a hand scan of argv keeps
+   bench dependency-free.  Any other argument prints the usage and
+   exits 2 before a section runs or a file is written; --help prints
+   it and exits 0. *)
 let usage =
-  "usage: bench/main.exe [--smoke] [--check FILE] [--trace FILE] \
-   [--metrics FILE] [--progress]"
+  "usage: bench/main.exe [--smoke] [--trace FILE] [--metrics FILE] \
+   [--progress]"
 
 let obs_setup () =
   let smoke = ref false and progress = ref false in
-  let check = ref None and trace = ref None and metrics = ref None in
+  let trace = ref None and metrics = ref None in
   let rec scan = function
     | [] -> ()
     | "--help" :: _ ->
@@ -1413,7 +1231,6 @@ let obs_setup () =
       exit 0
     | "--smoke" :: rest -> smoke := true; scan rest
     | "--progress" :: rest -> progress := true; scan rest
-    | "--check" :: file :: rest -> check := Some file; scan rest
     | "--trace" :: file :: rest -> trace := Some file; scan rest
     | "--metrics" :: file :: rest -> metrics := Some file; scan rest
     | arg :: _ ->
@@ -1436,10 +1253,10 @@ let obs_setup () =
         Format.printf "metrics written to %s@." path)
   | None -> ());
   if !progress then Obs_progress.install (Obs_progress.create ());
-  (!smoke, !check)
+  !smoke
 
 let () =
-  let smoke, check = obs_setup () in
+  let smoke = obs_setup () in
   Format.printf "ezRealtime benchmark harness (paper: DATE 2008)@.";
   record_meta ();
   if smoke then begin
@@ -1477,13 +1294,8 @@ let () =
     a17 ();
     a18 ();
     a19 ();
-    a21 ();
-    bechamel_suite ()
+    a21 ()
   end;
   write_json "BENCH_search.json";
   Format.printf "@.wrote BENCH_search.json@.";
-  (match check with
-  | Some path ->
-    check_against ~require_all:(not smoke) ~current:"BENCH_search.json" path
-  | None -> ());
   Format.printf "done.@."

@@ -60,6 +60,15 @@ let or_die = function
 
 let with_spec file case f = f (or_die (load_spec file case))
 
+(* For the commands that translate the spec: [Translate.translate]
+   raises on an invalid one, so validate first and report the errors
+   as [synthesize] does. *)
+let with_valid_spec file case f =
+  with_spec file case (fun spec ->
+      match (Validate.check spec).Validate.errors with
+      | [] -> f spec
+      | errors -> or_die (Error (error_to_string (Invalid_spec errors))))
+
 (* --- engine selection ------------------------------------------------- *)
 
 let engine_arg =

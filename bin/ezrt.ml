@@ -43,7 +43,8 @@ let info_cmd =
                  result cache (see docs/SERVICE.md).")
   in
   let run () file case digest =
-    with_spec file case (fun spec ->
+    (* the digest needs no net, so it works on an invalid spec too *)
+    (if digest then with_spec else with_valid_spec) file case (fun spec ->
         if digest then print_endline (Spec_digest.digest spec)
         else begin
           Format.printf "%a@." Spec.pp spec;
@@ -78,7 +79,7 @@ let model_cmd =
            ~doc:"Write a TINA .net rendering here.")
   in
   let run () file case pnml dot tina =
-    with_spec file case (fun spec ->
+    with_valid_spec file case (fun spec ->
         let model = Translate.translate spec in
         Format.printf "%a@." Pnet.pp_summary model.Translate.net;
         (match pnml with
@@ -179,7 +180,7 @@ let vcd_arg =
 let schedule_cmd =
   let run () file case policy no_po latest max_states engine no_subsume
       no_analysis timeout gantt vcd =
-    with_spec file case (fun spec ->
+    with_valid_spec file case (fun spec ->
         (* Structural lint pre-pass: polynomial, no search.  Surfaces
            errors and warnings before any engine runs but never blocks
            synthesis — the subsumption gate falls back on its own,
@@ -425,7 +426,7 @@ let model_check_cmd =
                  TPN semantics; over-approximates).")
   in
   let run () file case query max_states classes unprioritized =
-    with_spec file case (fun spec ->
+    with_valid_spec file case (fun spec ->
         let model = Translate.translate spec in
         match Query.parse query with
         | Error msg ->
@@ -594,7 +595,7 @@ let simulate_cmd =
 
 let compare_cmd =
   let run () file case =
-    with_spec file case (fun spec ->
+    with_valid_spec file case (fun spec ->
         let rows = Baseline_compare.run_all spec in
         Format.printf "%a" Baseline_compare.pp rows)
   in

@@ -1,8 +1,7 @@
 (* Interoperability and analysis walkthrough: export a generated time
    Petri net to PNML (the ISO/IEC 15909-2 transfer format the paper
-   adopts), read it back, clean it up structurally, and prove resource
-   safety twice — once by exhaustive reachability and once by place
-   invariants.
+   adopts), read it back, and prove resource safety twice — once by
+   exhaustive reachability and once by place invariants.
 
    Run with:  dune exec examples/interop.exe *)
 
@@ -25,14 +24,7 @@ let () =
   in
   Format.printf "reloaded:   %a@." Pnet.pp_summary reloaded;
 
-  (* 2. Structural cleanup is the identity on generated nets. *)
-  let cleaned = Reduce.cleanup reloaded in
-  Format.printf "cleanup removed %d transitions, %d places (generated nets \
-                 are clean)@."
-    (List.length cleaned.Reduce.removed_transitions)
-    (List.length cleaned.Reduce.removed_places);
-
-  (* 3. Behavioural proof: explore every reachable state and check the
+  (* 2. Behavioural proof: explore every reachable state and check the
      processor and the exclusion slot never hold two tokens. *)
   let report = Analysis.reachability_report ~max_states:100_000 reloaded in
   Format.printf
@@ -42,7 +34,7 @@ let () =
        (fun p -> Analysis.is_safe_place report p)
        model.Translate.resource_places);
 
-  (* 4. Structural proof of the same fact, without any state space:
+  (* 3. Structural proof of the same fact, without any state space:
      place invariants cover each resource with bound constant/weight =
      1. *)
   let invariants =
@@ -61,7 +53,7 @@ let () =
           (Pnet.place_name reloaded place))
     model.Translate.resource_places;
 
-  (* 5. Reachability queries (the paper's "checking properties"). *)
+  (* 4. Reachability queries (the paper's "checking properties"). *)
   List.iter
     (fun q ->
       Format.printf "  %-34s %s@." q
@@ -72,7 +64,7 @@ let () =
       "EF pend >= 1";
     ];
 
-  (* 6. Graphviz export for the paper's figures. *)
+  (* 5. Graphviz export for the paper's figures. *)
   Out_channel.with_open_text "fig4.dot" (fun oc ->
       Out_channel.output_string oc (Dot.to_dot reloaded));
   Format.printf "wrote fig4.dot (render with: dot -Tpdf fig4.dot)@."

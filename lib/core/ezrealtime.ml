@@ -9,7 +9,6 @@ module Analysis = Ezrt_tpn.Analysis
 module Invariants = Ezrt_tpn.Invariants
 module Dbm = Ezrt_tpn.Dbm
 module State_class = Ezrt_tpn.State_class
-module Reduce = Ezrt_tpn.Reduce
 module Dot = Ezrt_tpn.Dot
 module Tina = Ezrt_tpn.Tina
 module Query = Ezrt_tpn.Query
@@ -24,7 +23,6 @@ module Case_studies = Ezrt_spec.Case_studies
 module Pnml = Ezrt_pnml.Pnml
 module Blocks = Ezrt_blocks.Blocks
 module Relations = Ezrt_blocks.Relations
-module Compose = Ezrt_blocks.Compose
 module Meaning = Ezrt_blocks.Meaning
 module Translate = Ezrt_blocks.Translate
 module Lint = Ezrt_lint.Lint
@@ -42,7 +40,6 @@ module Quality = Ezrt_sched.Quality
 module Sensitivity = Ezrt_sched.Sensitivity
 module Vcd = Ezrt_sched.Vcd
 module Class_search = Ezrt_sched.Class_search
-module Optimize = Ezrt_sched.Optimize
 module Portfolio = Ezrt_sched.Portfolio
 module Class_store = Ezrt_tpn.Class_store
 module Target = Ezrt_codegen.Target

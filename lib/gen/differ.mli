@@ -81,17 +81,6 @@ type report = {
   divergences : divergence list;
 }
 
-val builtin_engines : string list
-(** [["reference"; "incremental"; "latest-release"; "classes";
-    "portfolio"; "analysis"]] — the names
-    accepted by [?engines].  [analysis] is {!Ezrt_analysis.Schedulability}: its
-    quick-reject witnesses are re-evaluated (an untrue witness is an
-    {!Analysis_witness_invalid} divergence), its [Infeasible] verdict
-    contradicts any engine's feasible schedule, and its quick-accept
-    certificate — certified like every other feasible schedule —
-    contradicts any engine's [Infeasible].  The [portfolio] row runs
-    with [~analysis:false] so it stays an independent search result. *)
-
 val check :
   ?max_stored:int ->
   ?engines:string list ->
@@ -100,13 +89,22 @@ val check :
   report
 (** Run every engine (bounded by [max_stored], default 50_000) and
     every cross-check on one spec.  [engines] restricts the built-in
-    engines that run (default: all of {!builtin_engines}; unknown
+    engines that run (default: all of [["reference"; "incremental";
+    "latest-release"; "classes"; "portfolio"; "analysis"]]; unknown
     names raise [Invalid_argument]); cross-checks needing a skipped
     engine are skipped too, which lets a campaign bisect e.g. just
     [["classes"; "reference"]].  [extra] engines claim default
     discrete search semantics: their verdict is compared against the
     reference engine's and their schedules must certify — the hook the
-    tests use to prove an injected engine bug is caught. *)
+    tests use to prove an injected engine bug is caught.
+
+    [analysis] is {!Ezrt_analysis.Schedulability}: its quick-reject
+    witnesses are re-evaluated (an untrue witness is an
+    {!Analysis_witness_invalid} divergence), its [Infeasible] verdict
+    contradicts any engine's feasible schedule, and its quick-accept
+    certificate — certified like every other feasible schedule —
+    contradicts any engine's [Infeasible].  The [portfolio] row runs
+    with [~analysis:false] so it stays an independent search result. *)
 
 val failing : ?max_stored:int -> Ezrt_spec.Spec.t -> bool
 (** [divergences <> []] — the predicate handed to {!Shrink.minimize}. *)

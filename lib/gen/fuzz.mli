@@ -36,7 +36,7 @@ val run :
   stats
 (** Generate [count] specs from [seed] and {!Differ.check} each.
     [engines] restricts which built-in engines run and cross-check
-    (see {!Differ.builtin_engines}) — e.g. [["classes"; "reference"]]
+    (the engine names {!Differ.check} accepts) — e.g. [["classes"; "reference"]]
     bisects class-engine divergences quickly; shrinking uses the same
     restriction so the minimized spec still exhibits the restricted
     divergence.  Divergent specs are minimized with {!Shrink.minimize}

@@ -26,8 +26,9 @@ let failure_to_string = function
 
 (* Fast path: realize the sequence at the earliest legal integer
    times, step by step, on one in-place engine: each firing costs its
-   arcs, not a copy of the state.  The earliest time is the domain's
-   lower bound, so only its upper end can reject it. *)
+   arcs, not a copy of the state, and is committed at once, since the
+   walk never undoes.  The earliest time is the domain's lower bound,
+   so only its upper end can reject it. *)
 let extract_greedy net sequence =
   let e = State.Incremental.create net in
   let rec go acc = function
@@ -39,6 +40,7 @@ let extract_greedy net sequence =
         if not (Time_interval.bound_le (Time_interval.Finite q) hi) then None
         else begin
           State.Incremental.fire e tid q;
+          State.Incremental.commit e;
           go ((tid, q) :: acc) rest
         end
   in

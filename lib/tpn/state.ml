@@ -551,6 +551,10 @@ module Incremental = struct
       undo e
     done
 
+  let commit e =
+    e.trail_len <- 0;
+    e.depth <- 0
+
   (* Plain loops, not [Array.blit]: a blit into an [int array] that
      lives in the major heap (as the search's reused vector soon does)
      goes through the write barrier cell by cell.  The one length check

@@ -152,6 +152,11 @@ module Incremental : sig
   val undo_to : engine -> int -> unit
   (** [undo_to e d] pops firings until [depth e = d]. *)
 
+  val commit : engine -> unit
+  (** Drops every undo frame: the current state becomes the root, at
+      depth 0, and {!now} keeps its value.  A walk that never undoes
+      calls it after each {!fire}, so the trail does not grow. *)
+
   val write_cells : engine -> int array -> unit
   (** [write_cells e cells] writes the current state into
       [cells.(0 .. |P| + |T| - 1)]: the marking, then one clock per

@@ -173,10 +173,24 @@ let test_subsumption_prunes () =
   let off_outcome, off = Class_search.find_schedule ~subsume:false model in
   check_bool "verdicts agree" true
     (Result.is_error on_outcome = Result.is_error off_outcome);
+  check_bool "exhaustion proves infeasibility" true
+    (on_outcome = Error Class_search.Infeasible);
   check_int "classes stored" 1095 on.Class_search.stored;
   check_int "classes subsumed" 192 on.Class_search.subsumed;
   check_int "classes stored without subsumption" 1290 off.Class_search.stored;
   check_int "no subsumption when disabled" 0 off.Class_search.subsumed
+
+(* The class engine proves large-tight-8 (the discrete engine's
+   heaviest infeasible spec, defined in Test_search) infeasible by
+   exhaustion, subsumption on; the A17_class_large-tight-8 bench record
+   reports the same counts. *)
+let test_large_tight_exhausts () =
+  let model = Translate.translate Test_search.large_tight_spec in
+  match Class_search.find_schedule model with
+  | Error Class_search.Infeasible, m ->
+    check_int "classes stored" 26238 m.Class_search.stored;
+    check_int "classes subsumed" 3667 m.Class_search.subsumed
+  | _ -> Alcotest.fail "large-tight-8: expected an infeasibility proof"
 
 let test_determinism () =
   (* two runs over the same model are bit-identical: same schedule,
@@ -369,6 +383,7 @@ let suite =
     case "independent tasks: engines give one verdict"
       test_independent_verdicts;
     case "subsumption prunes the relations spec" test_subsumption_prunes;
+    slow_case "large-tight-8 exhausts by classes" test_large_tight_exhausts;
     case "deterministic metrics and schedules" test_determinism;
     case "subsume off matches on" test_subsume_off_matches_on;
     case "cancel stops at the first class" test_cancel_is_prompt;

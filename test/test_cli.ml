@@ -163,6 +163,38 @@ let test_analyze_spec_only_rejects () =
             [ "analytic verdict: infeasible"; "witness [demand-overload]";
               "demand 10 > capacity" ])
 
+(* specs/quickstart.xml with sample's computing time raised past its
+   deadline (12 > 10): every command that translates the spec must
+   reject it with an [ezrt:] error, not crash in the translation *)
+let test_invalid_spec_rejected () =
+  match (Lazy.force binary, Ezrt_spec.Dsl.load_file "../specs/quickstart.xml") with
+  | None, _ -> ()
+  | Some _, Error e -> Alcotest.fail (Ezrt_spec.Dsl.error_to_string e)
+  | Some _, Ok spec ->
+    let overrun (t : Ezrt_spec.Task.t) =
+      if t.Ezrt_spec.Task.name = "sample" then { t with wcet = 12 } else t
+    in
+    let path = Filename.temp_file "ezrt_cli" ".xml" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Ezrt_spec.Dsl.save_file path
+          { spec with Ezrt_spec.Spec.tasks = List.map overrun spec.tasks };
+        (* exit 1, not cmdliner's 125 for an uncaught exception *)
+        List.iter
+          (fun args ->
+            expect (args @ [ path ]) ~code:1
+              ~needles:[ "ezrt: invalid specification" ])
+          [
+            [ "schedule" ];
+            [ "schedule"; "--engine"; "classes" ];
+            [ "schedule"; "--engine"; "portfolio" ];
+            [ "info" ];
+            [ "model" ];
+            [ "model-check"; "--query"; "EF pend >= 1" ];
+            [ "compare" ];
+          ])
+
 let test_portfolio_prepass () =
   expect [ "schedule"; "--case"; "fig8"; "--engine"; "portfolio" ] ~code:0
     ~needles:[ "analysis pre-pass decided"; "schedule table" ];
@@ -391,6 +423,7 @@ let suite =
     case "analyze --spec-only verdicts and exit codes" test_analyze_spec_only;
     case "analyze --spec-only prints a reject witness"
       test_analyze_spec_only_rejects;
+    case "invalid spec is an error, not a crash" test_invalid_spec_rejected;
     case "portfolio prepass and --no-analysis" test_portfolio_prepass;
     case "portfolio on mine-pump names discrete/fifo" test_portfolio_mine_pump;
     case "analyze with sensitivity" test_analyze_sensitivity;

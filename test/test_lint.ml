@@ -272,6 +272,27 @@ let test_certificates_generated =
       (r.Lint.covered_places <= r.Lint.place_count)
   done
 
+(* The 500-spec seed-42 corpus of the fuzz campaign (bench's A21
+   section): it lints without an error, a truncated invariant
+   computation or a gate-explain mismatch (EZRT-L013), and its Farkas
+   pass finds exactly 6412 P-invariant certificates, a count that pins
+   the invariant output independently of the host. *)
+let test_seed42_corpus =
+  slow_case "seed-42 corpus: 0 errors, 6412 certificates" @@ fun () ->
+  let errors = ref 0 and truncated = ref 0 and mismatches = ref 0 in
+  let certs = ref 0 in
+  for i = 0 to 499 do
+    let r = Lint.check_model (Translate.translate (Spec_gen.spec_at ~seed:42 i)) in
+    errors := !errors + Lint.count Lint.Error r;
+    if r.Lint.truncated then incr truncated;
+    if has "EZRT-L013" r then incr mismatches;
+    certs := !certs + List.length r.Lint.certificates
+  done;
+  check_int "errors" 0 !errors;
+  check_int "truncated" 0 !truncated;
+  check_int "EZRT-L013 mismatches" 0 !mismatches;
+  check_int "certificates" 6412 !certs
+
 (* --- determinism ------------------------------------------------------ *)
 
 let test_deterministic =
@@ -355,6 +376,7 @@ let suite =
     test_provenance;
     test_gate_agreement;
     test_certificates_generated;
+    test_seed42_corpus;
     test_deterministic;
     test_catalogue;
     test_goldens;

@@ -180,6 +180,23 @@ let raises_invalid name f =
   | () -> Alcotest.failf "%s: expected Invalid_argument" name
   | exception Invalid_argument _ -> ()
 
+(* after a commit the current state is the root: undo stops there,
+   and later firings undo back to it, hash included *)
+let test_commit () =
+  let eng = State.Incremental.create (sequential_net ()) in
+  State.Incremental.fire eng 0 2;
+  State.Incremental.commit eng;
+  let s1 = State.Incremental.snapshot eng and h1 = State.Incremental.zhash eng in
+  check_int "depth 0 after commit" 0 (State.Incremental.depth eng);
+  check_int "now kept" 2 (State.Incremental.now eng);
+  raises_invalid "undo at the committed root" (fun () ->
+      State.Incremental.undo eng);
+  State.Incremental.fire eng 1 0;
+  State.Incremental.undo eng;
+  check_bool "back to the committed state" true
+    (State.equal s1 (State.Incremental.snapshot eng));
+  check_int "hash restored" h1 (State.Incremental.zhash eng)
+
 let test_fire_validation () =
   let net = conflict_net () in
   let eng = State.Incremental.create net in
@@ -362,6 +379,7 @@ let suite =
     case "random nets: engine tracks oracle" test_random_nets;
     case "ring nets: engine tracks oracle" test_ring_nets;
     case "undo_to restores snapshots" test_undo_to;
+    case "commit makes the current state the root" test_commit;
     case "fire validates like the oracle" test_fire_validation;
     case "packed states: widths round-trip" test_packed_widths;
     case "packed states: smaller than boxed arrays" test_packed_smaller;
