@@ -60,14 +60,13 @@ let or_die = function
 
 let with_spec file case f = f (or_die (load_spec file case))
 
-(* For the commands that translate the spec: [Translate.translate]
-   raises on an invalid one, so validate first and report the errors
-   as [synthesize] does. *)
-let with_valid_spec file case f =
+(* For the commands that need the net: validate and translate once,
+   exiting 1 with the validation errors on an invalid spec. *)
+let with_model file case f =
   with_spec file case (fun spec ->
-      match (Validate.check spec).Validate.errors with
-      | [] -> f spec
-      | errors -> or_die (Error (error_to_string (Invalid_spec errors))))
+      f spec
+        (or_die
+           (Result.map_error Pipeline.error_to_string (Pipeline.translate spec))))
 
 (* --- engine selection ------------------------------------------------- *)
 
@@ -103,19 +102,13 @@ let timeout_arg =
                reports the distinct $(b,timed-out) verdict and exits \
                with code 124.")
 
-(* The deadline is absolute from the moment the command starts; the
-   [cancel] closure is what the engines poll at every search node. *)
-let deadline_of_timeout = function
-  | None -> None
-  | Some ms -> Some (Unix.gettimeofday () +. (float_of_int ms /. 1000.))
-
-let cancel_of_deadline = function
+(* The deadline is fixed when the engine is about to start; the
+   returned closure is what the engines poll at every search node. *)
+let cancel_of_timeout = function
   | None -> Search.no_cancel
-  | Some d -> fun () -> Unix.gettimeofday () > d
-
-let deadline_expired = function
-  | None -> false
-  | Some d -> Unix.gettimeofday () > d
+  | Some ms ->
+    let deadline = Unix.gettimeofday () +. (float_of_int ms /. 1000.) in
+    fun () -> Unix.gettimeofday () > deadline
 
 let timeout_exit_code = 124
 

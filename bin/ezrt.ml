@@ -44,9 +44,10 @@ let info_cmd =
   in
   let run () file case digest =
     (* the digest needs no net, so it works on an invalid spec too *)
-    (if digest then with_spec else with_valid_spec) file case (fun spec ->
-        if digest then print_endline (Spec_digest.digest spec)
-        else begin
+    if digest then
+      with_spec file case (fun spec -> print_endline (Spec_digest.digest spec))
+    else
+      with_model file case (fun spec model ->
           Format.printf "%a@." Spec.pp spec;
           List.iter
             (fun (id, n) ->
@@ -56,9 +57,7 @@ let info_cmd =
             (Spec.instance_counts spec);
           Format.printf "@.workload statistics:@.%a@." Stats.pp
             (Stats.compute spec);
-          let model = Translate.translate spec in
-          Format.printf "%a@." Translate.pp_inventory model
-        end)
+          Format.printf "%a@." Translate.pp_inventory model)
   in
   Cmd.v (Cmd.info "info" ~doc:"Print the specification and model summary.")
     Term.(const run $ obs_term $ file_arg $ case_arg $ digest_arg)
@@ -79,8 +78,7 @@ let model_cmd =
            ~doc:"Write a TINA .net rendering here.")
   in
   let run () file case pnml dot tina =
-    with_valid_spec file case (fun spec ->
-        let model = Translate.translate spec in
+    with_model file case (fun _ model ->
         Format.printf "%a@." Pnet.pp_summary model.Translate.net;
         (match pnml with
         | Some path ->
@@ -180,13 +178,13 @@ let vcd_arg =
 let schedule_cmd =
   let run () file case policy no_po latest max_states engine no_subsume
       no_analysis timeout gantt vcd =
-    with_valid_spec file case (fun spec ->
+    with_model file case (fun spec model ->
         (* Structural lint pre-pass: polynomial, no search.  Surfaces
            errors and warnings before any engine runs but never blocks
            synthesis — the subsumption gate falls back on its own,
            and a lint error usually means the search is about to
            prove infeasibility the hard way. *)
-        (let lr = Lint.check_model (Translate.translate spec) in
+        (let lr = Lint.check_model model in
          let e = Lint.count Lint.Error lr
          and w = Lint.count Lint.Warning lr in
          if e + w = 0 then print_endline "lint pre-pass: clean"
@@ -202,111 +200,87 @@ let schedule_cmd =
                    d.Lint.message)
              lr.Lint.diagnostics
          end);
-        let deadline = deadline_of_timeout timeout in
-        let cancel = cancel_of_deadline deadline in
-        (* a budget failure with the wall clock past the deadline is the
-           deadline firing through the cancel hook, not a real budget
-           exhaustion — report it as the distinct timed-out verdict *)
-        let die_search_failure f =
-          (match f with
-          | Search.Budget_exhausted when deadline_expired deadline ->
-            die_timed_out ()
-          | _ -> ());
-          prerr_endline ("ezrt: " ^ Search.failure_to_string f);
-          exit 1
-        in
-        let charts model segments =
-          if gantt then Format.printf "@.%s" (Chart.render model segments);
-          match vcd with
-          | Some path ->
-            Vcd.save_file path model segments;
-            Printf.printf "VCD written to %s\n" path
-          | None -> ()
-        in
-        let finish artifact =
-          Format.printf "%a" report artifact;
-          charts artifact.model artifact.segments
-        in
-        (* the class and portfolio engines return a bare schedule:
-           certify it, then print the engine's summary line, the table
-           and the optional chart and waveform *)
-        let finish_schedule model schedule summary =
-          let segments = Timeline.of_schedule model schedule in
-          match Validator.check model segments with
-          | Error vs ->
-            prerr_endline
-              ("ezrt: schedule failed certification: "
-              ^ Validator.violation_to_string (List.hd vs));
-            exit 1
-          | Ok () ->
-            Format.printf "%s@.schedule table:@.%a" summary (Table.pp model)
-              (Table.of_segments segments);
-            charts model segments
+        let cancel = cancel_of_timeout timeout in
+        (* print the engine's summary line, the table and the optional
+           chart and waveform of a certified schedule, or die with the
+           verdict *)
+        let solve :
+            type r.
+            r Pipeline.engine ->
+            (r -> Schedule.t -> Table.item list -> string) ->
+            unit =
+         fun engine summary ->
+          match Pipeline.solve ~engine ~cancel model with
+          | Error e -> or_die (Error (Pipeline.error_to_string e))
+          | Ok { verdict = Certified { schedule; segments }; run; _ } -> (
+            let table = Table.of_segments segments in
+            Format.printf "%s@.schedule table:@.%a" (summary run schedule table)
+              (Table.pp model) table;
+            if gantt then Format.printf "@.%s" (Chart.render model segments);
+            match vcd with
+            | Some path ->
+              Vcd.save_file path model segments;
+              Printf.printf "VCD written to %s\n" path
+            | None -> ())
+          | Ok { verdict = Infeasible (Some w); _ } ->
+            or_die
+              (Error
+                 ("analysis pre-pass decided: infeasible — "
+                 ^ Schedulability.witness_to_string w))
+          | Ok { verdict = Infeasible None; _ } ->
+            or_die
+              (Error
+                 (match engine with
+                 | Pipeline.Classes _ ->
+                   Class_search.failure_to_string Class_search.Infeasible
+                 | Pipeline.Discrete _ | Pipeline.Portfolio _ ->
+                   Search.failure_to_string Search.Infeasible))
+          | Ok { verdict = Timed_out; _ } -> die_timed_out ()
+          | Ok { verdict = Undecided why; _ } -> or_die (Error why)
         in
         match engine with
-        | `Discrete -> (
-          let search = search_options policy no_po latest max_states in
-          match synthesize ~search ~cancel spec with
-          | Ok artifact -> finish artifact
-          | Error (No_schedule (f, _)) -> die_search_failure f
-          | Error e ->
-            prerr_endline ("ezrt: " ^ error_to_string e);
-            exit 1)
-        | `Classes -> (
-          let model = Translate.translate spec in
-          let subsume = not no_subsume in
-          let outcome, metrics =
-            Class_search.find_schedule ~max_stored:max_states ~subsume ~cancel
-              model
-          in
-          match outcome with
-          | Ok schedule ->
-            finish_schedule model schedule
-              (Printf.sprintf
-                 "class engine: %d classes stored (%d pruned eagerly, %d \
-                  subsumed), %d backtracks, %.1f ms"
-                 metrics.Class_search.stored metrics.Class_search.eager
-                 metrics.Class_search.subsumed metrics.Class_search.backtracks
-                 (metrics.Class_search.elapsed_s *. 1000.))
-          | Error f ->
-            (match f with
-            | Class_search.Budget_exhausted when deadline_expired deadline ->
-              die_timed_out ()
-            | _ -> ());
-            prerr_endline ("ezrt: " ^ Class_search.failure_to_string f);
-            exit 1)
-        | `Portfolio -> (
-          let model = Translate.translate spec in
-          let portfolio =
-            Portfolio.find_schedule ~max_stored:max_states
-              ~analysis:(not no_analysis) ~cancel model
-          in
-          match portfolio.Portfolio.outcome with
-          | Ok schedule ->
-            finish_schedule model schedule
-              (match (portfolio.Portfolio.winner, portfolio.Portfolio.prepass)
-               with
+        | `Discrete ->
+          solve
+            (Pipeline.Discrete (search_options policy no_po latest max_states))
+            (fun m schedule table ->
+              Format.asprintf
+                "specification : %a@.net           : %a@.search        : %d \
+                 states stored (%d visited, %d pruned eagerly), %d \
+                 backtracks, %.1f ms@.schedule      : %d firings, makespan \
+                 %d, %d table rows"
+                Spec.pp spec Pnet.pp_summary model.Translate.net
+                m.Search.stored m.Search.visited m.Search.eager
+                m.Search.backtracks (m.Search.elapsed_s *. 1000.)
+                (Schedule.length schedule) (Schedule.makespan schedule)
+                (List.length table))
+        | `Classes ->
+          solve
+            (Pipeline.Classes
+               { subsume = not no_subsume; max_stored = max_states })
+            (fun m _ _ ->
+              Printf.sprintf
+                "class engine: %d classes stored (%d pruned eagerly, %d \
+                 subsumed), %d backtracks, %.1f ms"
+                m.Search.stored m.Search.eager m.Search.subsumed
+                m.Search.backtracks (m.Search.elapsed_s *. 1000.))
+        | `Portfolio ->
+          solve
+            (Pipeline.Portfolio
+               { analysis = not no_analysis; max_stored = max_states })
+            (fun p _ _ ->
+              match (p.Portfolio.winner, p.Portfolio.prepass) with
               | None, Portfolio.Prepass_accepted ->
                 Printf.sprintf
                   "portfolio: analysis pre-pass decided (certified EDF \
                    quick-accept, no search ran), %.1f ms"
-                  (portfolio.Portfolio.elapsed_s *. 1000.)
+                  (p.Portfolio.elapsed_s *. 1000.)
               | winner, _ ->
-                Printf.sprintf
-                  "portfolio: %s won (%d member(s) run), %.1f ms"
+                Printf.sprintf "portfolio: %s won (%d member(s) run), %.1f ms"
                   (match winner with
                   | Some cfg -> Portfolio.config_to_string cfg
                   | None -> "?")
-                  portfolio.Portfolio.configs_started
-                  (portfolio.Portfolio.elapsed_s *. 1000.))
-          | Error f ->
-            (match portfolio.Portfolio.prepass with
-            | Portfolio.Prepass_rejected w ->
-              prerr_endline
-                ("ezrt: analysis pre-pass decided: infeasible — "
-                ^ Schedulability.witness_to_string w);
-              exit 1
-            | _ -> die_search_failure f)))
+                  p.Portfolio.configs_started
+                  (p.Portfolio.elapsed_s *. 1000.)))
   in
   Cmd.v
     (Cmd.info "schedule" ~doc:"Synthesize a feasible pre-runtime schedule.")
@@ -339,32 +313,28 @@ let analyze_cmd =
         (Validate.error_to_string e);
       2
     | [] -> (
-      let model = Translate.translate spec in
-      match Schedulability.analyze model with
-      | Schedulability.Infeasible w ->
+      match Portfolio.run_prepass (Translate.translate spec) with
+      | Portfolio.Prepass_rejected w, _ ->
         Format.printf "analytic verdict: infeasible@.witness [%s]: %s@."
           (Schedulability.witness_kind w)
           (Schedulability.witness_to_string w);
         1
-      | Schedulability.Feasible actions -> (
-        let schedule = Schedule.of_actions actions in
-        match Validator.certify model schedule with
-        | Ok _ ->
-          Format.printf
-            "analytic verdict: feasible (certified EDF schedule, %d \
-             firings)@."
-            (Schedule.length schedule);
-          0
-        | Error failure ->
-          (* acceptance is never taken on faith: a certificate that
-             fails certification downgrades the verdict *)
-          Format.printf
-            "analytic verdict: unknown (quick-accept certificate failed \
-             certification: %s)@."
-            (Validator.certification_failure_to_string failure);
-          2)
-      | Schedulability.Unknown why ->
-        Format.printf "analytic verdict: unknown (%s)@." why;
+      | _, Some schedule ->
+        Format.printf
+          "analytic verdict: feasible (certified EDF schedule, %d firings)@."
+          (Schedule.length schedule);
+        0
+      | Portfolio.Prepass_uncertified why, None ->
+        (* acceptance is never taken on faith: a certificate that
+           fails certification downgrades the verdict *)
+        Format.printf
+          "analytic verdict: unknown (quick-accept certificate failed \
+           certification: %s)@."
+          why;
+        2
+      | prepass, None ->
+        Format.printf "analytic verdict: %s@."
+          (Portfolio.prepass_to_string prepass);
         2)
   in
   let run () file case sensitivity spec_only =
@@ -426,8 +396,7 @@ let model_check_cmd =
                  TPN semantics; over-approximates).")
   in
   let run () file case query max_states classes unprioritized =
-    with_valid_spec file case (fun spec ->
-        let model = Translate.translate spec in
+    with_model file case (fun _ model ->
         match Query.parse query with
         | Error msg ->
           prerr_endline ("ezrt: query syntax: " ^ msg);
@@ -595,7 +564,7 @@ let simulate_cmd =
 
 let compare_cmd =
   let run () file case =
-    with_valid_spec file case (fun spec ->
+    with_model file case (fun spec _ ->
         let rows = Baseline_compare.run_all spec in
         Format.printf "%a" Baseline_compare.pp rows)
   in

@@ -98,15 +98,6 @@ type verdict =
   | Feasible of (Ezrt_tpn.Pnet.transition_id * int) list
   | Unknown of string
 
-let verdict_to_string = function
-  | Infeasible w ->
-    Printf.sprintf "infeasible (%s: %s)" (witness_kind w)
-      (witness_to_string w)
-  | Feasible actions ->
-    Printf.sprintf "feasible (EDF certificate, %d firings)"
-      (List.length actions)
-  | Unknown why -> Printf.sprintf "unknown (%s)" why
-
 (* --- absolute instance times ----------------------------------------- *)
 
 let arrival (t : Task.t) k = sat_add t.Task.phase (sat_mul k t.Task.period)

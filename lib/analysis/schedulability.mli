@@ -95,8 +95,6 @@ type verdict =
           [Validator.certify]) before trusting it. *)
   | Unknown of string
 
-val verdict_to_string : verdict -> string
-
 val demand : Spec.t -> t1:int -> t2:int -> int
 (** Processor demand of the interval [\[t1, t2\]]: the summed WCET of
     the instances that must execute entirely inside it — ready time

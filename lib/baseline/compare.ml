@@ -1,9 +1,7 @@
 module Spec = Ezrt_spec.Spec
 module Task = Ezrt_spec.Task
-module Translate = Ezrt_blocks.Translate
 module Search = Ezrt_sched.Search
-module Timeline = Ezrt_sched.Timeline
-module Validator = Ezrt_sched.Validator
+module Pipeline = Ezrt_sched.Pipeline
 
 type row = {
   approach : string;
@@ -23,29 +21,23 @@ let runtime_row spec (name, policy) =
   in
   { approach = name; feasible = result.Sim.feasible; detail }
 
-let pre_runtime_row ?search spec =
-  let model = Translate.translate spec in
-  let outcome, metrics = Search.find_schedule ?options:search model in
-  match outcome with
-  | Ok schedule ->
-    let segments = Timeline.of_schedule model schedule in
-    let certified =
-      match Validator.check model segments with Ok () -> true | Error _ -> false
-    in
-    {
-      approach = "pre-runtime (dfs)";
-      feasible = certified;
-      detail =
-        Printf.sprintf "%d states, %.1f ms%s" metrics.Search.stored
-          (metrics.Search.elapsed_s *. 1000.)
-          (if certified then "" else "; VALIDATOR REJECTED");
-    }
-  | Error f ->
-    {
-      approach = "pre-runtime (dfs)";
-      feasible = false;
-      detail = Search.failure_to_string f;
-    }
+let pre_runtime_row ?(search = Search.default_options) spec =
+  let feasible, detail =
+    match
+      Result.bind (Pipeline.translate spec)
+        (Pipeline.solve ~engine:(Pipeline.Discrete search))
+    with
+    | Ok { Pipeline.verdict = Pipeline.Certified _; run = m; _ } ->
+      ( true,
+        Printf.sprintf "%d states, %.1f ms" m.Search.stored
+          (m.Search.elapsed_s *. 1000.) )
+    | Ok { verdict = Infeasible _; _ } ->
+      (false, Search.failure_to_string Search.Infeasible)
+    | Ok { verdict = Timed_out; _ } -> (false, "timed out")
+    | Ok { verdict = Undecided why; _ } -> (false, why)
+    | Error e -> (false, Pipeline.error_to_string e)
+  in
+  { approach = "pre-runtime (dfs)"; feasible; detail }
 
 let run_all ?search spec =
   List.map (runtime_row spec) Sim.all_policies @ [ pre_runtime_row ?search spec ]

@@ -17,10 +17,7 @@
 
 open Ezrt_tpn
 
-val prio_deadline_ok : int
-val prio_finish : int
 val prio_bookkeeping : int
-val prio_arrival : int
 val prio_deadline_miss : int
 
 (** {1 Global blocks} *)

@@ -41,6 +41,7 @@ module Sensitivity = Ezrt_sched.Sensitivity
 module Vcd = Ezrt_sched.Vcd
 module Class_search = Ezrt_sched.Class_search
 module Portfolio = Ezrt_sched.Portfolio
+module Pipeline = Ezrt_sched.Pipeline
 module Class_store = Ezrt_tpn.Class_store
 module Target = Ezrt_codegen.Target
 module Emit = Ezrt_codegen.Emit
@@ -78,41 +79,37 @@ type error =
 
 let error_to_string = function
   | Invalid_spec errors ->
-    Printf.sprintf "invalid specification: %s"
-      (String.concat "; " (List.map Validate.error_to_string errors))
+    Pipeline.error_to_string (Pipeline.Invalid_spec errors)
   | No_schedule (f, m) ->
     Printf.sprintf "no schedule: %s (after %d states, %.1f ms)"
       (Search.failure_to_string f) m.Search.stored
       (m.Search.elapsed_s *. 1000.)
   | Not_certified violations ->
-    Printf.sprintf "schedule failed certification: %s"
-      (String.concat "; " (List.map Validator.violation_to_string violations))
+    Pipeline.error_to_string (Pipeline.Not_certified violations)
 
 let version = "1.0.0"
 
-let synthesize ?search ?cancel ?(target = Target.hosted) spec =
+let synthesize ?(search = Search.default_options) ?cancel
+    ?(target = Target.hosted) spec =
   Obs_trace.with_span ~cat:"synthesize"
     ~args:[ ("spec", Obs_trace.Str spec.Spec.name) ]
     (fun () ->
-      match (Validate.check spec).Validate.errors with
-      | _ :: _ as errors -> Error (Invalid_spec errors)
-      | [] -> (
-        let model = Translate.translate spec in
-        let outcome, metrics = Search.find_schedule ?options:search ?cancel model in
-        match outcome with
-        | Error f -> Error (No_schedule (f, metrics))
-        | Ok schedule -> (
-          let segments = Timeline.of_schedule model schedule in
-          match
-            Obs_trace.with_span ~cat:"synthesize"
-              (fun () -> Validator.check model segments)
-              "certify"
-          with
-          | Error violations -> Error (Not_certified violations)
-          | Ok () ->
-            let table = Table.of_segments segments in
-            let c_program = Emit.program ~target model table in
-            Ok { spec; model; schedule; segments; table; c_program; metrics })))
+      match
+        Result.bind (Pipeline.translate spec)
+          (Pipeline.solve ~engine:(Pipeline.Discrete search) ?cancel)
+      with
+      | Error (Pipeline.Invalid_spec errors) -> Error (Invalid_spec errors)
+      | Error (Pipeline.Not_certified violations) ->
+        Error (Not_certified violations)
+      | Ok { verdict = Certified { schedule; segments }; model; run = metrics }
+        ->
+        let table = Table.of_segments segments in
+        let c_program = Emit.program ~target model table in
+        Ok { spec; model; schedule; segments; table; c_program; metrics }
+      | Ok { verdict = Infeasible _; run = metrics; _ } ->
+        Error (No_schedule (Search.Infeasible, metrics))
+      | Ok { verdict = Timed_out | Undecided _; run = metrics; _ } ->
+        Error (No_schedule (Search.Budget_exhausted, metrics)))
     "synthesize"
 
 let synthesize_exn ?search ?cancel ?target spec =

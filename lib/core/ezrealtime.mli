@@ -61,6 +61,11 @@ module Sensitivity = Ezrt_sched.Sensitivity
 module Vcd = Ezrt_sched.Vcd
 module Class_search = Ezrt_sched.Class_search
 module Portfolio = Ezrt_sched.Portfolio
+
+module Pipeline = Ezrt_sched.Pipeline
+(** Validate → translate → engine → certify, shared by {!synthesize},
+    [ezrt schedule] and {!Server.solve}. *)
+
 module Class_store = Ezrt_tpn.Class_store
 module Target = Ezrt_codegen.Target
 module Emit = Ezrt_codegen.Emit

@@ -459,5 +459,3 @@ let check ?(max_stored = 50_000) ?engines ?(extra = []) spec =
         results = List.map (fun (engine, verdict) -> { engine; verdict }) results;
         divergences = List.rev !divergences;
       })
-
-let failing ?max_stored spec = (check ?max_stored spec).divergences <> []

@@ -106,5 +106,3 @@ val check :
     contradicts any engine's [Infeasible].  The [portfolio] row runs
     with [~analysis:false] so it stays an independent search result. *)
 
-val failing : ?max_stored:int -> Ezrt_spec.Spec.t -> bool
-(** [divergences <> []] — the predicate handed to {!Shrink.minimize}. *)

@@ -12,12 +12,6 @@ let severity_to_string = function
 
 let severity_rank = function Info -> 0 | Warning -> 1 | Error -> 2
 
-let severity_of_string = function
-  | "info" -> Some Info
-  | "warning" -> Some Warning
-  | "error" -> Some Error
-  | _ -> None
-
 type diagnostic = {
   code : string;
   severity : severity;
@@ -58,14 +52,6 @@ let catalogue =
 
 let count sev report =
   List.length (List.filter (fun d -> d.severity = sev) report.diagnostics)
-
-let max_severity report =
-  List.fold_left
-    (fun acc d ->
-      match acc with
-      | Some s when severity_rank s >= severity_rank d.severity -> acc
-      | _ -> Some d.severity)
-    None report.diagnostics
 
 let deny_hit ~deny report =
   List.exists

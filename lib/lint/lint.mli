@@ -24,11 +24,8 @@ open Ezrt_tpn
 
 type severity = Info | Warning | Error
 
-val severity_to_string : severity -> string
 val severity_rank : severity -> int
 (** [Info] = 0, [Warning] = 1, [Error] = 2. *)
-
-val severity_of_string : string -> severity option
 
 type diagnostic = {
   code : string;  (** stable identifier, e.g. ["EZRT-L005"] *)
@@ -65,9 +62,6 @@ val catalogue : (string * severity * string) list
     code order.  The SARIF renderer emits these as the tool rules. *)
 
 val count : severity -> report -> int
-
-val max_severity : report -> severity option
-(** The worst severity present, [None] on a clean report. *)
 
 val deny_hit : deny:severity -> report -> bool
 (** Whether any diagnostic sits at or above the [deny] threshold. *)

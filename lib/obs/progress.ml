@@ -31,8 +31,6 @@ let current : t option ref = ref None
 
 let install t = current := Some t
 let uninstall () = current := None
-let enabled () = !current <> None
-
 let emit_if_due t snapshot =
   let now = t.clock () in
   Mutex.lock t.lock;

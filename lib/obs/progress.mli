@@ -27,7 +27,6 @@ val create :
 
 val install : t -> unit
 val uninstall : unit -> unit
-val enabled : unit -> bool
 
 val tick : (unit -> string) -> unit
 (** Hot-path tick: cheap counter bump; every [every]-th call checks

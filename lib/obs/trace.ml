@@ -48,7 +48,6 @@ let current : t option ref = ref None
 
 let install t = current := Some t
 let uninstall () = current := None
-let installed () = !current
 let enabled () = !current <> None
 
 let record t name cat phase args =

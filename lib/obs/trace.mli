@@ -45,7 +45,6 @@ val install : t -> unit
 
 val uninstall : unit -> unit
 
-val installed : unit -> t option
 val enabled : unit -> bool
 
 (** {1 Recording}

@@ -252,11 +252,6 @@ let of_string s =
     Error { context = "XML"; message = Ezrt_xml.Parser.error_to_string e }
   | Ok node -> of_xml node
 
-let of_string_exn s =
-  match of_string s with
-  | Ok net -> net
-  | Error e -> failwith (error_to_string e)
-
 let save_file path net =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (to_string net))

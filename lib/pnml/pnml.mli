@@ -8,7 +8,6 @@
     travel in a [toolspecific tool="ezrealtime"] extension on each
     transition, as the standard prescribes for tool extensions. *)
 
-val tool_name : string
 val net_type : string
 
 val to_xml : Ezrt_tpn.Pnet.t -> Ezrt_xml.Doc.node
@@ -26,7 +25,6 @@ val of_xml : Ezrt_xml.Doc.node -> (Ezrt_tpn.Pnet.t, error) result
     of an untimed PNML transition. *)
 
 val of_string : string -> (Ezrt_tpn.Pnet.t, error) result
-val of_string_exn : string -> Ezrt_tpn.Pnet.t
 
 val save_file : string -> Ezrt_tpn.Pnet.t -> unit
 val load_file : string -> (Ezrt_tpn.Pnet.t, error) result

@@ -129,13 +129,13 @@ let run_prepass model =
   match A.analyze model with
   | A.Infeasible w ->
     count_prepass "reject";
-    (Prepass_rejected w, Some (Error Search.Infeasible))
+    (Prepass_rejected w, None)
   | A.Feasible actions -> (
     let schedule = Schedule.of_actions actions in
     match Validator.certify model schedule with
     | Ok _ ->
       count_prepass "accept";
-      (Prepass_accepted, Some (Ok schedule))
+      (Prepass_accepted, Some schedule)
     | Error f ->
       count_prepass "uncertified";
       ( Prepass_uncertified (Validator.certification_failure_to_string f),
@@ -147,12 +147,18 @@ let run_prepass model =
 let find_schedule ?(max_stored = 500_000) ?domains:_ ?(analysis = true)
     ?(cancel = Search.no_cancel) model =
   let started_at = Unix.gettimeofday () in
-  let prepass, decided =
+  let prepass, certificate =
     if analysis then run_prepass model
     else begin
       count_prepass "off";
       (Prepass_off, None)
     end
+  in
+  let decided =
+    match (prepass, certificate) with
+    | Prepass_rejected _, _ -> Some (Error Search.Infeasible)
+    | _, Some schedule -> Some (Ok schedule)
+    | _, None -> None
   in
   let finish outcome winner attempts =
     {

@@ -4,9 +4,11 @@
     first, then the discrete search under FIFO ordering, then the
     dense-time class engine.  The first member to schedule wins.  The
     class engine is complete, so its exhaustion alone proves the spec
-    infeasible; the discrete member's exhaustion proves nothing.  Any
-    returned schedule goes through the same certification pipeline as
-    single-engine results ({!Validator.check}). *)
+    infeasible; the discrete member's exhaustion proves nothing.  The
+    portfolio certifies only the pre-pass's EDF certificate; its
+    callers run it through {!Pipeline.solve}, which certifies every
+    schedule it returns with {!Validator.check}, as for the single
+    engines. *)
 
 type config =
   | Discrete
@@ -45,6 +47,13 @@ type prepass =
           differential fuzzer treats this as a divergence) *)
 
 val prepass_to_string : prepass -> string
+
+val run_prepass : Ezrt_blocks.Translate.t -> prepass * Schedule.t option
+(** The analytic pre-pass alone: {!Ezrt_analysis.Schedulability.analyze},
+    with a feasible claim kept only if its EDF schedule passes
+    {!Validator.certify}.  Never [Prepass_off]; the schedule is that
+    certified certificate, [Some] exactly on [Prepass_accepted].
+    Counts the outcome in [ezrt_analysis_prepass_total]. *)
 
 type t = {
   outcome : (Schedule.t, Search.failure) result;

@@ -1,6 +1,5 @@
 module Spec = Ezrt_spec.Spec
 module Task = Ezrt_spec.Task
-module Translate = Ezrt_blocks.Translate
 
 type row = {
   task : string;
@@ -24,16 +23,20 @@ let with_wcet spec task_id wcet =
         spec.Spec.tasks;
   }
 
+(* One probe, counted in [syntheses]: the candidate validates and the
+   discrete engine finds it a certified schedule. *)
+let schedulable ?(options = Search.default_options) syntheses candidate =
+  incr syntheses;
+  match
+    Result.bind (Pipeline.translate candidate)
+      (Pipeline.solve ~engine:(Pipeline.Discrete options))
+  with
+  | Ok { Pipeline.verdict = Pipeline.Certified _; _ } -> true
+  | Ok _ | Error _ -> false
+
 let analyze ?options ?(limit_factor = 16) spec =
   let syntheses = ref 0 in
-  let schedulable candidate =
-    incr syntheses;
-    Ezrt_spec.Validate.is_valid candidate
-    &&
-    match Search.find_schedule ?options (Translate.translate candidate) with
-    | Ok _, _ -> true
-    | Error _, _ -> false
-  in
+  let schedulable = schedulable ?options syntheses in
   if not (Ezrt_spec.Validate.is_valid spec) then
     Error "specification does not validate"
   else if not (schedulable spec) then
@@ -95,14 +98,7 @@ let with_deadline spec task_id deadline =
 
 let deadline_margins ?options spec =
   let syntheses = ref 0 in
-  let schedulable candidate =
-    incr syntheses;
-    Ezrt_spec.Validate.is_valid candidate
-    &&
-    match Search.find_schedule ?options (Translate.translate candidate) with
-    | Ok _, _ -> true
-    | Error _, _ -> false
-  in
+  let schedulable = schedulable ?options syntheses in
   if not (Ezrt_spec.Validate.is_valid spec) then
     Error "specification does not validate"
   else if not (schedulable spec) then

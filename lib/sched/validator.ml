@@ -186,11 +186,3 @@ let certify model schedule =
         match check model segments with
         | Ok () -> Ok segments
         | Error vs -> Error (Violations vs)))
-
-let check_exn model segments =
-  match check model segments with
-  | Ok () -> ()
-  | Error vs ->
-    failwith
-      (Printf.sprintf "timeline violates the specification: %s"
-         (String.concat "; " (List.map violation_to_string vs)))

@@ -29,9 +29,6 @@ val violation_to_string : violation -> string
 val check :
   Ezrt_blocks.Translate.t -> Timeline.segment list -> (unit, violation list) result
 
-val check_exn : Ezrt_blocks.Translate.t -> Timeline.segment list -> unit
-(** Raises [Failure] listing the violations. *)
-
 (** Full certification of a synthesized firing schedule: replay it
     through the TPN semantics, require the final marking, derive the
     timeline and run {!check}.  This is the one gate every engine's

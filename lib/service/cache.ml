@@ -454,19 +454,3 @@ let find t ~digest ~spec ~model =
           | None ->
             invalidate ();
             None)))
-
-let get_or_compute t ~digest ~spec ~model ~compute =
-  match find t ~digest ~spec ~model with
-  | Some hit -> Some hit
-  | None -> (
-    match compute () with
-    | None -> None
-    | Some entry -> (
-      (* only certified results enter the cache: an engine bug that
-         produced an uncheckable entry is surfaced as None here, not
-         laundered through the store *)
-      match validate ~spec ~model entry with
-      | Some hit ->
-        store t ~digest entry;
-        Some hit
-      | None -> None))

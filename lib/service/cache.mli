@@ -84,22 +84,6 @@ val find :
     entry that fails validation is dropped from both tiers and the
     lookup degrades to a miss. *)
 
-val get_or_compute :
-  t ->
-  digest:string ->
-  spec:Spec.t ->
-  model:Ezrt_blocks.Translate.t ->
-  compute:(unit -> entry option) ->
-  validated option
-(** {!find}; on a miss, run [compute] and — when it yields a cacheable
-    entry that passes validation — {!store} it and return the
-    validated hit.  [None] means the computation itself produced
-    nothing cacheable (the caller already has its own outcome).
-    Concurrent callers on the same digest may duplicate the compute
-    (both results are certified, so either may be stored — the store
-    is last-writer-wins and both answers are valid); callers never
-    observe a half-written entry. *)
-
 (** {1 Accounting} *)
 
 type counters = {

@@ -265,8 +265,6 @@ let member key = function
 
 let to_str = function Str s -> Some s | _ -> None
 
-let to_num = function Num f -> Some f | _ -> None
-
 let to_int = function
   | Num f when Float.is_integer f -> Some (int_of_float f)
   | _ -> None

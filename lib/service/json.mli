@@ -31,4 +31,3 @@ val member : string -> t -> t option
 
 val to_str : t -> string option
 val to_int : t -> int option
-val to_num : t -> float option

@@ -1,12 +1,12 @@
 (* Synthesis job server: a bounded queue drained by worker domains.
 
    Every job runs the same pipeline as `ezrt schedule --engine
-   portfolio` — analytic pre-pass, then discrete search, then classes —
-   behind the shared re-validating cache.  The pool's concurrency lives
-   at the job level: each portfolio runs on its worker's domain. *)
+   portfolio` ([Pipeline.solve]: analytic pre-pass, then discrete
+   search, then classes, then certification) behind the shared
+   re-validating cache.  The pool's concurrency lives at the job
+   level: each portfolio runs on its worker's domain. *)
 
 module Spec = Ezrt_spec.Spec
-module Validate = Ezrt_spec.Validate
 module Dsl = Ezrt_spec.Dsl
 module Case_studies = Ezrt_spec.Case_studies
 module Translate = Ezrt_blocks.Translate
@@ -15,6 +15,7 @@ module Pnet = Ezrt_tpn.Pnet
 module Schedule = Ezrt_sched.Schedule
 module Search = Ezrt_sched.Search
 module Portfolio = Ezrt_sched.Portfolio
+module Pipeline = Ezrt_sched.Pipeline
 module Metrics = Ezrt_obs.Metrics
 module Trace = Ezrt_obs.Trace
 
@@ -50,13 +51,11 @@ let jobs_metric which =
     ("ezrt_service_jobs_" ^ which ^ "_total")
 
 let solve ?cache ?(max_states = 500_000) ?deadline_at spec =
-  match (Validate.check spec).Validate.errors with
-  | e :: _ ->
-    Error ("invalid specification: " ^ Validate.error_to_string e)
-  | [] ->
-    let started = Unix.gettimeofday () in
+  let started = Unix.gettimeofday () in
+  match Pipeline.translate spec with
+  | Error e -> Error (Pipeline.error_to_string e)
+  | Ok model -> (
     let digest = Spec_digest.digest spec in
-    let model = Translate.translate spec in
     let finish ?(cached = false) ~engine ~stored verdict =
       {
         verdict;
@@ -67,85 +66,77 @@ let solve ?cache ?(max_states = 500_000) ?deadline_at spec =
         stored_states = stored;
       }
     in
-    let hit =
-      match cache with
-      | None -> None
-      | Some c -> Cache.find c ~digest ~spec ~model
+    let feasible schedule =
+      Feasible
+        {
+          firings = Schedule.length schedule;
+          makespan = Schedule.makespan schedule;
+        }
     in
-    (match hit with
+    match Option.bind cache (fun c -> Cache.find c ~digest ~spec ~model) with
     | Some (Cache.Hit_feasible (schedule, _segments)) ->
-      Ok
-        (finish ~cached:true ~engine:"cache" ~stored:0
-           (Feasible
-              {
-                firings = Schedule.length schedule;
-                makespan = Schedule.makespan schedule;
-              }))
+      Ok (finish ~cached:true ~engine:"cache" ~stored:0 (feasible schedule))
     | Some (Cache.Hit_infeasible w) ->
       Ok (finish ~cached:true ~engine:"cache" ~stored:0 (Infeasible (Some w)))
-    | None ->
+    | None -> (
       let cancel () =
         match deadline_at with
         | None -> false
         | Some d -> Unix.gettimeofday () > d
       in
-      let portfolio =
-        Portfolio.find_schedule ~max_stored:max_states ~cancel model
-      in
-      let stored =
-        List.fold_left
-          (fun acc (a : Portfolio.attempt) ->
-            acc + a.Portfolio.metrics.Search.stored)
-          0 portfolio.Portfolio.attempts
-      in
-      let engine =
-        match (portfolio.Portfolio.winner, portfolio.Portfolio.prepass) with
-        | Some cfg, _ -> Portfolio.config_to_string cfg
-        | None, (Portfolio.Prepass_accepted | Portfolio.Prepass_rejected _) ->
-          "prepass"
-        | None, _ -> "portfolio"
-      in
-      let store_entry verdict =
-        match cache with
-        | None -> ()
-        | Some c ->
-          Cache.store c ~digest
-            {
-              Cache.verdict;
-              engine;
-              elapsed_ms = portfolio.Portfolio.elapsed_s *. 1000.;
-              stored_states = stored;
-            }
-      in
-      (match portfolio.Portfolio.outcome with
-      | Ok schedule ->
-        let net = model.Translate.net in
-        let actions =
-          List.map
-            (fun (e : Schedule.entry) ->
-              (Pnet.transition_name net e.Schedule.tid, e.Schedule.delay))
-            schedule.Schedule.entries
+      match
+        Pipeline.solve
+          ~engine:(Pipeline.Portfolio { analysis = true; max_stored = max_states })
+          ~cancel model
+      with
+      | Error e -> Error (Pipeline.error_to_string e)
+      | Ok { Pipeline.verdict; run = portfolio; _ } ->
+        let stored =
+          List.fold_left
+            (fun acc (a : Portfolio.attempt) ->
+              acc + a.Portfolio.metrics.Search.stored)
+            0 portfolio.Portfolio.attempts
         in
-        store_entry (Cache.Feasible actions);
-        Ok
-          (finish ~engine ~stored
-             (Feasible
+        let engine =
+          match (portfolio.Portfolio.winner, portfolio.Portfolio.prepass) with
+          | Some cfg, _ -> Portfolio.config_to_string cfg
+          | None, (Portfolio.Prepass_accepted | Portfolio.Prepass_rejected _) ->
+            "prepass"
+          | None, _ -> "portfolio"
+        in
+        let store_entry verdict =
+          Option.iter
+            (fun c ->
+              Cache.store c ~digest
                 {
-                  firings = Schedule.length schedule;
-                  makespan = Schedule.makespan schedule;
-                }))
-      | Error Search.Infeasible -> (
-        match portfolio.Portfolio.prepass with
-        | Portfolio.Prepass_rejected w ->
-          store_entry (Cache.Infeasible w);
-          Ok (finish ~engine ~stored (Infeasible (Some w)))
-        | _ ->
+                  Cache.verdict;
+                  engine;
+                  elapsed_ms = portfolio.Portfolio.elapsed_s *. 1000.;
+                  stored_states = stored;
+                })
+            cache
+        in
+        let net = model.Translate.net in
+        let verdict =
+          match verdict with
+          | Pipeline.Certified { schedule; _ } ->
+            store_entry
+              (Cache.Feasible
+                 (List.map
+                    (fun (e : Schedule.entry) ->
+                      (Pnet.transition_name net e.Schedule.tid, e.Schedule.delay))
+                    schedule.Schedule.entries));
+            feasible schedule
+          | Pipeline.Infeasible (Some w) ->
+            store_entry (Cache.Infeasible w);
+            Infeasible (Some w)
           (* exhaustion proofs carry no witness to re-check later, so
              they are reported but never cached *)
-          Ok (finish ~engine ~stored (Infeasible None)))
-      | Error Search.Budget_exhausted ->
-        if cancel () then Ok (finish ~engine ~stored Timed_out)
-        else Ok (finish ~engine ~stored Inconclusive)))
+          | Pipeline.Infeasible None -> Infeasible None
+          | Pipeline.Timed_out -> Timed_out
+          | Pipeline.Undecided _ -> Inconclusive
+        in
+        Ok (finish ~engine ~stored verdict)))
 
 (* --- the worker pool -------------------------------------------------- *)
 
@@ -282,12 +273,6 @@ let submit t req ~on_done =
     Atomic.incr t.shed;
     Metrics.incr (jobs_metric "shed"));
   decision
-
-let queue_depth t =
-  Mutex.lock t.mutex;
-  let n = Queue.length t.jobs in
-  Mutex.unlock t.mutex;
-  n
 
 let shed_count t = Atomic.get t.shed
 

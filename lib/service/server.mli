@@ -47,12 +47,15 @@ val solve :
   ?deadline_at:float ->
   Spec.t ->
   (outcome, string) result
-(** Validate, translate, consult the cache (every hit re-validated,
-    see {!Cache}), and on a miss run {!Ezrt_sched.Portfolio} and store
-    any checkable result.  [deadline_at] is an absolute
-    [Unix.gettimeofday] instant mapped onto the engines' [cancel]
-    hooks.  The portfolio runs on the calling worker's domain and is
-    deterministic.  [Error] only for invalid specifications. *)
+(** Validate and translate ({!Ezrt_sched.Pipeline.translate}), consult
+    the cache (every hit re-validated, see {!Cache}), and on a miss run
+    the portfolio through {!Ezrt_sched.Pipeline.solve}, which certifies
+    its schedule, then store any checkable result.  [deadline_at] is an
+    absolute [Unix.gettimeofday] instant mapped onto the engines'
+    [cancel] hooks.  The portfolio runs on the calling worker's domain
+    and is deterministic.  [Error] for an invalid specification, and
+    for a schedule that fails certification (a library bug): such a
+    schedule is neither reported nor cached. *)
 
 (** {1 The worker pool} *)
 
@@ -85,9 +88,6 @@ val submit : t -> request -> on_done:(response -> unit) -> [ `Accepted | `Overlo
     is answered [Timed_out] without running.  [`Overloaded] when the
     queue is at [queue_limit] (counted in
     [ezrt_service_jobs_shed_total]) or the pool is shutting down. *)
-
-val queue_depth : t -> int
-(** Jobs accepted and not yet picked up by a worker. *)
 
 val shed_count : t -> int
 

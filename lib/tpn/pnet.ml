@@ -148,8 +148,6 @@ module Builder = struct
     if n < 0 then invalid_arg "Builder.add_tokens: negative tokens";
     b.extra_tokens <- (p, n) :: b.extra_tokens
 
-  let place_of_name b name = Hashtbl.find_opt b.place_index name
-  let transition_of_name b name = Hashtbl.find_opt b.trans_index name
   let place_count b = b.n_places
   let transition_count b = b.n_trans
 

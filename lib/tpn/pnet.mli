@@ -106,9 +106,6 @@ module Builder : sig
   val add_tokens : t -> place_id -> int -> unit
   (** Adds to the initial marking of an existing place. *)
 
-  val place_of_name : t -> string -> place_id option
-  val transition_of_name : t -> string -> transition_id option
-
   val place_count : t -> int
   (** Places added so far — a watermark for tagging construction
       phases with their originating spec fragment. *)

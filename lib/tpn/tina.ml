@@ -190,11 +190,6 @@ let of_string text =
   | exception Tina_error e -> Error e
   | exception Invalid_argument msg -> Error { line = 0; message = msg }
 
-let of_string_exn s =
-  match of_string s with
-  | Ok net -> net
-  | Error e -> failwith (error_to_string e)
-
 let save_file path net =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (to_string net))

@@ -26,7 +26,6 @@ type error = { line : int; message : string }
 val error_to_string : error -> string
 
 val of_string : string -> (Pnet.t, error) result
-val of_string_exn : string -> Pnet.t
 
 val save_file : string -> Pnet.t -> unit
 val load_file : string -> (Pnet.t, error) result

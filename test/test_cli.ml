@@ -401,6 +401,107 @@ let test_serve_stdio () =
       [ "\"op\":\"pong\""; "\"id\":\"j1\""; "\"verdict\":\"feasible\"";
         "\"op\":\"shutdown\"" ]
 
+(* --- the schedule transcript -------------------------------------------- *)
+
+(* `ezrt schedule` over every engine and verdict, pinned byte for byte
+   in golden/cli-schedule.txt: the exit code, stdout and stderr of each
+   run, with every "<number> ms" timing masked.  Regenerate with
+
+     EZRT_UPDATE_GOLDEN=1 dune test --force
+     cp _build/default/test/golden/cli-schedule.txt test/golden/ *)
+
+let mask_timings s =
+  let n = String.length s in
+  let b = Buffer.create n in
+  let numeric c = (c >= '0' && c <= '9') || c = '.' in
+  let rec go i =
+    if i < n then
+      if numeric s.[i] then begin
+        let j = ref i in
+        while !j < n && numeric s.[!j] do incr j done;
+        if !j + 3 <= n && String.sub s !j 3 = " ms" then
+          Buffer.add_string b "<t>"
+        else Buffer.add_string b (String.sub s i (!j - i));
+        go !j
+      end
+      else begin
+        Buffer.add_char b s.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents b
+
+(* stdout and stderr kept apart, unlike [run] *)
+let run_split bin args =
+  let out = Filename.temp_file "ezrt_cli" ".out" in
+  let err = Filename.temp_file "ezrt_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove out;
+      Sys.remove err)
+    (fun () ->
+      let code =
+        Sys.command (Filename.quote_command bin ~stdout:out ~stderr:err args)
+      in
+      let read p = In_channel.with_open_bin p In_channel.input_all in
+      (code, read out, read err))
+
+let test_schedule_transcript () =
+  match
+    (Lazy.force binary, Ezrt_spec.Dsl.load_file "../specs/quickstart.xml")
+  with
+  | None, _ -> ()
+  | Some _, Error e -> Alcotest.fail (Ezrt_spec.Dsl.error_to_string e)
+  | Some bin, Ok spec ->
+    (* the invalid spec of [test_invalid_spec_rejected] *)
+    let invalid = Filename.temp_file "ezrt_cli" ".xml" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove invalid)
+      (fun () ->
+        let overrun (t : Ezrt_spec.Task.t) =
+          if t.Ezrt_spec.Task.name = "sample" then { t with wcet = 12 } else t
+        in
+        Ezrt_spec.Dsl.save_file invalid
+          { spec with Ezrt_spec.Spec.tasks = List.map overrun spec.tasks };
+        let engines =
+          [ []; [ "--engine"; "classes" ]; [ "--engine"; "portfolio" ] ]
+        in
+        let cases =
+          [
+            [ "--case"; "fig8" ];
+            [ "--case"; "greedy-trap"; "--engine"; "classes" ];
+            [ "--case"; "fig8"; "--engine"; "portfolio" ];
+            [ "--case"; "fig8"; "--engine"; "portfolio"; "--no-analysis" ];
+            [ "corpus/relations.xml"; "--engine"; "portfolio" ];
+            [ "corpus/relations.xml"; "--engine"; "portfolio"; "--no-analysis" ];
+          ]
+          @ List.map (fun e -> [ "--case"; "mine-pump"; "--max-states"; "2" ] @ e)
+              engines
+          @ List.map (fun e -> [ "--case"; "mine-pump"; "--timeout"; "0" ] @ e)
+              engines
+          @ [ [ "INVALID.xml" ] ]
+        in
+        let transcript args =
+          let code, out, err =
+            run_split bin
+              ("schedule"
+              :: List.map (fun a -> if a = "INVALID.xml" then invalid else a) args)
+          in
+          Printf.sprintf "$ ezrt schedule %s\n[exit %d]\n[stdout]\n%s[stderr]\n%s\n"
+            (String.concat " " args) code (mask_timings out) (mask_timings err)
+        in
+        let actual = String.concat "" (List.map transcript cases) in
+        let path = Filename.concat "golden" "cli-schedule.txt" in
+        if Sys.getenv_opt "EZRT_UPDATE_GOLDEN" <> None then
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc actual)
+        else
+          Alcotest.(check string)
+            "ezrt schedule transcript matches the golden file"
+            (In_channel.with_open_bin path In_channel.input_all)
+            actual)
+
 let suite =
   [
     case "check" test_check;
@@ -437,4 +538,5 @@ let suite =
     slow_case "schedule --timeout exits 124" test_schedule_timeout;
     slow_case "gen + batch cold/warm" test_gen_and_batch_warm;
     slow_case "serve over stdio" test_serve_stdio;
+    case "schedule transcript over every engine" test_schedule_transcript;
   ]

@@ -402,52 +402,42 @@ let test_cache_infeasible_witness_cached () =
   check_string "verdicts identical" (Server.verdict_line cold)
     (Server.verdict_line warm)
 
-let test_cache_concurrent_get_or_compute () =
-  (* 4 domains race get-or-compute on the same digest: every observed
-     answer must be a validated feasible hit, and the cache must end up
-     holding the entry.  Duplicated computes are allowed; lost updates
-     and invalid answers are not. *)
+let test_server_concurrent_solve () =
+  (* 4 domains each solve the same spec 8 times on one shared cache:
+     every answer must be a feasible verdict the cache entry
+     re-validates, and the cache must end up holding the entry.
+     Duplicated computes are allowed; lost updates and invalid answers
+     are not. *)
   let cache = Cache.create () in
   let spec = easy_spec () in
   with_model spec (fun digest model ->
-      let computes = Atomic.make 0 in
       let worker () =
         List.init 8 (fun _ ->
-            Cache.get_or_compute cache ~digest ~spec ~model
-              ~compute:(fun () ->
-                Atomic.incr computes;
-                match (Portfolio.find_schedule model).Portfolio.outcome with
-                | Ok schedule ->
-                  let net = model.Translate.net in
-                  Some
-                    {
-                      Cache.verdict =
-                        Cache.Feasible
-                          (List.map
-                             (fun (e : Schedule.entry) ->
-                               ( Pnet.transition_name net e.Schedule.tid,
-                                 e.Schedule.delay ))
-                             schedule.Schedule.entries);
-                      engine = "test";
-                      elapsed_ms = 0.;
-                      stored_states = 0;
-                    }
-                | Error _ -> None))
+            match Server.solve ~cache spec with
+            | Ok o -> o
+            | Error msg -> Alcotest.failf "solve failed: %s" msg)
       in
       let domains = List.init 4 (fun _ -> Domain.spawn worker) in
       let results = List.concat_map Domain.join domains in
       check_int "every call answered" 32 (List.length results);
+      let schedule =
+        match Cache.find cache ~digest ~spec ~model with
+        | Some (Cache.Hit_feasible (schedule, _)) -> schedule
+        | Some (Cache.Hit_infeasible _) | None ->
+          Alcotest.fail "final state is not a feasible hit"
+      in
       List.iter
-        (fun r ->
-          match r with
-          | Some (Cache.Hit_feasible (schedule, _)) ->
-            check_bool "validated schedule" true (Schedule.length schedule > 0)
-          | Some (Cache.Hit_infeasible _) | None ->
-            Alcotest.fail "lost or wrong answer under contention")
+        (fun (o : Server.outcome) ->
+          match o.Server.verdict with
+          | Server.Feasible { firings; makespan } ->
+            check_bool "validated schedule" true
+              (firings > 0
+              && firings = Schedule.length schedule
+              && makespan = Schedule.makespan schedule)
+          | _ -> Alcotest.fail "lost or wrong answer under contention")
         results;
-      check_bool "computed at least once" true (Atomic.get computes >= 1);
-      check_bool "final state is a hit" true
-        (Cache.find cache ~digest ~spec ~model <> None))
+      check_bool "computed at least once" true
+        (List.exists (fun (o : Server.outcome) -> not o.Server.cached) results))
 
 (* --- Server ----------------------------------------------------------- *)
 
@@ -464,6 +454,30 @@ let test_server_matches_direct_portfolio () =
   | Ok _, Server.Feasible _ -> ()
   | Error Search.Infeasible, Server.Infeasible _ -> ()
   | _ -> Alcotest.fail "service and direct portfolio verdicts diverge"
+
+(* A cold solve certifies the portfolio's schedule before reporting
+   (and caching) it: fig3's precedence relation keeps the analytic
+   pre-pass out, so the discrete member schedules it. *)
+let test_server_certifies_cold_schedule () =
+  let module Trace = Ezrt_obs.Trace in
+  let sink = Trace.create () in
+  Trace.install sink;
+  let o =
+    Fun.protect ~finally:Trace.uninstall (fun () ->
+        match
+          Server.solve ~cache:(Cache.create ())
+            (List.assoc "fig3" Ezrt_spec.Case_studies.all)
+        with
+        | Ok o -> o
+        | Error msg -> Alcotest.failf "solve failed: %s" msg)
+  in
+  check_string "the discrete member scheduled it" "discrete/fifo"
+    o.Server.engine;
+  check_bool "a certify span was recorded" true
+    (List.exists
+       (fun (e : Trace.event) ->
+         e.Trace.name = "certify" && e.Trace.phase = Trace.Begin)
+       (Trace.events sink))
 
 let test_server_timeout_verdict () =
   let server = Server.create ~workers:1 () in
@@ -671,9 +685,11 @@ let suite =
     case "witnessed infeasible is cached and re-checked"
       test_cache_infeasible_witness_cached;
     slow_case "concurrent get-or-compute (4 domains)"
-      test_cache_concurrent_get_or_compute;
+      test_server_concurrent_solve;
     case "service verdict matches direct portfolio"
       test_server_matches_direct_portfolio;
+    case "cold solve certifies before reporting"
+      test_server_certifies_cold_schedule;
     case "expired deadline yields timed-out" test_server_timeout_verdict;
     slow_case "admission control sheds load" test_server_sheds_load;
     case "submissions after shutdown are rejected"
