@@ -1,14 +1,13 @@
 (* Benchmark harness: regenerates every measurable table and figure of
    the paper (see DESIGN.md's experiment index).
 
-   Sections E1-E8 print paper-reported versus measured values; the A
-   sections are the ablations and subsystem measurements DESIGN.md and
-   EXPERIMENTS.md cite.  The search, class, portfolio, service, lint
-   and fuzz sections also append a record to BENCH_search.json.  The
-   harness reports; regression checks live in the tests and in
-   perfbench/.
+   Sections E1-E8 print paper-reported versus measured values; A1-A13
+   are the ablations DESIGN.md's experiment index and EXPERIMENTS.md
+   cite.  Sections that measure a search also append a record to
+   BENCH_search.json.  The harness reports; regression checks live in
+   the tests and in perfbench/.
 
-   Run with:  dune exec bench/main.exe [-- --smoke] *)
+   Run with:  dune exec bench/main.exe *)
 
 open Ezrealtime
 
@@ -843,394 +842,22 @@ let a13 () =
       s.Emit.table_bytes c.Emit.table_bytes
       (c.Emit.fits_flash = Some true))
 
-(* --- A14: portfolio, discrete then classes ------------------------------ *)
-
-let a14 () =
-  section "A14" "Portfolio: discrete then classes";
-  List.iter
-    (fun (name, spec) ->
-      let model = Translate.translate spec in
-      let result = Portfolio.find_schedule model in
-      let winner =
-        match result.Portfolio.winner with
-        | Some cfg -> Portfolio.config_to_string cfg
-        | None -> "-"
-      in
-      let loser_stored =
-        List.fold_left
-          (fun acc (a : Portfolio.attempt) ->
-            if Some a.Portfolio.config = result.Portfolio.winner then acc
-            else acc + a.Portfolio.metrics.Search.stored)
-          0 result.Portfolio.attempts
-      in
-      (* per-member records, so losers' work shows in what the
-         portfolio cost *)
-      let member_json (a : Portfolio.attempt) =
-        Printf.sprintf
-          "{\"config\": %S, \"outcome\": %S, \"stored\": %d, \"visited\": \
-           %d, \"elapsed_ms\": %.3f}"
-          (Portfolio.config_to_string a.Portfolio.config)
-          (match a.Portfolio.outcome with
-          | Ok _ -> "feasible"
-          | Error f -> Search.failure_to_string f)
-          a.Portfolio.metrics.Search.stored a.Portfolio.metrics.Search.visited
-          (a.Portfolio.metrics.Search.elapsed_s *. 1000.)
-      in
-      Format.printf
-        "%-14s %s, %d member(s) run (%d loser states), %.1f ms (winner: \
-         %s)@."
-        name
-        (match result.Portfolio.outcome with
-        | Ok _ -> "feasible"
-        | Error f -> Search.failure_to_string f)
-        result.Portfolio.configs_started loser_stored
-        (result.Portfolio.elapsed_s *. 1000.)
-        winner;
-      add_json ("A14_portfolio_" ^ name)
-        [
-          ("spec", jstr name);
-          ("feasible", jbool (Result.is_ok result.Portfolio.outcome));
-          ("winner", jstr winner);
-          ("configs_started", jint result.Portfolio.configs_started);
-          ("configs_finished", jint (List.length result.Portfolio.attempts));
-          ("loser_stored_states", jint loser_stored);
-          ("elapsed_ms", jfloat (result.Portfolio.elapsed_s *. 1000.));
-          ( "members",
-            "["
-            ^ String.concat ", "
-                (List.map member_json result.Portfolio.attempts)
-            ^ "]" );
-        ])
-    [
-      ("mine-pump", Case_studies.mine_pump);
-      ("flight-control", Case_studies.flight_control);
-      ("greedy-trap", Case_studies.greedy_trap);
-    ]
-
-(* --- A17: subsumption-pruned symbolic class engine ---------------------- *)
-
-(* A deterministic generated spec whose search is large: tight deadlines
-   force heavy backtracking into an exhaustive infeasibility proof. *)
-let large_tight_spec =
-  let periods = [| 25; 50; 100 |] in
-  let tasks =
-    List.init 8 (fun i ->
-        let period = periods.(i mod 3) in
-        let wcet = 2 * (2 + (i mod 3)) in
-        Task.make
-          ~name:(Printf.sprintf "t%d" i)
-          ~wcet
-          ~deadline:(min period (wcet + 2 + (i mod 4)))
-          ~period ())
-  in
-  Spec.make ~name:"large-tight-8" ~tasks ()
-
-(* Relation-heavy infeasible spec (five tasks, near-complete exclusion
-   clique plus one precedence): the search exhausts the class graph,
-   where the same marking recurs under nested domains — the workload
-   inclusion subsumption exists for.  Mirrors
-   Test_class_search.relations_spec. *)
-let relations_spec =
-  let mk i d =
-    Task.make ~name:(Printf.sprintf "q%d" i) ~wcet:7 ~deadline:d ~period:40 ()
-  in
-  let tasks = [ mk 0 22; mk 1 22; mk 2 26; mk 3 30; mk 4 34 ] in
-  let id i = (List.nth tasks i).Task.id in
-  let pairs =
-    List.concat_map
-      (fun i ->
-        List.filter_map
-          (fun j -> if j > i then Some (id i, id j) else None)
-          [ 0; 1; 2; 3; 4 ])
-      [ 0; 1; 2; 3; 4 ]
-  in
-  Spec.make ~name:"relations" ~tasks
-    ~precedences:[ (id 0, id 1) ]
-    ~exclusions:(List.filter (fun p -> p <> (id 0, id 1)) pairs)
-    ()
-
-(* Best of [runs] timings per setting: 3 in the full run, 1 under
-   --smoke, whose counts the class-search tests already pin. *)
-let a17 ~runs =
-  section "A17" "Class engine: hash-consed store, subsumption";
-  let min_by_snd xs =
-    List.fold_left
-      (fun acc x -> if snd x < snd acc then x else acc)
-      (List.hd xs) (List.tl xs)
-  in
-  List.iter
-    (fun (name, spec) ->
-      let model = Translate.translate spec in
-      let cls_ms (m : Class_search.metrics) = m.Class_search.elapsed_s *. 1000. in
-      let (outcome, m), on_ms =
-        min_by_snd
-          (List.init runs (fun _ ->
-               let r = Class_search.find_schedule model in
-               (r, cls_ms (snd r))))
-      in
-      let (_, m_off), off_ms =
-        min_by_snd
-          (List.init runs (fun _ ->
-               let r = Class_search.find_schedule ~subsume:false model in
-               (r, cls_ms (snd r))))
-      in
-      let classes_per_s =
-        float_of_int m.Class_search.visited /. max 1e-9 m.Class_search.elapsed_s
-      in
-      Format.printf
-        "%-14s %s: %5d stored (%4d subsumed) %8.1f ms, %8.0f classes/s | \
-         no-subsume %5d stored %8.1f ms@."
-        name
-        (if Result.is_ok outcome then "feasible" else "infeasible")
-        m.Class_search.stored m.Class_search.subsumed on_ms classes_per_s
-        m_off.Class_search.stored off_ms;
-      add_json ("A17_class_" ^ name)
-        [
-          ("spec", jstr name);
-          ("feasible", jbool (Result.is_ok outcome));
-          ("runs", jint runs);
-          ("stored_classes", jint m.Class_search.stored);
-          ("visited_classes", jint m.Class_search.visited);
-          ("subsumed", jint m.Class_search.subsumed);
-          ("stored_classes_no_subsume", jint m_off.Class_search.stored);
-          ("classes_per_s", jfloat classes_per_s);
-          ("elapsed_ms", jfloat on_ms);
-          ("no_subsume_elapsed_ms", jfloat off_ms);
-        ])
-    [
-      ("mine-pump", Case_studies.mine_pump);
-      ("large-tight-8", large_tight_spec);
-      ("relations", relations_spec);
-    ]
-
-(* --- A18: analytic schedulability pre-pass ------------------------------ *)
-
-(* A demand-overloaded pair (quick-reject) and the paper's independent
-   preemptive set (quick-accept), each solved twice: pre-pass on versus
-   the searching portfolio baseline.  The harness asserts the pre-pass
-   actually decided at least one profile — otherwise the record would
-   silently measure two identical searches. *)
-let a18 () =
-  section "A18" "Analytic pre-pass (quick-reject / quick-accept vs search)";
-  let overload =
-    Spec.make ~name:"demand-overload"
-      ~tasks:
-        [
-          Task.make ~name:"a" ~wcet:5 ~deadline:5 ~period:10 ();
-          Task.make ~name:"b" ~wcet:5 ~deadline:6 ~period:10 ();
-        ]
-      ()
-  in
-  let decided = ref 0 in
-  List.iter
-    (fun (name, spec) ->
-      let model = Translate.translate spec in
-      let with_pre = Portfolio.find_schedule model in
-      let baseline = Portfolio.find_schedule ~analysis:false model in
-      let pre_decided =
-        match with_pre.Portfolio.prepass with
-        | Portfolio.Prepass_rejected _ | Portfolio.Prepass_accepted -> true
-        | Portfolio.Prepass_off | Portfolio.Prepass_unknown _
-        | Portfolio.Prepass_uncertified _ -> false
-      in
-      if pre_decided then incr decided;
-      if
-        Result.is_ok with_pre.Portfolio.outcome
-        <> Result.is_ok baseline.Portfolio.outcome
-      then
-        failwith
-          ("A18: pre-pass and searching portfolio disagree on " ^ name);
-      let pre_ms = with_pre.Portfolio.elapsed_s *. 1000. in
-      let base_ms = baseline.Portfolio.elapsed_s *. 1000. in
-      Format.printf
-        "%-16s %s — pre-pass %s in %.2f ms, searching portfolio %.2f ms \
-         (%.0fx)@."
-        name
-        (match with_pre.Portfolio.outcome with
-        | Ok _ -> "feasible"
-        | Error f -> Search.failure_to_string f)
-        (Portfolio.prepass_to_string with_pre.Portfolio.prepass)
-        pre_ms base_ms
-        (base_ms /. Float.max 1e-6 pre_ms);
-      add_json ("A18_analysis_" ^ name)
-        [
-          ("spec", jstr name);
-          ("prepass", jstr (Portfolio.prepass_to_string with_pre.Portfolio.prepass));
-          ("decided_without_search", jbool pre_decided);
-          ("feasible", jbool (Result.is_ok with_pre.Portfolio.outcome));
-          ("analysis_ms", jfloat pre_ms);
-          ("portfolio_ms", jfloat base_ms);
-          ("speedup", jfloat (base_ms /. Float.max 1e-6 pre_ms));
-        ])
-    [
-      ("demand-overload", overload);
-      ("edf-schedulable", Case_studies.fig8_preemptive);
-    ];
-  if !decided = 0 then
-    failwith "A18: the analytic pre-pass decided no profile";
-  Format.printf "pre-pass decided %d/2 profiles without any search@." !decided
-
-(* --- A19: synthesis service result cache -------------------------------- *)
-
-(* The same corpus solved twice through the service path: a cold run
-   populating the on-disk content-addressed cache, then a warm run with
-   a fresh cache instance over the same directory, so every hit travels
-   decode -> replay -> certify.  The verdict lines must be
-   byte-identical; the warm run's win is re-validation cost versus
-   search cost.  Renamed copies of the case studies are distinct cold
-   entries because the specification name participates in the digest. *)
-let a19 () =
-  section "A19" "Service result cache (cold corpus vs warm re-validated hits)";
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ezrt-bench-a19-%d" (Unix.getpid ()))
-  in
-  let copies n spec =
-    List.init n (fun i ->
-        { spec with Spec.name = Printf.sprintf "%s#%d" spec.Spec.name i })
-  in
-  let corpus =
-    copies 4 Case_studies.mine_pump
-    @ copies 4 Case_studies.greedy_trap
-    @ List.init 4 (fun i -> Spec_gen.spec_at ~profile:Spec_gen.smoke ~seed:11 i)
-  in
-  let run cache =
-    let t0 = Unix.gettimeofday () in
-    let lines =
-      List.map
-        (fun spec ->
-          match Server.solve ~cache spec with
-          | Ok o -> Server.verdict_line o
-          | Error msg -> failwith ("A19: solve failed: " ^ msg))
-        corpus
-    in
-    (lines, (Unix.gettimeofday () -. t0) *. 1000.)
-  in
-  let cold_lines, cold_ms = run (Result_cache.create ~dir ()) in
-  let warm_cache = Result_cache.create ~dir () in
-  let warm_lines, warm_ms = run warm_cache in
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (Sys.readdir dir);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  if cold_lines <> warm_lines then
-    failwith "A19: warm verdicts diverge from the cold run";
-  let k = Result_cache.counters warm_cache in
-  if k.Result_cache.hits = 0 then failwith "A19: warm run never hit the cache";
-  let speedup = cold_ms /. Float.max 1e-6 warm_ms in
-  Format.printf
-    "corpus of %d specs: cold %.1f ms, warm %.1f ms (%.1fx; %d hit(s), %d \
-     miss(es), %d invalid)@."
-    (List.length corpus) cold_ms warm_ms speedup k.Result_cache.hits
-    k.Result_cache.misses k.Result_cache.invalid;
-  add_json "A19_service_cache"
-    [
-      ("corpus_specs", jint (List.length corpus));
-      ("cold_ms", jfloat cold_ms);
-      ("warm_ms", jfloat warm_ms);
-      ("warm_speedup", jfloat speedup);
-      ("warm_hits", jint k.Result_cache.hits);
-      ("warm_misses", jint k.Result_cache.misses);
-      ("verdicts_identical", jbool true);
-    ]
-
-(* --- A21: structural lint throughput ----------------------------------- *)
-
-(* Lint the 500-spec seed-42 generated corpus (the fuzz campaign's
-   corpus) with the full pass — invariants, skeleton, dead structure,
-   siphon/trap, gate explain.  The corpus must lint without a single
-   error and without a single gate-explain mismatch; throughput is the
-   headline number (the lint pass is the service layer's cheap
-   pre-search oracle, so specs/s is what matters). *)
-
-let a21 ?(count = 500) () =
-  section "A21"
-    (Printf.sprintf "Structural lint throughput (%d-spec seeded corpus)"
-       count);
-  let specs = List.init count (fun i -> Spec_gen.spec_at ~seed:42 i) in
-  let started = Unix.gettimeofday () in
-  let errors = ref 0 and warnings = ref 0 and infos = ref 0 in
-  let truncated = ref 0 and mismatches = ref 0 and certs = ref 0 in
-  List.iter
-    (fun spec ->
-      let r = Lint.check_model (Translate.translate spec) in
-      errors := !errors + Lint.count Lint.Error r;
-      warnings := !warnings + Lint.count Lint.Warning r;
-      infos := !infos + Lint.count Lint.Info r;
-      if r.Lint.truncated then incr truncated;
-      certs := !certs + List.length r.Lint.certificates;
-      List.iter
-        (fun (d : Lint.diagnostic) ->
-          if String.equal d.Lint.code "EZRT-L013" then incr mismatches)
-        r.Lint.diagnostics)
-    specs;
-  let elapsed = Unix.gettimeofday () -. started in
-  let specs_per_s = float_of_int count /. max 1e-9 elapsed in
-  if !mismatches > 0 then
-    failwith "A21: gate-explain disagreed with a live gate";
-  if !errors > 0 then
-    failwith "A21: the generated corpus must lint without errors";
-  Format.printf
-    "%d specs linted in %.2f s (%.0f specs/s) — %d warning(s), %d info(s), \
-     %d certificate(s), %d truncated@."
-    count elapsed specs_per_s !warnings !infos !certs !truncated;
-  add_json "A21_lint"
-    [
-      ("specs", jint count);
-      ("errors", jint !errors);
-      ("warnings", jint !warnings);
-      ("infos", jint !infos);
-      ("certificates", jint !certs);
-      ("truncated", jint !truncated);
-      ("gate_mismatches", jint !mismatches);
-      ("elapsed_s", jfloat elapsed);
-      ("specs_per_s", jfloat specs_per_s);
-    ]
-
-(* --- A15: differential fuzzing throughput ------------------------------ *)
-
-let a15 () =
-  section "A15" "Differential fuzzing throughput (5 engines + oracles per spec)";
-  let stats = Fuzz.run ~profile:Spec_gen.smoke ~seed:7 ~count:150 () in
-  Format.printf
-    "%d specs (seed %d): %d feasible, %d infeasible, %d inconclusive, %d \
-     divergent in %.1f s — %.1f specs/s@."
-    stats.Fuzz.generated stats.Fuzz.seed stats.Fuzz.feasible
-    stats.Fuzz.infeasible stats.Fuzz.unknown
-    (List.length stats.Fuzz.divergent)
-    stats.Fuzz.elapsed_s (Fuzz.specs_per_s stats);
-  add_json "A15_fuzz_differential"
-    [
-      ("seed", jint stats.Fuzz.seed);
-      ("specs", jint stats.Fuzz.generated);
-      ("feasible", jint stats.Fuzz.feasible);
-      ("infeasible", jint stats.Fuzz.infeasible);
-      ("inconclusive", jint stats.Fuzz.unknown);
-      ("divergent", jint (List.length stats.Fuzz.divergent));
-      ("elapsed_s", jfloat stats.Fuzz.elapsed_s);
-      ("specs_per_s", jfloat (Fuzz.specs_per_s stats));
-    ]
-
 (* The harness takes the same observability flags as ezrt: --trace FILE,
-   --metrics FILE and --progress — plus --smoke (CI subset: E1, A14,
-   A17, A18, A19, A21).  No cmdliner here — a hand scan of argv keeps
-   bench dependency-free.  Any other argument prints the usage and
-   exits 2 before a section runs or a file is written; --help prints
-   it and exits 0. *)
+   --metrics FILE and --progress.  No cmdliner here — a hand scan of argv
+   keeps bench dependency-free.  Any other argument prints the usage and
+   exits 2 before a section runs or a file is written; --help prints it
+   and exits 0. *)
 let usage =
-  "usage: bench/main.exe [--smoke] [--trace FILE] [--metrics FILE] \
-   [--progress]"
+  "usage: bench/main.exe [--trace FILE] [--metrics FILE] [--progress]"
 
 let obs_setup () =
-  let smoke = ref false and progress = ref false in
+  let progress = ref false in
   let trace = ref None and metrics = ref None in
   let rec scan = function
     | [] -> ()
     | "--help" :: _ ->
       print_endline usage;
       exit 0
-    | "--smoke" :: rest -> smoke := true; scan rest
     | "--progress" :: rest -> progress := true; scan rest
     | "--trace" :: file :: rest -> trace := Some file; scan rest
     | "--metrics" :: file :: rest -> metrics := Some file; scan rest
@@ -1253,50 +880,33 @@ let obs_setup () =
         Obs_metrics.save_file path;
         Format.printf "metrics written to %s@." path)
   | None -> ());
-  if !progress then Obs_progress.install (Obs_progress.create ());
-  !smoke
+  if !progress then Obs_progress.install (Obs_progress.create ())
 
 let () =
-  let smoke = obs_setup () in
+  obs_setup ();
   Format.printf "ezRealtime benchmark harness (paper: DATE 2008)@.";
   record_meta ();
-  if smoke then begin
-    e1 ();
-    a14 ();
-    a17 ~runs:1;
-    a18 ();
-    a19 ();
-    a21 ()
-  end
-  else begin
-    e1 ();
-    e2 ();
-    e3 ();
-    e4 ();
-    e5 ();
-    e6 ();
-    e7 ();
-    e8 ();
-    a1 ();
-    a2 ();
-    a3 ();
-    a4 ();
-    a5 ();
-    a6 ();
-    a7 ();
-    a8 ();
-    a9 ();
-    a10 ();
-    a11 ();
-    a12 ();
-    a13 ();
-    a14 ();
-    a15 ();
-    a17 ~runs:3;
-    a18 ();
-    a19 ();
-    a21 ()
-  end;
+  e1 ();
+  e2 ();
+  e3 ();
+  e4 ();
+  e5 ();
+  e6 ();
+  e7 ();
+  e8 ();
+  a1 ();
+  a2 ();
+  a3 ();
+  a4 ();
+  a5 ();
+  a6 ();
+  a7 ();
+  a8 ();
+  a9 ();
+  a10 ();
+  a11 ();
+  a12 ();
+  a13 ();
   write_json "BENCH_search.json";
   Format.printf "@.wrote BENCH_search.json@.";
   Format.printf "done.@."

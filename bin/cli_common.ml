@@ -68,6 +68,25 @@ let with_model file case f =
         (or_die
            (Result.map_error Pipeline.error_to_string (Pipeline.translate spec))))
 
+(* The certified schedule of [model] under the default search, as
+   segments and table: what analyze, simulate and codegen run on.  No
+   schedule exits 1 with [synthesize]'s error text. *)
+let certified_table model =
+  let die e =
+    prerr_endline ("ezrt: " ^ error_to_string e);
+    exit 1
+  in
+  match
+    Pipeline.solve ~engine:(Pipeline.Discrete Search.default_options) model
+  with
+  | Ok { verdict = Certified { segments; _ }; _ } ->
+    (segments, Table.of_segments segments)
+  | Ok { verdict = Infeasible _; run; _ } ->
+    die (No_schedule (Search.Infeasible, run))
+  | Ok { verdict = Timed_out | Undecided _; run; _ } ->
+    die (No_schedule (Search.Budget_exhausted, run))
+  | Error e -> or_die (Error (Pipeline.error_to_string e))
+
 (* --- engine selection ------------------------------------------------- *)
 
 let engine_arg =

@@ -306,14 +306,14 @@ let analyze_cmd =
   (* the analytic verdict costs closed-form arithmetic plus at most one
      certified EDF simulation — print it before any search-based
      analysis, and under --spec-only print nothing else *)
-  let analytic_verdict spec =
-    match (Validate.check spec).Validate.errors with
-    | e :: _ ->
+  let analytic_verdict = function
+    | Error (Pipeline.Invalid_spec (e :: _)) ->
       Format.printf "analytic verdict: unknown (spec does not validate: %s)@."
         (Validate.error_to_string e);
       2
-    | [] -> (
-      match Portfolio.run_prepass (Translate.translate spec) with
+    | Error e -> or_die (Error (Pipeline.error_to_string e))
+    | Ok model -> (
+      match Portfolio.run_prepass model with
       | Portfolio.Prepass_rejected w, _ ->
         Format.printf "analytic verdict: infeasible@.witness [%s]: %s@."
           (Schedulability.witness_kind w)
@@ -339,31 +339,30 @@ let analyze_cmd =
   in
   let run () file case sensitivity spec_only =
     with_spec file case (fun spec ->
-        let analytic_code = analytic_verdict spec in
+        let translated = Pipeline.translate spec in
+        let analytic_code = analytic_verdict translated in
         if spec_only then exit analytic_code;
-        match synthesize spec with
-        | Error e ->
-          prerr_endline ("ezrt: " ^ error_to_string e);
-          exit 1
-        | Ok artifact ->
-          Format.printf "schedule quality:@.%a@." Quality.pp
-            (Quality.of_timeline artifact.model artifact.segments);
-          (match Rta.analyze spec with
-          | Ok rta -> Format.printf "response-time analysis:@.%a@." Rta.pp rta
-          | Error msg ->
-            Format.printf "response-time analysis: not applicable (%s)@.@."
-              msg);
-          Format.printf "max tolerable dispatch overhead: %d@."
-            (Vm.max_tolerable_overhead artifact.model artifact.table);
-          if sensitivity then begin
-            (match Sensitivity.analyze spec with
-            | Ok t -> Format.printf "@.WCET sensitivity:@.%a" Sensitivity.pp t
-            | Error msg -> Format.printf "@.WCET sensitivity: %s@." msg);
-            match Sensitivity.deadline_margins spec with
-            | Ok t ->
-              Format.printf "@.deadline margins:@.%a" Sensitivity.pp_deadlines t
-            | Error msg -> Format.printf "@.deadline margins: %s@." msg
-          end)
+        let model =
+          or_die (Result.map_error Pipeline.error_to_string translated)
+        in
+        let segments, table = certified_table model in
+        Format.printf "schedule quality:@.%a@." Quality.pp
+          (Quality.of_timeline model segments);
+        (match Rta.analyze spec with
+        | Ok rta -> Format.printf "response-time analysis:@.%a@." Rta.pp rta
+        | Error msg ->
+          Format.printf "response-time analysis: not applicable (%s)@.@." msg);
+        Format.printf "max tolerable dispatch overhead: %d@."
+          (Vm.max_tolerable_overhead model table);
+        if sensitivity then begin
+          (match Sensitivity.analyze spec with
+          | Ok t -> Format.printf "@.WCET sensitivity:@.%a" Sensitivity.pp t
+          | Error msg -> Format.printf "@.WCET sensitivity: %s@." msg);
+          match Sensitivity.deadline_margins spec with
+          | Ok t ->
+            Format.printf "@.deadline margins:@.%a" Sensitivity.pp_deadlines t
+          | Error msg -> Format.printf "@.deadline margins: %s@." msg
+        end)
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -443,33 +442,21 @@ let codegen_cmd =
                  flash-constrained parts.")
   in
   let run () file case target out compact =
-    with_spec file case (fun spec ->
-        match synthesize ~target spec with
-        | Ok artifact -> (
-          let program =
-            if compact then
-              Emit.program ~target ~layout:Emit.Compact_table artifact.model
-                artifact.table
-            else artifact.c_program
-          in
-          let fp =
-            Emit.table_footprint
-              ~layout:(if compact then Emit.Compact_table else Emit.Struct_table)
-              target artifact.table
-          in
-          match out with
-          | Some path ->
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc program);
-            Printf.printf "scheduled C written to %s (table: %d rows, %d B%s)\n"
-              path fp.Emit.rows fp.Emit.table_bytes
-              (match fp.Emit.fits_flash with
-              | Some false -> ", EXCEEDS the target's typical flash"
-              | Some true | None -> "")
-          | None -> print_string program)
-        | Error e ->
-          prerr_endline ("ezrt: " ^ error_to_string e);
-          exit 1)
+    with_model file case (fun _ model ->
+        let _, table = certified_table model in
+        let layout = if compact then Emit.Compact_table else Emit.Struct_table in
+        let program = Emit.program ~target ~layout model table in
+        match out with
+        | Some path ->
+          Out_channel.with_open_text path (fun oc ->
+              Out_channel.output_string oc program);
+          let fp = Emit.table_footprint ~layout target table in
+          Printf.printf "scheduled C written to %s (table: %d rows, %d B%s)\n"
+            path fp.Emit.rows fp.Emit.table_bytes
+            (match fp.Emit.fits_flash with
+            | Some false -> ", EXCEEDS the target's typical flash"
+            | Some true | None -> "")
+        | None -> print_string program)
   in
   Cmd.v (Cmd.info "codegen" ~doc:"Generate the scheduled C program.")
     Term.(const run $ obs_term $ file_arg $ case_arg $ target_arg $ out_arg
@@ -498,61 +485,53 @@ let simulate_cmd =
                    number, extra time units); repeatable.")
   in
   let run () file case overhead cycles print_trace faults =
-    with_spec file case (fun spec ->
-        match synthesize spec with
-        | Error e ->
-          prerr_endline ("ezrt: " ^ error_to_string e);
-          exit 1
-        | Ok artifact ->
-          let vm_faults =
-            List.map
-              (fun (name, instance, extra) ->
-                match Translate.task_index artifact.model name with
-                | index ->
-                  { Vm.f_task = index; f_instance = instance; f_extra = extra }
-                | exception Not_found ->
-                  prerr_endline ("ezrt: unknown task " ^ name);
-                  exit 1)
-              faults
-          in
-          let outcome =
-            Vm.execute ?overhead ~cycles ~faults:vm_faults artifact.model
-              artifact.table
-          in
-          if print_trace then
-            List.iter
-              (fun e ->
-                print_endline (Vm.event_to_string artifact.model e))
-              outcome.Vm.trace;
-          Printf.printf
-            "simulated %d hyper-period(s): %d instances completed, %d \
-             overruns\n"
-            cycles outcome.Vm.completed outcome.Vm.overruns;
-          (if vm_faults <> [] then begin
-            match Vm.isolation_check ?overhead ~faults:vm_faults artifact.model artifact.table with
-            | Ok overruns ->
-              Printf.printf
-                "fault isolation: %d overrun(s) confined to the faulty \
-                 instance(s); healthy instances unaffected\n"
-                overruns
-            | Error vs ->
-              List.iter
-                (fun v ->
-                  Printf.printf "fault LEAKED onto healthy work: %s\n"
-                    (Validator.violation_to_string v))
-                vs
-          end);
-          (match Vm.verify ?overhead artifact.model artifact.table with
-          | Ok () -> print_endline "trace satisfies every constraint"
-          | Error violations ->
+    with_model file case (fun _ model ->
+        let _, table = certified_table model in
+        let vm_faults =
+          List.map
+            (fun (name, instance, extra) ->
+              match Translate.task_index model name with
+              | index ->
+                { Vm.f_task = index; f_instance = instance; f_extra = extra }
+              | exception Not_found ->
+                prerr_endline ("ezrt: unknown task " ^ name);
+                exit 1)
+            faults
+        in
+        let outcome = Vm.execute ?overhead ~cycles ~faults:vm_faults model table in
+        if print_trace then
+          List.iter
+            (fun e -> print_endline (Vm.event_to_string model e))
+            outcome.Vm.trace;
+        Printf.printf
+          "simulated %d hyper-period(s): %d instances completed, %d \
+           overruns\n"
+          cycles outcome.Vm.completed outcome.Vm.overruns;
+        (if vm_faults <> [] then begin
+          match Vm.isolation_check ?overhead ~faults:vm_faults model table with
+          | Ok overruns ->
+            Printf.printf
+              "fault isolation: %d overrun(s) confined to the faulty \
+               instance(s); healthy instances unaffected\n"
+              overruns
+          | Error vs ->
             List.iter
               (fun v ->
-                Printf.printf "violation: %s\n"
+                Printf.printf "fault LEAKED onto healthy work: %s\n"
                   (Validator.violation_to_string v))
-              violations;
-            exit 1);
-          Printf.printf "max tolerable dispatch overhead: %d\n"
-            (Vm.max_tolerable_overhead artifact.model artifact.table))
+              vs
+        end);
+        (match Vm.verify ?overhead model table with
+        | Ok () -> print_endline "trace satisfies every constraint"
+        | Error violations ->
+          List.iter
+            (fun v ->
+              Printf.printf "violation: %s\n"
+                (Validator.violation_to_string v))
+            violations;
+          exit 1);
+        Printf.printf "max tolerable dispatch overhead: %d\n"
+          (Vm.max_tolerable_overhead model table))
   in
   Cmd.v
     (Cmd.info "simulate"

@@ -45,8 +45,5 @@ val i8051 : t
 (** Intel 8051, timer 0 in mode 1 (uses the SDCC [__interrupt]
     keyword; not compilable by a host compiler). *)
 
-val m68k : t
-(** Motorola 68000 with a periodic timer vector. *)
-
 val all : (string * t) list
 val find : string -> t option

@@ -34,10 +34,6 @@ val smoke : profile
 (** Smaller task sets and lower utilization: fast enough for a CI
     smoke run. *)
 
-val spec : ?profile:profile -> ?name:string -> Rng.t -> Ezrt_spec.Spec.t
-(** Draw one valid specification.  Consumes the stream; use
-    {!Rng.derive} per index for position-independent reproducibility. *)
-
 val spec_at : ?profile:profile -> seed:int -> int -> Ezrt_spec.Spec.t
 (** [spec_at ~seed i] is spec number [i] of the campaign keyed by
     [seed] — independent of every other index. *)

@@ -26,15 +26,14 @@ val add : counter -> int -> unit
 val value : counter -> int
 
 type gauge
-(** A last-value cell, exported with [# TYPE ... gauge]: {!set}
+(** A last-value cell, exported with [# TYPE ... gauge]: a write
     overwrites instead of accumulating.  Used for end-of-span
-    snapshots such as the GC word counts. *)
+    snapshots such as the GC word counts ({!record_gc_gauges}). *)
 
 val gauge : ?help:string -> ?labels:(string * string) list -> string -> gauge
 (** Get-or-create, like {!counter}; gauges and counters share the
     registry namespace, so a name should be one or the other. *)
 
-val set : gauge -> int -> unit
 val gauge_value : gauge -> int
 
 type timer

@@ -18,13 +18,11 @@ type error = { context : string; message : string }
 
 val error_to_string : error -> string
 
-val of_xml : Ezrt_xml.Doc.node -> (Ezrt_tpn.Pnet.t, error) result
+val of_string : string -> (Ezrt_tpn.Pnet.t, error) result
 (** Rebuilds a net from a PNML document.  Unknown [toolspecific]
     sections are ignored; a transition without an ezRealtime interval
     gets the unbounded default interval [[0, inf)], the usual reading
     of an untimed PNML transition. *)
-
-val of_string : string -> (Ezrt_tpn.Pnet.t, error) result
 
 val save_file : string -> Ezrt_tpn.Pnet.t -> unit
 val load_file : string -> (Ezrt_tpn.Pnet.t, error) result

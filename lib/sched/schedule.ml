@@ -27,11 +27,3 @@ let replay net s =
   List.fold_left
     (fun state e -> State.fire net state e.tid e.delay)
     (State.initial net) s.entries
-
-let pp model fmt s =
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "(%s, %d) @ %d@."
-        (Pnet.transition_name model.Ezrt_blocks.Translate.net e.tid)
-        e.delay e.time)
-    s.entries

@@ -24,6 +24,3 @@ val replay : Pnet.t -> t -> State.t
     step against the TPN semantics; returns the reached state.  Raises
     [Invalid_argument] if any step is illegal — used to certify that a
     schedule produced by the search is semantically real. *)
-
-val pp : Ezrt_blocks.Translate.t -> Format.formatter -> t -> unit
-(** Renders entries as [(name, q) @ time], one per line. *)

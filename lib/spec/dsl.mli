@@ -9,9 +9,6 @@
     [sourceCode] — extended with [Processor] and [Message] elements for
     the rest of the Fig 5 metamodel. *)
 
-val namespace : string
-
-val to_xml : Spec.t -> Ezrt_xml.Doc.node
 val to_string : Spec.t -> string
 (** Pretty-printed document with the XML declaration. *)
 
@@ -19,7 +16,6 @@ type error = { context : string; message : string }
 
 val error_to_string : error -> string
 
-val of_xml : Ezrt_xml.Doc.node -> (Spec.t, error) result
 val of_string : string -> (Spec.t, error) result
 val of_string_exn : string -> Spec.t
 

@@ -160,12 +160,3 @@ let successor t f vars ~lo ~hi =
   { size; m }
 
 let bounds t i = (-t.m.(0).(i), t.m.(i).(0))
-
-let pp fmt t =
-  for i = 0 to t.size - 1 do
-    for j = 0 to t.size - 1 do
-      if t.m.(i).(j) >= infinity then Format.fprintf fmt "  inf"
-      else Format.fprintf fmt "%5d" t.m.(i).(j)
-    done;
-    Format.fprintf fmt "@."
-  done

@@ -73,5 +73,3 @@ val successor : t -> int -> int array -> lo:int array -> hi:int array -> t
 val bounds : t -> int -> int * int
 (** [bounds m i] is [(lo, hi)] for variable [i] in canonical form:
     [-m.(0).(i), m.(i).(0)]. *)
-
-val pp : Format.formatter -> t -> unit

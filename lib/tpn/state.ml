@@ -165,24 +165,6 @@ let hash s =
     ~tokens:(fun p -> s.marking.(p))
     ~clocks:(fun t -> s.clocks.(t))
 
-let pp net fmt s =
-  let marked = ref [] in
-  Array.iteri
-    (fun p n ->
-      if n > 0 then
-        marked := Printf.sprintf "%s:%d" (Pnet.place_name net p) n :: !marked)
-    s.marking;
-  let clocked = ref [] in
-  Array.iteri
-    (fun tid c ->
-      if c >= 0 then
-        clocked :=
-          Printf.sprintf "%s@%d" (Pnet.transition_name net tid) c :: !clocked)
-    s.clocks;
-  Format.fprintf fmt "{m: %s | c: %s}"
-    (String.concat ", " (List.rev !marked))
-    (String.concat ", " (List.rev !clocked))
-
 module Table = Hashtbl.Make (struct
   type nonrec t = t
 

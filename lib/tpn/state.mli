@@ -60,9 +60,6 @@ val hash : t -> int
     are computed by a splitmix-style finalizer because cell values are
     unbounded. *)
 module Zobrist : sig
-  val mix : int -> int
-  (** The finalizer itself; non-negative output. *)
-
   val place : Pnet.place_id -> int -> int
   (** [place p v] — contribution of marking cell [p] holding [v]. *)
 
@@ -79,8 +76,6 @@ module Zobrist : sig
   (** Full fold over a state's cells; [clocks] returns -1 for disabled
       transitions.  [hash s] is exactly this over [s]'s arrays. *)
 end
-
-val pp : Pnet.t -> Format.formatter -> t -> unit
 
 (** Hash tables keyed by states. *)
 module Table : Hashtbl.S with type key = t

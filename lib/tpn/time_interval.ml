@@ -60,5 +60,3 @@ let equal a b =
   | Finite x, Finite y -> x = y
   | Infinity, Infinity -> true
   | Finite _, Infinity | Infinity, Finite _ -> false
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

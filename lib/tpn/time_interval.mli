@@ -53,4 +53,3 @@ val to_string : t -> string
 (** Renders as in the paper's figures, e.g. ["[0, 130]"]. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -162,5 +162,3 @@ let to_string_pretty ?(decl = false) n =
   in
   go 0 n;
   Buffer.contents buf
-
-let pp fmt n = Format.pp_print_string fmt (to_string_pretty n)

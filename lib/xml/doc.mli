@@ -75,6 +75,3 @@ val to_string_pretty : ?decl:bool -> node -> string
 (** Indented serialization.  Elements whose children include text are
     printed inline so that round-tripping does not invent whitespace
     inside text content. *)
-
-val pp : Format.formatter -> node -> unit
-(** Pretty-printer ({!to_string_pretty} without declaration). *)

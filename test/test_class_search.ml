@@ -147,7 +147,8 @@ let prop_discrete_implies_class =
    exclusion clique plus one precedence.  Infeasibility forces the
    search to exhaust the class graph, where the same marking recurs
    under strictly nested domains — the workload subsumption exists
-   for.  Mirrored by the A17_class_relations bench record. *)
+   for.  perfbench's search-engines workload runs the same spec from
+   its frozen relations.xml. *)
 let relations_spec =
   let mk i d =
     Task.make ~name:(Printf.sprintf "q%d" i) ~wcet:7 ~deadline:d ~period:40 ()
@@ -182,8 +183,7 @@ let test_subsumption_prunes () =
 
 (* The class engine proves large-tight-8 (the discrete engine's
    heaviest infeasible spec, defined in Test_search) infeasible by
-   exhaustion, subsumption on; the A17_class_large-tight-8 bench record
-   reports the same counts. *)
+   exhaustion, subsumption on. *)
 let test_large_tight_exhausts () =
   let model = Translate.translate Test_search.large_tight_spec in
   match Class_search.find_schedule model with

@@ -272,6 +272,42 @@ let test_trace_output () =
               Alcotest.failf "trace file lacks %S" needle)
           [ "\"traceEvents\""; "\"search\""; "\"ph\":\"B\"" ])
 
+(* Each command computes only what it prints: one translation of the
+   spec, and C emitted only by codegen, once, in the chosen layout. *)
+let test_trace_spans_per_command () =
+  let count ~needle haystack =
+    let n = String.length needle in
+    let rec go i acc =
+      if i + n > String.length haystack then acc
+      else go (i + 1) (if String.sub haystack i n = needle then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  match Lazy.force binary with
+  | None -> ()
+  | Some _ ->
+    List.iter
+      (fun (args, emits) ->
+        let path = Filename.temp_file "ezrt_cli" ".trace.json" in
+        Fun.protect
+          ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+          (fun () ->
+            expect (args @ [ "--case"; "fig8"; "--trace"; path ]) ~code:0
+              ~needles:[ "trace written to" ];
+            let contents = In_channel.with_open_text path In_channel.input_all in
+            let spans ~cat name =
+              count contents
+                ~needle:
+                  (Printf.sprintf "{\"name\":%S,\"cat\":%S,\"ph\":\"B\"" name
+                     cat)
+            in
+            let what = String.concat " " args in
+            Alcotest.(check int) (what ^ ": translate spans") 1
+              (spans ~cat:"model" "translate");
+            Alcotest.(check int) (what ^ ": emit spans") emits
+              (spans ~cat:"codegen" "emit")))
+      [ ([ "analyze" ], 0); ([ "simulate" ], 0); ([ "codegen"; "--compact" ], 1) ]
+
 let test_metrics_output () =
   match Lazy.force binary with
   | None -> ()
@@ -532,6 +568,8 @@ let suite =
     case "simulate with fault injection" test_simulate_fault;
     case "model-check" test_model_check;
     case "trace output" test_trace_output;
+    case "one translation per command, C only from codegen"
+      test_trace_spans_per_command;
     case "metrics output" test_metrics_output;
     case "bad usage" test_bad_usage;
     case "info --digest" test_info_digest;

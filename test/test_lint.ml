@@ -272,11 +272,11 @@ let test_certificates_generated =
       (r.Lint.covered_places <= r.Lint.place_count)
   done
 
-(* The 500-spec seed-42 corpus of the fuzz campaign (bench's A21
-   section): it lints without an error, a truncated invariant
-   computation or a gate-explain mismatch (EZRT-L013), and its Farkas
-   pass finds exactly 6412 P-invariant certificates, a count that pins
-   the invariant output independently of the host. *)
+(* The 500-spec seed-42 corpus of the fuzz campaign lints without an
+   error, a truncated invariant computation or a gate-explain mismatch
+   (EZRT-L013), and its Farkas pass finds exactly 6412 P-invariant
+   certificates, a count that pins the invariant output independently
+   of the host. *)
 let test_seed42_corpus =
   slow_case "seed-42 corpus: 0 errors, 6412 certificates" @@ fun () ->
   let errors = ref 0 and truncated = ref 0 and mismatches = ref 0 in
