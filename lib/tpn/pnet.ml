@@ -61,12 +61,6 @@ let producers net =
     net.post;
   Array.map (fun ts -> Array.of_list (List.rev ts)) prod
 
-let in_structural_conflict net t1 t2 =
-  t1 <> t2
-  && Array.exists
-       (fun (p, _) -> Array.exists (fun (q, _) -> p = q) net.pre.(t2))
-       net.pre.(t1)
-
 let pp_summary fmt net =
   Format.fprintf fmt "%s: |P|=%d, |T|=%d, |F|=%d, tokens(m0)=%d" net.net_name
     (place_count net) (transition_count net) (arc_count net)
@@ -157,16 +151,14 @@ module Builder = struct
     let m0 = Array.map snd place_rows in
     List.iter (fun (p, n) -> m0.(p) <- m0.(p) + n) b.extra_tokens;
     let transitions = Array.of_list (List.rev b.trans) in
-    let gather table t =
-      let arcs =
-        Hashtbl.fold
-          (fun (t', p) w acc -> if t' = t then (p, w) :: acc else acc)
-          table []
-      in
-      Array.of_list (List.sort compare arcs)
+    (* one pass buckets the arcs by transition; rows are sorted by place *)
+    let gather table =
+      let rows = Array.make b.n_trans [] in
+      Hashtbl.iter (fun (t, p) w -> rows.(t) <- (p, w) :: rows.(t)) table;
+      Array.map (fun arcs -> Array.of_list (List.sort compare arcs)) rows
     in
-    let pre = Array.init b.n_trans (gather b.pre_arcs) in
-    let post = Array.init b.n_trans (gather b.post_arcs) in
+    let pre = gather b.pre_arcs in
+    let post = gather b.post_arcs in
     Array.iteri
       (fun t arcs ->
         if Array.length arcs = 0 then

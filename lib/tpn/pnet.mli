@@ -67,10 +67,6 @@ val producers : t -> transition_id array array
     lists the transitions with an output arc into [p], ascending.
     O(arcs); callers that need it repeatedly should keep the result. *)
 
-(** Structural conflict: two transitions sharing an input place can
-    disable each other. *)
-val in_structural_conflict : t -> transition_id -> transition_id -> bool
-
 val pp_summary : Format.formatter -> t -> unit
 (** One-line [name: |P|=.., |T|=.., |F|=.., tokens(m0)=..]. *)
 
@@ -116,5 +112,9 @@ module Builder : sig
   (** Freezes the net.  Raises [Invalid_argument] when a transition has
       no input arc (such a transition would be continuously enabled and
       break the TLTS finiteness argument) — every ezRealtime block
-      transition has a pre-set. *)
+      transition has a pre-set.
+
+      Cost: one pass over each arc table buckets the arcs into their
+      transitions' rows, then each row is sorted by place, so a build
+      is O(|P| + |T| + |F|·log d) with [d] the longest row. *)
 end

@@ -1,5 +1,8 @@
 open Ezrt_tpn
 open Test_util
+module Case_studies = Ezrt_spec.Case_studies
+module Spec_gen = Ezrt_gen.Spec_gen
+module Translate = Ezrt_blocks.Translate
 
 let test_builder_basic () =
   let net = sequential_net () in
@@ -39,6 +42,62 @@ let test_weight_accumulation () =
   | _ -> Alcotest.fail "expected accumulated weight 3");
   check_int "arc count counts pairs" 2 (Pnet.arc_count net)
 
+(* Arcs added in descending place order, with duplicate (t, p) pairs on
+   both sides, come out as rows sorted by place with summed weights. *)
+let test_rows_sorted_and_summed () =
+  let b = Pnet.Builder.create "rows" in
+  let ps =
+    Array.init 4 (fun i ->
+        Pnet.Builder.add_place b ~tokens:1 (Printf.sprintf "p%d" i))
+  in
+  let t0 = Pnet.Builder.add_transition b "t0" Time_interval.zero in
+  let t1 = Pnet.Builder.add_transition b "t1" Time_interval.zero in
+  for i = 3 downto 0 do
+    Pnet.Builder.arc_pt b ps.(i) t1 ~weight:(i + 1);
+    Pnet.Builder.arc_tp b t0 ps.(i)
+  done;
+  Pnet.Builder.arc_pt b ps.(2) t0;
+  Pnet.Builder.arc_pt b ps.(0) t0 ~weight:2;
+  Pnet.Builder.arc_pt b ps.(2) t0 ~weight:3;
+  Pnet.Builder.arc_tp b t0 ps.(3) ~weight:2;
+  Pnet.Builder.arc_tp b t0 ps.(1);
+  Pnet.Builder.arc_pt b ps.(3) t1;
+  Pnet.Builder.arc_tp b t1 ps.(1);
+  Pnet.Builder.arc_tp b t1 ps.(1) ~weight:4;
+  let net = Pnet.Builder.build b in
+  let rows = Alcotest.(array (pair int int)) in
+  Alcotest.check rows "t0 pre" [| (0, 2); (2, 4) |] net.Pnet.pre.(t0);
+  Alcotest.check rows "t0 post" [| (0, 1); (1, 2); (2, 1); (3, 3) |]
+    net.Pnet.post.(t0);
+  Alcotest.check rows "t1 pre" [| (0, 1); (1, 2); (2, 3); (3, 5) |]
+    net.Pnet.pre.(t1);
+  Alcotest.check rows "t1 post" [| (1, 5) |] net.Pnet.post.(t1);
+  Alcotest.(check (array (array int))) "consumers"
+    [| [| 0; 1 |]; [| 1 |]; [| 0; 1 |]; [| 1 |] |] net.Pnet.consumers
+
+(* The one-pass build equals the fold-per-transition reference on every
+   translated net: case studies, corpus and 250 generated specs, both as
+   [Translate.translate] built it and replayed with arcs in descending
+   place order and weights split into unit arcs. *)
+let test_build_matches_reference () =
+  let specs =
+    Case_studies.all
+    @ load_corpus ()
+    @ List.init 250 (fun i ->
+          (Printf.sprintf "gen-42-%d" i, Spec_gen.spec_at ~seed:42 i))
+  in
+  List.iter
+    (fun (name, spec) ->
+      let net = (Translate.translate spec).Translate.net in
+      let rebuilt, reference = reference_rebuild net in
+      check_bool (name ^ ": translated net = reference") true
+        (parts_of_net net = reference);
+      check_bool (name ^ ": replayed net = reference") true
+        (parts_of_net rebuilt = reference);
+      check_bool (name ^ ": replayed places") true
+        (rebuilt.Pnet.place_names = net.Pnet.place_names))
+    specs
+
 let test_bad_weight () =
   let b = Pnet.Builder.create "w" in
   let p = Pnet.Builder.add_place b "p" in
@@ -75,11 +134,11 @@ let test_find () =
 
 let test_structural_conflict () =
   let net = conflict_net () in
-  check_bool "t0 vs t1 conflict" true (Pnet.in_structural_conflict net 0 1);
-  check_bool "self is not a conflict" false (Pnet.in_structural_conflict net 0 0);
+  check_bool "t0 vs t1 conflict" true (in_structural_conflict net 0 1);
+  check_bool "self is not a conflict" false (in_structural_conflict net 0 0);
   let seq = sequential_net () in
   check_bool "sequential no conflict" false
-    (Pnet.in_structural_conflict seq 0 1)
+    (in_structural_conflict seq 0 1)
 
 let test_consumers_index () =
   let net = conflict_net () in
@@ -109,6 +168,8 @@ let suite =
     case "duplicate place rejected" test_duplicate_place;
     case "duplicate transition rejected" test_duplicate_transition;
     case "arc weight accumulation" test_weight_accumulation;
+    case "rows sorted by place, duplicates summed" test_rows_sorted_and_summed;
+    case "one-pass build = fold reference" test_build_matches_reference;
     case "bad weight rejected" test_bad_weight;
     case "inputless transition rejected" test_no_input_rejected;
     case "extra initial tokens" test_extra_tokens;

@@ -23,6 +23,102 @@ let load_corpus () =
          | Ok spec -> (f, spec)
          | Error e -> Alcotest.fail (Dsl.error_to_string e))
 
+(* Structural conflict: two transitions sharing an input place can
+   disable each other. *)
+let in_structural_conflict (net : Pnet.t) t1 t2 =
+  t1 <> t2
+  && Array.exists
+       (fun (p, _) -> Array.exists (fun (q, _) -> p = q) net.Pnet.pre.(t2))
+       net.Pnet.pre.(t1)
+
+(* The parts of a net that [Pnet.Builder.build] computes from the arcs
+   and places it was given. *)
+type net_parts = {
+  pre : (int * int) array array;
+  post : (int * int) array array;
+  consumers : int array array;
+  m0 : int array;
+  transitions : Pnet.transition array;
+}
+
+let parts_of_net (net : Pnet.t) =
+  {
+    pre = net.Pnet.pre;
+    post = net.Pnet.post;
+    consumers = net.Pnet.consumers;
+    m0 = net.Pnet.m0;
+    transitions = net.Pnet.transitions;
+  }
+
+(* [Pnet.Builder.build]'s arc gather as it was before it went one-pass:
+   a fold over the whole [(t, p) -> weight] table per transition,
+   O(|T|·|arcs|).  Kept as the reference the one-pass gather must
+   equal. *)
+let fold_gather n_trans table =
+  Array.init n_trans (fun t ->
+      let arcs =
+        Hashtbl.fold
+          (fun (t', p) w acc -> if t' = t then (p, w) :: acc else acc)
+          table []
+      in
+      Array.of_list (List.sort compare arcs))
+
+(* Replays [net] into a fresh builder and, for the same arc stream, into
+   arc tables read by [fold_gather].  Arcs go in descending place order
+   and each weight-[w] arc as [w] unit arcs, so the builder has to sort
+   rows and sum duplicate [(t, p)] pairs itself.  Returns the rebuilt
+   net and the reference parts. *)
+let reference_rebuild (net : Pnet.t) =
+  let b = Pnet.Builder.create net.Pnet.net_name in
+  Array.iteri
+    (fun p name ->
+      ignore (Pnet.Builder.add_place b ~tokens:net.Pnet.m0.(p) name))
+    net.Pnet.place_names;
+  Array.iter
+    (fun (tr : Pnet.transition) ->
+      ignore
+        (Pnet.Builder.add_transition b ~priority:tr.Pnet.priority
+           ?code:tr.Pnet.code tr.Pnet.t_name tr.Pnet.interval))
+    net.Pnet.transitions;
+  let pre_table = Hashtbl.create 64 and post_table = Hashtbl.create 64 in
+  let replay rows table add =
+    Array.iteri
+      (fun t arcs ->
+        for i = Array.length arcs - 1 downto 0 do
+          let p, w = arcs.(i) in
+          for _ = 1 to w do
+            add p t;
+            let prev =
+              Option.value (Hashtbl.find_opt table (t, p)) ~default:0
+            in
+            Hashtbl.replace table (t, p) (prev + 1)
+          done
+        done)
+      rows
+  in
+  replay net.Pnet.pre pre_table (fun p t -> Pnet.Builder.arc_pt b p t);
+  replay net.Pnet.post post_table (fun p t -> Pnet.Builder.arc_tp b t p);
+  let n_trans = Array.length net.Pnet.transitions in
+  let pre = fold_gather n_trans pre_table in
+  let consumer_lists = Array.make (Array.length net.Pnet.place_names) [] in
+  Array.iteri
+    (fun t arcs ->
+      Array.iter
+        (fun (p, _) -> consumer_lists.(p) <- t :: consumer_lists.(p))
+        arcs)
+    pre;
+  let reference =
+    {
+      pre;
+      post = fold_gather n_trans post_table;
+      consumers =
+        Array.map (fun l -> Array.of_list (List.sort compare l)) consumer_lists;
+      m0 = Array.copy net.Pnet.m0;
+      transitions = Array.copy net.Pnet.transitions;
+    }
+  in
+  (Pnet.Builder.build b, reference)
+
 (* A tiny net: two sequential transitions
    p0 --t0[2,5]--> p1 --t1[0,0]--> p2. *)
 let sequential_net () =
