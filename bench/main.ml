@@ -4,8 +4,10 @@
    Sections E1-E8 print paper-reported versus measured values; A1-A13
    are the ablations DESIGN.md's experiment index and EXPERIMENTS.md
    cite.  Sections that measure a search also append a record to
-   BENCH_search.json.  The harness reports; regression checks live in
-   the tests and in perfbench/.
+   BENCH_search.json.  Every search it reports runs through
+   [Pipeline.solve], so each schedule it counts as feasible or prints
+   is certified.  The harness reports; regression checks live in the
+   tests and in perfbench/.
 
    Run with:  dune exec bench/main.exe *)
 
@@ -16,10 +18,29 @@ let line = String.make 72 '-'
 let section id title =
   Format.printf "@.%s@.%s  %s@.%s@." line id title line
 
-let solve ?options spec =
-  let model = Translate.translate spec in
-  let outcome, metrics = Search.find_schedule ?options model in
-  (model, outcome, metrics)
+(* Validate, translate, search and certify; a spec that does not
+   validate or a schedule that fails certification is a bug in the
+   harness or the library, not a row of a table. *)
+let solve ?(options = Search.default_options)
+    ?(engine = Pipeline.Discrete options) spec =
+  match Result.bind (Pipeline.translate spec) (Pipeline.solve ~engine) with
+  | Ok r -> r
+  | Error e -> failwith (Pipeline.error_to_string e)
+
+let feasible r =
+  match r.Pipeline.verdict with Pipeline.Certified _ -> true | _ -> false
+
+(* "yes", "no" or "budget" *)
+let verdict_cell r =
+  match r.Pipeline.verdict with
+  | Pipeline.Certified _ -> "yes"
+  | Pipeline.Infeasible _ -> "no"
+  | Pipeline.Timed_out | Pipeline.Undecided _ -> "budget"
+
+(* a discrete search's verdict in the engine's own words *)
+let discrete_why r =
+  Pipeline.verdict_to_string (Pipeline.Discrete Search.default_options)
+    r.Pipeline.verdict
 
 let ms metrics = metrics.Search.elapsed_s *. 1000.
 
@@ -63,11 +84,12 @@ let states_per_s metrics =
   float_of_int metrics.Search.visited /. max 1e-9 metrics.Search.elapsed_s
 
 let record_search exp ?options (name, spec) =
-  let _, outcome, metrics = solve ?options spec in
+  let r = solve ?options spec in
+  let metrics = r.Pipeline.run in
   add_json exp
     [
       ("spec", jstr name);
-      ("feasible", jbool (Result.is_ok outcome));
+      ("feasible", jbool (feasible r));
       ("stored_states", jint metrics.Search.stored);
       ("visited_states", jint metrics.Search.visited);
       ("elapsed_ms", jfloat (ms metrics));
@@ -99,14 +121,8 @@ let e1 () =
         t.Task.deadline t.Task.period n)
     spec.Spec.tasks
     (Spec.instance_counts spec);
-  let model, outcome, metrics = solve spec in
-  let feasible, certified =
-    match outcome with
-    | Ok schedule ->
-      let segments = Timeline.of_schedule model schedule in
-      (true, Result.is_ok (Validator.check model segments))
-    | Error _ -> (false, false)
-  in
+  let r = solve spec in
+  let model = r.Pipeline.model and metrics = r.Pipeline.run in
   Format.printf "@.%-34s %14s %14s@." "" "paper (2008)" "measured";
   Format.printf "%-34s %14d %14d@." "task instances" 782
     (Spec.total_instances spec);
@@ -117,8 +133,8 @@ let e1 () =
   Format.printf "%-34s %14d %14d@." "minimum states (see DESIGN.md)" 3130
     (Translate.minimum_states model);
   Format.printf "%-34s %14.0f %14.1f@." "search time (ms)" 330. (ms metrics);
-  Format.printf "%-34s %14s %14b@." "feasible schedule found" "yes" feasible;
-  Format.printf "%-34s %14s %14b@." "independently certified" "n/a" certified;
+  Format.printf "%-34s %14s %14b@." "certified schedule found" "yes"
+    (feasible r);
   record_search "E1" ("mine-pump", spec);
   (* seed (copy-based) engine versus the incremental engine on the same
      search, with per-fire state-vector writes from the State counters *)
@@ -194,8 +210,8 @@ let e2 () =
 (* --- E3 / E4: relation models (Figs 3 and 4) ------------------------ *)
 
 let relation_report spec expectations =
-  let model, outcome, metrics = solve spec in
-  let net = model.Translate.net in
+  let r = solve spec in
+  let net = r.Pipeline.model.Translate.net in
   Format.printf "net: %a@." Pnet.pp_summary net;
   List.iter
     (fun node ->
@@ -203,20 +219,13 @@ let relation_report spec expectations =
         (Pnet.find_transition_opt net node <> None
          || Pnet.find_place_opt net node <> None))
     expectations;
-  match outcome with
-  | Ok schedule ->
-    let segments = Timeline.of_schedule model schedule in
+  match r.Pipeline.verdict with
+  | Pipeline.Certified { segments; _ } ->
     Format.printf "feasible schedule (%d states, %.1f ms); timeline:@.%a"
-      metrics.Search.stored (ms metrics)
-      (Timeline.pp model) segments;
-    (match Validator.check model segments with
-    | Ok () -> Format.printf "certified: every relation constraint holds@."
-    | Error vs ->
-      List.iter
-        (fun v ->
-          Format.printf "VIOLATION: %s@." (Validator.violation_to_string v))
-        vs)
-  | Error f -> Format.printf "NO SCHEDULE: %s@." (Search.failure_to_string f)
+      r.Pipeline.run.Search.stored (ms r.Pipeline.run)
+      (Timeline.pp r.Pipeline.model) segments;
+    Format.printf "certified: every relation constraint holds@."
+  | _ -> Format.printf "NO SCHEDULE: %s@." (discrete_why r)
 
 let e3 () =
   section "E3" "Precedence relation model (Fig 3)";
@@ -372,12 +381,11 @@ let a1 () =
     (fun (name, spec) ->
       let run partial_order =
         let options = { Search.default_options with partial_order } in
-        let _, outcome, metrics = solve ~options spec in
-        match outcome with
-        | Ok _ ->
-          Printf.sprintf "%d states / %.1f ms" metrics.Search.stored
-            (ms metrics)
-        | Error f -> Search.failure_to_string f
+        let r = solve ~options spec in
+        if feasible r then
+          Printf.sprintf "%d states / %.1f ms" r.Pipeline.run.Search.stored
+            (ms r.Pipeline.run)
+        else discrete_why r
       in
       Format.printf "%-12s %26s %26s@." name (run true) (run false))
     [
@@ -397,13 +405,10 @@ let a2 () =
       let options =
         { Search.default_options with policy; max_stored = 200_000 }
       in
-      let _, outcome, metrics = solve ~options Case_studies.mine_pump in
+      let r = solve ~options Case_studies.mine_pump in
+      let metrics = r.Pipeline.run in
       Format.printf "%-8s %12d %12d %12.1f %10s@." name metrics.Search.stored
-        metrics.Search.backtracks (ms metrics)
-        (match outcome with
-        | Ok _ -> "yes"
-        | Error Search.Infeasible -> "no"
-        | Error Search.Budget_exhausted -> "budget"))
+        metrics.Search.backtracks (ms metrics) (verdict_cell r))
     Priority.all
 
 (* --- A3: pre-runtime vs runtime scheduling --------------------------- *)
@@ -445,15 +450,11 @@ let a4 () =
   List.iter
     (fun n ->
       let spec = scaling_family ~preemptive:false n in
-      let _, outcome, metrics = solve spec in
+      let r = solve spec in
       Format.printf "%-6d %6.2f %10d %12d %12.2f %10s@." n
         (Spec.utilization spec)
         (Spec.total_instances spec)
-        metrics.Search.stored (ms metrics)
-        (match outcome with
-        | Ok _ -> "yes"
-        | Error Search.Infeasible -> "no"
-        | Error Search.Budget_exhausted -> "budget"))
+        r.Pipeline.run.Search.stored (ms r.Pipeline.run) (verdict_cell r))
     [ 2; 4; 6; 8; 10; 12 ]
 
 (* --- A5: preemptive vs non-preemptive state cost ---------------------- *)
@@ -464,12 +465,13 @@ let a5 () =
   List.iter
     (fun n ->
       let run preemptive =
-        let _, outcome, metrics = solve (scaling_family ~preemptive n) in
-        match outcome with
-        | Ok _ ->
-          Printf.sprintf "%d st / %.1f ms" metrics.Search.stored (ms metrics)
-        | Error Search.Infeasible -> "infeasible"
-        | Error Search.Budget_exhausted -> "budget"
+        let r = solve (scaling_family ~preemptive n) in
+        match r.Pipeline.verdict with
+        | Pipeline.Certified _ ->
+          Printf.sprintf "%d st / %.1f ms" r.Pipeline.run.Search.stored
+            (ms r.Pipeline.run)
+        | Pipeline.Infeasible _ -> "infeasible"
+        | Pipeline.Timed_out | Pipeline.Undecided _ -> "budget"
       in
       Format.printf "%-6d %22s %22s@." n (run false) (run true))
     [ 2; 4; 6; 8 ]
@@ -514,11 +516,7 @@ let a7 () =
         then "feasible"
         else "infeasible"
       in
-      let dfs =
-        match solve spec with
-        | _, Ok _, _ -> "feasible"
-        | _, Error _, _ -> "infeasible"
-      in
+      let dfs = if feasible (solve spec) then "feasible" else "infeasible" in
       Format.printf "%-6d %6.2f %10.3f %14s %14s %14s@." n
         (Spec.utilization spec) (fst rta) (snd rta) sim dfs)
     [ 2; 4; 6; 8; 10 ];
@@ -546,7 +544,7 @@ let a7 () =
     then "feasible" else "infeasible"
   in
   let dfs_verdict =
-    match solve mixed with _, Ok _, _ -> "feasible" | _, Error _, _ -> "infeasible"
+    if feasible (solve mixed) then "feasible" else "infeasible"
   in
   Format.printf
     "mixed np/preemptive pessimism:      %14s %14s %14s@."
@@ -560,21 +558,16 @@ let a8 () =
     "classes (nodes/ms)";
   List.iter
     (fun (name, spec) ->
-      let model = Translate.translate spec in
-      let discrete =
-        match Search.find_schedule model with
-        | Ok _, m ->
-          Printf.sprintf "%d / %.1f" m.Search.stored (m.Search.elapsed_s *. 1000.)
-        | Error f, _ -> Search.failure_to_string f
+      let run engine =
+        let r = solve ~engine spec in
+        if feasible r then
+          Printf.sprintf "%d / %.1f" r.Pipeline.run.Search.stored
+            (ms r.Pipeline.run)
+        else Pipeline.verdict_to_string engine r.Pipeline.verdict
       in
-      let classes =
-        match Class_search.find_schedule model with
-        | Ok _, m ->
-          Printf.sprintf "%d / %.1f" m.Class_search.stored
-            (m.Class_search.elapsed_s *. 1000.)
-        | Error f, _ -> Class_search.failure_to_string f
-      in
-      Format.printf "%-14s %24s %24s@." name discrete classes)
+      Format.printf "%-14s %24s %24s@." name
+        (run (Pipeline.Discrete Search.default_options))
+        (run (Pipeline.Classes { subsume = true; max_stored = 500_000 })))
     [
       ("mine-pump", Case_studies.mine_pump);
       ("flight-control", Case_studies.flight_control);
@@ -661,14 +654,13 @@ let a10 () =
   List.iter
     (fun (name, policy) ->
       let options = { Search.default_options with policy } in
-      match solve ~options Case_studies.fig8_preemptive with
-      | model, Ok schedule, _ ->
-        let segments = Timeline.of_schedule model schedule in
-        let q = Quality.of_timeline model segments in
+      let r = solve ~options Case_studies.fig8_preemptive in
+      match r.Pipeline.verdict with
+      | Pipeline.Certified { segments; _ } ->
+        let q = Quality.of_timeline r.Pipeline.model segments in
         Format.printf "  %-12s %d preemptions, %d rows@." name
           q.Quality.total_preemptions q.Quality.context_switches
-      | _, Error f, _ ->
-        Format.printf "  %-12s %s@." name (Search.failure_to_string f))
+      | _ -> Format.printf "  %-12s %s@." name (discrete_why r))
     Priority.all
 
 (* --- A11: schedulability vs utilization (random campaign) ------------- *)
@@ -716,7 +708,7 @@ let a11 () =
         let spec = random_spec rand ~target_u ~n_tasks:5 in
         if Validate.is_valid spec then begin
           incr valid;
-          (match solve spec with _, Ok _, _ -> incr dfs | _, Error _, _ -> ());
+          if feasible (solve spec) then incr dfs;
           if (Baseline_sim.simulate Baseline_sim.Edf spec).Baseline_sim.feasible
           then incr edf;
           if (Baseline_sim.simulate Baseline_sim.Rm spec).Baseline_sim.feasible

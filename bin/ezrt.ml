@@ -222,21 +222,9 @@ let schedule_cmd =
               Vcd.save_file path model segments;
               Printf.printf "VCD written to %s\n" path
             | None -> ())
-          | Ok { verdict = Infeasible (Some w); _ } ->
-            or_die
-              (Error
-                 ("analysis pre-pass decided: infeasible — "
-                 ^ Schedulability.witness_to_string w))
-          | Ok { verdict = Infeasible None; _ } ->
-            or_die
-              (Error
-                 (match engine with
-                 | Pipeline.Classes _ ->
-                   Class_search.failure_to_string Class_search.Infeasible
-                 | Pipeline.Discrete _ | Pipeline.Portfolio _ ->
-                   Search.failure_to_string Search.Infeasible))
           | Ok { verdict = Timed_out; _ } -> die_timed_out ()
-          | Ok { verdict = Undecided why; _ } -> or_die (Error why)
+          | Ok { verdict; _ } ->
+            or_die (Error (Pipeline.verdict_to_string engine verdict))
         in
         match engine with
         | `Discrete ->
@@ -319,7 +307,7 @@ let analyze_cmd =
           (Schedulability.witness_kind w)
           (Schedulability.witness_to_string w);
         1
-      | _, Some schedule ->
+      | _, Some (schedule, _) ->
         Format.printf
           "analytic verdict: feasible (certified EDF schedule, %d firings)@."
           (Schedule.length schedule);

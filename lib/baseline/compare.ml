@@ -22,19 +22,14 @@ let runtime_row spec (name, policy) =
   { approach = name; feasible = result.Sim.feasible; detail }
 
 let pre_runtime_row ?(search = Search.default_options) spec =
+  let engine = Pipeline.Discrete search in
   let feasible, detail =
-    match
-      Result.bind (Pipeline.translate spec)
-        (Pipeline.solve ~engine:(Pipeline.Discrete search))
-    with
+    match Result.bind (Pipeline.translate spec) (Pipeline.solve ~engine) with
     | Ok { Pipeline.verdict = Pipeline.Certified _; run = m; _ } ->
       ( true,
         Printf.sprintf "%d states, %.1f ms" m.Search.stored
           (m.Search.elapsed_s *. 1000.) )
-    | Ok { verdict = Infeasible _; _ } ->
-      (false, Search.failure_to_string Search.Infeasible)
-    | Ok { verdict = Timed_out; _ } -> (false, "timed out")
-    | Ok { verdict = Undecided why; _ } -> (false, why)
+    | Ok { verdict; _ } -> (false, Pipeline.verdict_to_string engine verdict)
     | Error e -> (false, Pipeline.error_to_string e)
   in
   { approach = "pre-runtime (dfs)"; feasible; detail }

@@ -2,8 +2,8 @@ module Spec = Ezrt_spec.Spec
 module Validate = Ezrt_spec.Validate
 module Translate = Ezrt_blocks.Translate
 module Search = Ezrt_sched.Search
-module Class_search = Ezrt_sched.Class_search
 module Portfolio = Ezrt_sched.Portfolio
+module Pipeline = Ezrt_sched.Pipeline
 module Schedule = Ezrt_sched.Schedule
 module Validator = Ezrt_sched.Validator
 module Sim = Ezrt_baseline.Sim
@@ -15,19 +15,9 @@ module Tlts = Ezrt_tpn.Tlts
 module State = Ezrt_tpn.State
 module Pnet = Ezrt_tpn.Pnet
 
-type verdict =
-  | Feasible of Schedule.t
-  | Infeasible
-  | Unknown of string
-
-let verdict_to_string = function
-  | Feasible s -> Printf.sprintf "feasible (%d firings)" (Schedule.length s)
-  | Infeasible -> "infeasible"
-  | Unknown why -> Printf.sprintf "unknown (%s)" why
-
 type engine_result = {
   engine : string;
-  verdict : verdict;
+  verdict : Pipeline.verdict;
 }
 
 type divergence =
@@ -102,12 +92,12 @@ type report = {
   divergences : divergence list;
 }
 
-let of_search = function
-  | Ok s -> Feasible s
-  | Error Search.Infeasible -> Infeasible
-  | Error Search.Budget_exhausted -> Unknown "stored-state budget exhausted"
-
-let feasible = function Feasible _ -> true | Infeasible | Unknown _ -> false
+(* a verdict as divergence messages quote it *)
+let describe = function
+  | Pipeline.Certified { schedule; _ } ->
+    Printf.sprintf "feasible (%d firings)" (Schedule.length schedule)
+  | Pipeline.Infeasible _ -> "infeasible"
+  | Pipeline.Timed_out | Pipeline.Undecided _ -> "unknown"
 
 let builtin_engines =
   [ "reference"; "incremental"; "latest-release"; "classes"; "portfolio";
@@ -125,337 +115,304 @@ let check ?(max_stored = 50_000) ?engines ?(extra = []) spec =
                (String.concat ", " builtin_engines)))
       names
   | None -> ());
-  match (Validate.check spec).Validate.errors with
-  | e :: _ -> {
-      results = [];
-      divergences = [ Invalid_input (Validate.error_to_string e) ];
-    }
-  | [] -> (
-    match Translate.translate spec with
-    | exception exn ->
-      { results = []; divergences = [ Translation_crash (Printexc.to_string exn) ] }
-    | model ->
-      let divergences = ref [] in
-      let flag d = divergences := d :: !divergences in
-      let guard engine f =
-        match f () with
-        | v -> v
-        | exception exn ->
-          flag (Engine_crash { engine; exn = Printexc.to_string exn });
-          Unknown "crashed"
-      in
-      let discrete ~incremental ~latest_release () =
-        of_search
-          (fst
-             (Search.find_schedule
-                ~options:
-                  {
-                    Search.default_options with
-                    incremental;
-                    latest_release;
-                    max_stored;
-                  }
-                model))
-      in
-      let want name =
-        match engines with None -> true | Some names -> List.mem name names
-      in
-      let run name f = if want name then Some (guard name f) else None in
-      let reference =
-        run "reference" (discrete ~incremental:false ~latest_release:false)
-      in
-      let incremental =
-        run "incremental" (discrete ~incremental:true ~latest_release:false)
-      in
-      let latest =
-        run "latest-release" (discrete ~incremental:true ~latest_release:true)
-      in
-      let of_class = function
-        | Ok s -> Feasible s
-        | Error Class_search.Infeasible -> Infeasible
-        | Error Class_search.Budget_exhausted ->
-          Unknown "stored-state budget exhausted"
-        | Error Class_search.Extraction_failed ->
-          flag Extraction_failed;
-          Unknown "extraction failed"
-      in
-      let classes =
-        run "classes" (fun () ->
-            of_class (fst (Class_search.find_schedule ~max_stored model)))
-      in
-      let portfolio =
-        (* analysis off: keep this row a pure search result so the
-           analysis row below is checked against real searches, not
-           against itself through the pre-pass *)
-        run "portfolio" (fun () ->
-            match
-              (Portfolio.find_schedule ~max_stored ~analysis:false model)
-                .Portfolio.outcome
-            with
-            | Ok s -> Feasible s
-            | Error Search.Infeasible -> Infeasible
-            | Error Search.Budget_exhausted ->
-              Unknown "stored-state budget exhausted")
-      in
-      let analysis =
-        run "analysis" (fun () ->
-            match Schedulability.analyze model with
-            | Schedulability.Infeasible w ->
-              (* acceptance is never taken on faith and neither is
-                 rejection: the witness must re-evaluate to true
-                 against the spec, independently of the analyzer *)
-              if Schedulability.witness_holds spec w then Infeasible
-              else begin
-                flag
-                  (Analysis_witness_invalid (Schedulability.witness_to_string w));
-                Unknown "invalid quick-reject witness"
-              end
-            | Schedulability.Feasible actions ->
-              Feasible (Schedule.of_actions actions)
-            | Schedulability.Unknown why -> Unknown why)
-      in
-      let extra_results =
-        List.map
-          (fun (name, run) -> (name, guard name (fun () -> run ~max_stored model)))
-          extra
-      in
-      let results =
-        List.filter_map
-          (fun (name, v) -> Option.map (fun v -> (name, v)) v)
-          [
-            ("reference", reference);
-            ("incremental", incremental);
-            ("latest-release", latest);
-            ("classes", classes);
-            ("portfolio", portfolio);
-            ("analysis", analysis);
-          ]
-        @ extra_results
-      in
-      (* (a) every feasible schedule must be certified independently *)
-      List.iter
-        (fun (engine, verdict) ->
-          match verdict with
-          | Feasible schedule -> (
-            match Validator.certify model schedule with
-            | Ok _ -> ()
-            | Error failure ->
-              flag
-                (Uncertified
-                   {
-                     engine;
-                     failure = Validator.certification_failure_to_string failure;
-                   }))
-          | Infeasible | Unknown _ -> ())
-        results;
-      (* (b) the reference and incremental engines walk the identical
-         tree: verdicts and schedules must match exactly *)
-      let mismatch a va b vb reason =
-        flag
-          (Verdict_mismatch
-             {
-               engine_a = a;
-               verdict_a = verdict_to_string va;
-               engine_b = b;
-               verdict_b = verdict_to_string vb;
-               reason;
-             })
-      in
-      let feasible_o = function Some v -> feasible v | None -> false in
-      let getv = function Some v -> v | None -> Unknown "skipped" in
-      (match reference, incremental with
-      | Some (Feasible a), Some (Feasible b) ->
-        if a.Schedule.entries <> b.Schedule.entries then
-          flag
-            (Schedule_mismatch
-               { engine_a = "reference"; engine_b = "incremental" })
-      | Some Infeasible, Some Infeasible -> ()
-      | Some (Unknown _), Some (Unknown _) -> ()
-      | Some a, Some b ->
-        mismatch "reference" a "incremental" b
-          "the two discrete engines must explore the same tree"
-      | None, _ | _, None -> ());
-      (* extra engines claim default discrete semantics *)
-      List.iter
-        (fun (name, verdict) ->
-          match reference, verdict with
-          | Some (Feasible _), Infeasible | Some Infeasible, Feasible _ ->
-            mismatch "reference" (getv reference) name verdict
-              "engine claims default discrete search semantics"
-          | _ -> ())
-        extra_results;
-      (* (c) implication lattice between decisive verdicts *)
-      if feasible_o reference && classes = Some Infeasible then
-        mismatch "reference" (getv reference) "classes" Infeasible
-          "dense-time state classes are complete";
-      if feasible_o latest && classes = Some Infeasible then
-        mismatch "latest-release" (getv latest) "classes" Infeasible
-          "dense-time state classes are complete";
-      if feasible_o reference && latest = Some Infeasible then
-        mismatch "reference" (getv reference) "latest-release" Infeasible
-          "latest-release branching explores a superset";
-      (match portfolio, classes with
-      | Some Infeasible, Some (Feasible _) | Some (Feasible _), Some Infeasible ->
-        mismatch "portfolio" (getv portfolio) "classes" (getv classes)
-          "the portfolio is infeasible exactly when its class member is"
-      | _ -> ());
-      (* (d) feasibility is impossible above full utilization *)
-      let u = Spec.utilization spec in
-      if u > 1.0 +. 1e-9 && List.exists (fun (_, v) -> feasible v) results then
-        flag (Overutilized_feasible u);
-      (* (e) infeasible verdicts of the exhaustive engines against the
-         constructive and analytic baselines.  Gated on the class
-         engine's verdict: it is the complete one, so a certified
-         witness against it is a contradiction, never noise (the
-         work-conserving discrete engines may legitimately miss
-         schedules that need inserted idle time). *)
-      if classes = Some Infeasible then begin
-        (match Sim.any_feasible spec with
-        | Some (policy, result) -> (
-          (* only a simulation the independent validator certifies is a
-             witness; Sim-internal quirks must not create noise *)
-          match Validator.check model result.Sim.segments with
-          | Ok () ->
-            flag
-              (Runtime_beats_synthesis { policy = Sim.policy_to_string policy })
-          | Error _ -> ())
-        | None -> ());
-        match Rta.analyze spec with
-        | Ok report when report.Rta.all_schedulable -> flag Rta_beats_synthesis
-        | Ok _ | Error _ -> ()
-      end;
-      (* (f) the analytic pre-pass against every search engine.  Its
-         quick-reject conditions are necessary, so an analysis
-         [Infeasible] contradicts any engine's feasible schedule; its
-         quick-accept certificate is built from discrete [dlb] firings,
-         so it lies inside every engine's branch space and contradicts
-         any engine's exhaustive [Infeasible].  [Unknown] is the only
-         analysis verdict allowed to disagree.  (The analysis row's
-         feasible schedules are certified by (a) like everyone else's.) *)
-      (match analysis with
-      | Some Infeasible ->
-        List.iter
-          (fun (name, v) ->
-            match v with
-            | Feasible _ when name <> "analysis" ->
-              mismatch "analysis" Infeasible name v
-                "quick-reject is a necessary condition: no engine may \
-                 schedule past a true witness"
-            | _ -> ())
-          results
-      | Some (Feasible _ as a) ->
-        List.iter
-          (fun (name, v) ->
-            match v with
-            | Infeasible when name <> "analysis" ->
-              mismatch "analysis" a name v
-                "a certified analytic schedule lies in every engine's \
-                 branch space"
-            | _ -> ())
-          results
-      | Some (Unknown _) | None -> ());
-      (* (g)-(i) structural-lint theorems.  Lint is a static oracle:
-         its claims must be consistent with what the engines actually
-         did on this very spec. *)
-      let lint_report =
-        match Lint.check_model model with
-        | r -> Some r
-        | exception exn ->
-          flag (Lint_crash (Printexc.to_string exn));
+  match Pipeline.translate spec with
+  | Error e ->
+    let msg = Pipeline.error_to_string e in
+    { results = []; divergences = [ Invalid_input msg ] }
+  | exception exn ->
+    let msg = Printexc.to_string exn in
+    { results = []; divergences = [ Translation_crash msg ] }
+  | Ok model ->
+    let divergences = ref [] in
+    let flag d = divergences := d :: !divergences in
+    (* (a), first half: every schedule the pipeline reports passed
+       the spec-level validator, and none it rejected may exist *)
+    let pipeline engine name =
+      match Pipeline.solve ~engine model with
+      | Ok r -> Some r.Pipeline.verdict
+      | Error e ->
+        let failure = Pipeline.error_to_string e in
+        flag (Uncertified { engine = name; failure });
+        None
+    in
+    let discrete incremental latest_release =
+      pipeline
+        (Pipeline.Discrete
+           { Search.default_options with
+             incremental; latest_release; max_stored })
+    in
+    let analysis name =
+      match Portfolio.run_prepass model with
+      | Portfolio.Prepass_rejected w, _ ->
+        (* rejection is never taken on faith either: the witness must
+           re-evaluate to true against the spec, independently of the
+           analyzer *)
+        if Schedulability.witness_holds spec w then
+          Some (Pipeline.Infeasible (Some w))
+        else begin
+          flag (Analysis_witness_invalid (Schedulability.witness_to_string w));
           None
-      in
-      (match lint_report with
-      | None -> ()
-      | Some lr ->
-        let net = model.Translate.net in
-        (* (g) a transition lint proved structurally dead can never
-           appear in any engine's feasible schedule *)
-        let dead = Lint.structurally_dead net in
-        if dead <> [] then
-          List.iter
-            (fun (engine, v) ->
-              match v with
-              | Feasible s ->
-                List.iter
-                  (fun (e : Schedule.entry) ->
-                    if List.mem e.Schedule.tid dead then
-                      flag
-                        (Lint_dead_scheduled
-                           {
-                             engine;
-                             transition =
-                               Pnet.transition_name net e.Schedule.tid;
-                           }))
-                  s.Schedule.entries
-              | Infeasible | Unknown _ -> ())
-            results;
-        (* (h) every P-invariant certificate in the report conserves
-           its constant on every state of a bounded TLTS walk *)
-        let consts =
-          List.map
-            (fun y -> (y, Invariants.weighted_tokens y net.Pnet.m0))
-            lr.Lint.certificates
-        in
-        let bad = ref None in
-        ignore
-          (Tlts.explore ~max_states:(min 2_000 max_stored)
-             ~on_state:(fun s ->
-               if !bad = None then
-                 List.iter
-                   (fun (y, c) ->
-                     let v = Invariants.weighted_tokens y s.State.marking in
-                     if v <> c then bad := Some (y, c, v))
-                   consts)
-             net);
-        (match !bad with
-        | Some (y, c, v) ->
+        end
+      | _, Some (schedule, segments) ->
+        Some (Pipeline.Certified { schedule; segments })
+      | Portfolio.Prepass_uncertified failure, None ->
+        flag (Uncertified { engine = name; failure });
+        None
+      | _, None -> None
+    in
+    let builtins =
+      [
+        ("reference", discrete false false);
+        ("incremental", discrete true false);
+        ("latest-release", discrete true true);
+        ("classes", pipeline (Pipeline.Classes { subsume = true; max_stored }));
+        (* analysis off: keep this row a pure search result so the
+           analysis row is checked against real searches, not against
+           itself through the pre-pass *)
+        ( "portfolio",
+          pipeline (Pipeline.Portfolio { analysis = false; max_stored }) );
+        ("analysis", analysis);
+      ]
+    in
+    (* one row per engine that reaches a verdict; a crash is a
+       divergence and leaves no row *)
+    let results =
+      List.filter_map
+        (fun (name, row) ->
+          match row name with
+          | v -> Option.map (fun v -> (name, v)) v
+          | exception exn ->
+            flag (Engine_crash { engine = name; exn = Printexc.to_string exn });
+            None)
+        (List.filter
+           (fun (name, _) ->
+             Option.fold ~none:true ~some:(List.mem name) engines)
+           builtins
+        @ List.map
+            (fun (name, f) -> (name, fun _ -> Some (f ~max_stored model)))
+            extra)
+    in
+    let verdict name = List.assoc_opt name results in
+    (* (a), second half: every certified schedule also replays
+       through the TPN semantics to the final marking *)
+    let uncertified engine failure =
+      let failure = Validator.certification_failure_to_string failure in
+      flag (Uncertified { engine; failure })
+    in
+    List.iter
+      (fun (engine, v) ->
+        match v with
+        | Pipeline.Certified { schedule; _ } -> (
+          match Schedule.replay model.Translate.net schedule with
+          | exception Invalid_argument msg ->
+            uncertified engine (Validator.Replay_error msg)
+          | final ->
+            if not (Translate.is_final model final) then
+              uncertified engine Validator.Wrong_final_marking)
+        | Pipeline.Undecided Pipeline.Extraction_failed ->
+          flag Extraction_failed
+        | Pipeline.Infeasible _ | Pipeline.Timed_out
+        | Pipeline.Undecided Pipeline.Budget_exhausted -> ())
+      results;
+    let mismatch a va b vb reason =
+      flag
+        (Verdict_mismatch
+           {
+             engine_a = a;
+             verdict_a = describe va;
+             engine_b = b;
+             verdict_b = describe vb;
+             reason;
+           })
+    in
+    (* [a] schedules what [b] claims to have proved infeasible *)
+    let implies a b reason =
+      match (verdict a, verdict b) with
+      | Some (Pipeline.Certified _ as va), Some (Pipeline.Infeasible _ as vb) ->
+        mismatch a va b vb reason
+      | _ -> ()
+    in
+    (* (b) the reference and incremental engines walk the identical
+       tree: verdicts and schedules must match exactly *)
+    (match (verdict "reference", verdict "incremental") with
+    | Some (Pipeline.Certified a), Some (Pipeline.Certified b) ->
+      if a.schedule.Schedule.entries <> b.schedule.Schedule.entries then
+        flag
+          (Schedule_mismatch
+             { engine_a = "reference"; engine_b = "incremental" })
+    | Some a, Some b when describe a <> describe b ->
+      mismatch "reference" a "incremental" b
+        "the two discrete engines must explore the same tree"
+    | _ -> ());
+    (* extra engines claim default discrete semantics *)
+    List.iter
+      (fun (name, _) ->
+        let reason = "engine claims default discrete search semantics" in
+        implies "reference" name reason;
+        implies name "reference" reason)
+      extra;
+    (* (c) implication lattice between decisive verdicts *)
+    implies "reference" "classes" "dense-time state classes are complete";
+    implies "latest-release" "classes" "dense-time state classes are complete";
+    implies "reference" "latest-release"
+      "latest-release branching explores a superset";
+    let reason =
+      "the portfolio is infeasible exactly when its class member is"
+    in
+    implies "portfolio" "classes" reason;
+    implies "classes" "portfolio" reason;
+    (* (d) feasibility is impossible above full utilization *)
+    let u = Spec.utilization spec in
+    if u > 1.0 +. 1e-9
+       && List.exists
+            (function _, Pipeline.Certified _ -> true | _ -> false)
+            results
+    then flag (Overutilized_feasible u);
+    (* (e) infeasible verdicts of the exhaustive engines against the
+       constructive and analytic baselines.  Gated on the class
+       engine's verdict: it is the complete one, so a certified
+       witness against it is a contradiction, never noise (the
+       work-conserving discrete engines may legitimately miss
+       schedules that need inserted idle time). *)
+    (match verdict "classes" with
+    | Some (Pipeline.Infeasible _) -> (
+      (match Sim.any_feasible spec with
+      | Some (policy, result) -> (
+        (* only a simulation the independent validator certifies is a
+           witness; Sim-internal quirks must not create noise *)
+        match Validator.check model result.Sim.segments with
+        | Ok () ->
           flag
-            (Lint_certificate_violated
-               (Printf.sprintf
-                  "certificate over {%s} should conserve %d but a reachable \
-                   state holds %d"
-                  (String.concat ", "
-                     (List.map (Pnet.place_name net) (Invariants.support y)))
-                  c v))
-        | None -> ());
-        (* gate-explain must agree with the live gate (L013 never fires) *)
+            (Runtime_beats_synthesis { policy = Sim.policy_to_string policy })
+        | Error _ -> ())
+      | None -> ());
+      match Rta.analyze spec with
+      | Ok report when report.Rta.all_schedulable -> flag Rta_beats_synthesis
+      | Ok _ | Error _ -> ())
+    | _ -> ());
+    (* (f) the analytic pre-pass against every search engine.  Its
+       quick-reject conditions are necessary, so an analysis
+       [Infeasible] contradicts any engine's feasible schedule; its
+       quick-accept certificate is built from discrete [dlb] firings,
+       so it lies inside every engine's branch space and contradicts
+       any engine's exhaustive [Infeasible].  An analysis that
+       decides nothing has no row and disagrees with no one.  (The
+       analysis row's schedule is replayed by (a) like everyone
+       else's.) *)
+    List.iter
+      (fun (name, _) ->
+        if name <> "analysis" then begin
+          implies name "analysis"
+            "quick-reject is a necessary condition: no engine may \
+             schedule past a true witness";
+          implies "analysis" name
+            "a certified analytic schedule lies in every engine's branch \
+             space"
+        end)
+      results;
+    (* (g)-(i) structural-lint theorems.  Lint is a static oracle:
+       its claims must be consistent with what the engines actually
+       did on this very spec. *)
+    let lint_report =
+      match Lint.check_model model with
+      | r -> Some r
+      | exception exn ->
+        flag (Lint_crash (Printexc.to_string exn));
+        None
+    in
+    (match lint_report with
+    | None -> ()
+    | Some lr ->
+      let net = model.Translate.net in
+      (* (g) a transition lint proved structurally dead can never
+         appear in any engine's feasible schedule *)
+      let dead = Lint.structurally_dead net in
+      if dead <> [] then
         List.iter
-          (fun (d : Lint.diagnostic) ->
-            if String.equal d.Lint.code "EZRT-L013" then
-              flag (Lint_gate_mismatch d.Lint.message))
-          lr.Lint.diagnostics;
-        (* (i) lint cleanliness is monotone under the shrinker's task
-           dropping: removing a task from a clean spec cannot introduce
-           an error or warning (otherwise shrinking a divergent spec
-           could drift into lint noise unrelated to the divergence) *)
-        if (not (Lint.deny_hit ~deny:Lint.Warning lr))
-           && List.length spec.Spec.tasks > 1
-        then
-          List.iter
-            (fun (t : Ezrt_spec.Task.t) ->
-              let shrunk = Spec.drop_task spec t.Ezrt_spec.Task.id in
-              if (Validate.check shrunk).Validate.errors = [] then
-                match Lint.check_model (Translate.translate shrunk) with
-                | shrunk_report ->
-                  List.iter
-                    (fun (d : Lint.diagnostic) ->
-                      if
-                        Lint.severity_rank d.Lint.severity
-                        >= Lint.severity_rank Lint.Warning
-                      then
-                        flag
-                          (Lint_shrink_regression
-                             {
-                               dropped_task = t.Ezrt_spec.Task.id;
-                               diagnostic =
-                                 d.Lint.code ^ " " ^ d.Lint.subject ^ ": "
-                                 ^ d.Lint.message;
-                             }))
-                    shrunk_report.Lint.diagnostics
-                | exception exn ->
-                  flag (Lint_crash (Printexc.to_string exn)))
-            spec.Spec.tasks);
-      {
-        results = List.map (fun (engine, verdict) -> { engine; verdict }) results;
-        divergences = List.rev !divergences;
-      })
+          (fun (engine, v) ->
+            match v with
+            | Pipeline.Certified { schedule = s; _ } ->
+              List.iter
+                (fun (e : Schedule.entry) ->
+                  if List.mem e.Schedule.tid dead then
+                    flag
+                      (Lint_dead_scheduled
+                         {
+                           engine;
+                           transition =
+                             Pnet.transition_name net e.Schedule.tid;
+                         }))
+                s.Schedule.entries
+            | Pipeline.Infeasible _ | Pipeline.Timed_out
+            | Pipeline.Undecided _ -> ())
+          results;
+      (* (h) every P-invariant certificate in the report conserves
+         its constant on every state of a bounded TLTS walk *)
+      let consts =
+        List.map
+          (fun y -> (y, Invariants.weighted_tokens y net.Pnet.m0))
+          lr.Lint.certificates
+      in
+      let bad = ref None in
+      ignore
+        (Tlts.explore ~max_states:(min 2_000 max_stored)
+           ~on_state:(fun s ->
+             if !bad = None then
+               List.iter
+                 (fun (y, c) ->
+                   let v = Invariants.weighted_tokens y s.State.marking in
+                   if v <> c then bad := Some (y, c, v))
+                 consts)
+           net);
+      (match !bad with
+      | Some (y, c, v) ->
+        flag
+          (Lint_certificate_violated
+             (Printf.sprintf
+                "certificate over {%s} should conserve %d but a reachable \
+                 state holds %d"
+                (String.concat ", "
+                   (List.map (Pnet.place_name net) (Invariants.support y)))
+                c v))
+      | None -> ());
+      (* gate-explain must agree with the live gate (L013 never fires) *)
+      List.iter
+        (fun (d : Lint.diagnostic) ->
+          if String.equal d.Lint.code "EZRT-L013" then
+            flag (Lint_gate_mismatch d.Lint.message))
+        lr.Lint.diagnostics;
+      (* (i) lint cleanliness is monotone under the shrinker's task
+         dropping: removing a task from a clean spec cannot introduce
+         an error or warning (otherwise shrinking a divergent spec
+         could drift into lint noise unrelated to the divergence) *)
+      if (not (Lint.deny_hit ~deny:Lint.Warning lr))
+         && List.length spec.Spec.tasks > 1
+      then
+        List.iter
+          (fun (t : Ezrt_spec.Task.t) ->
+            let shrunk = Spec.drop_task spec t.Ezrt_spec.Task.id in
+            if (Validate.check shrunk).Validate.errors = [] then
+              match Lint.check_model (Translate.translate shrunk) with
+              | shrunk_report ->
+                List.iter
+                  (fun (d : Lint.diagnostic) ->
+                    if
+                      Lint.severity_rank d.Lint.severity
+                      >= Lint.severity_rank Lint.Warning
+                    then
+                      flag
+                        (Lint_shrink_regression
+                           {
+                             dropped_task = t.Ezrt_spec.Task.id;
+                             diagnostic =
+                               d.Lint.code ^ " " ^ d.Lint.subject ^ ": "
+                               ^ d.Lint.message;
+                           }))
+                  shrunk_report.Lint.diagnostics
+              | exception exn ->
+                flag (Lint_crash (Printexc.to_string exn)))
+          spec.Spec.tasks);
+    {
+      results = List.map (fun (engine, verdict) -> { engine; verdict }) results;
+      divergences = List.rev !divergences;
+    }

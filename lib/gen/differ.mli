@@ -1,7 +1,9 @@
 (** Differential cross-checking of one specification across every
     schedule-synthesis engine in the repository, plus the independent
-    oracles ({!Ezrt_sched.Validator}, {!Ezrt_baseline.Sim},
-    {!Ezrt_baseline.Rta}).
+    oracles ({!Ezrt_baseline.Sim}, {!Ezrt_baseline.Rta}).  Every
+    built-in search row runs through {!Ezrt_sched.Pipeline.solve}, the
+    path [ezrt schedule], [synthesize] and the service take, so the
+    differ checks the verdicts users get.
 
     The sound relations checked — each a theorem about the engines,
     so any violation is a bug, not noise:
@@ -15,26 +17,24 @@
       configuration schedules, it must too;
     - the portfolio ends in the class engine, so when both verdicts
       are decisive it is infeasible exactly when classes is;
-    - every feasible schedule must replay through the TPN semantics to
-      the final marking and pass the spec-level validator;
+    - no engine returns [Error Not_certified] from the pipeline, whose
+      spec-level validator passed every [Certified] schedule, and
+      every [Certified] schedule also replays through the TPN
+      semantics to the final marking (together, what
+      {!Ezrt_sched.Validator.certify} checks);
     - an [Infeasible] verdict of an exhaustive engine is contradicted
       by a certified runtime simulation (EDF/RM/DM) or a schedulable
       response-time analysis, and a feasible verdict by utilization
       above 1. *)
 
-type verdict =
-  | Feasible of Ezrt_sched.Schedule.t
-  | Infeasible
-  | Unknown of string
-      (** budget exhausted, extraction failure, engine crash — no
-          claim either way *)
-
-val verdict_to_string : verdict -> string
-
 type engine_result = {
   engine : string;
-  verdict : verdict;
+  verdict : Ezrt_sched.Pipeline.verdict;
 }
+(** One row per engine that reached a verdict.  An engine that
+    crashed, returned a schedule that failed certification, or (the
+    analysis row) decided nothing has no row; each but the last is a
+    divergence. *)
 
 type divergence =
   | Invalid_input of string  (** the spec does not validate *)
@@ -84,7 +84,10 @@ type report = {
 val check :
   ?max_stored:int ->
   ?engines:string list ->
-  ?extra:(string * (max_stored:int -> Ezrt_blocks.Translate.t -> verdict)) list ->
+  ?extra:
+    (string
+    * (max_stored:int -> Ezrt_blocks.Translate.t -> Ezrt_sched.Pipeline.verdict))
+    list ->
   Ezrt_spec.Spec.t ->
   report
 (** Run every engine (bounded by [max_stored], default 50_000) and
@@ -95,14 +98,17 @@ val check :
     engine are skipped too, which lets a campaign bisect e.g. just
     [["classes"; "reference"]].  [extra] engines claim default
     discrete search semantics: their verdict is compared against the
-    reference engine's and their schedules must certify — the hook the
-    tests use to prove an injected engine bug is caught.
+    reference engine's and their [Certified] schedules must replay to
+    the final marking — the hook the tests use to prove an injected
+    engine bug is caught.  An honest extra engine builds its verdict
+    with {!Ezrt_sched.Pipeline.solve}, as the built-in rows do.
 
-    [analysis] is {!Ezrt_analysis.Schedulability}: its quick-reject
+    [analysis] is {!Ezrt_sched.Portfolio.run_prepass}: its quick-reject
     witnesses are re-evaluated (an untrue witness is an
     {!Analysis_witness_invalid} divergence), its [Infeasible] verdict
     contradicts any engine's feasible schedule, and its quick-accept
-    certificate — certified like every other feasible schedule —
-    contradicts any engine's [Infeasible].  The [portfolio] row runs
-    with [~analysis:false] so it stays an independent search result. *)
+    certificate — certified by the pre-pass, replayed like every other
+    schedule — contradicts any engine's [Infeasible].  The [portfolio]
+    row runs with [analysis = false] so it stays an independent search
+    result. *)
 

@@ -1,5 +1,6 @@
 module Spec = Ezrt_spec.Spec
 module Dsl = Ezrt_spec.Dsl
+module Pipeline = Ezrt_sched.Pipeline
 
 type divergent = {
   index : int;
@@ -31,9 +32,9 @@ let obs_spec_result (report : Differ.report) =
     (fun (r : Differ.engine_result) ->
       let verdict =
         match r.Differ.verdict with
-        | Differ.Feasible _ -> "feasible"
-        | Differ.Infeasible -> "infeasible"
-        | Differ.Unknown _ -> "unknown"
+        | Pipeline.Certified _ -> "feasible"
+        | Pipeline.Infeasible _ -> "infeasible"
+        | Pipeline.Timed_out | Pipeline.Undecided _ -> "unknown"
       in
       Metrics.incr
         (Metrics.counter ~help:"Fuzz verdicts by engine"
@@ -76,9 +77,9 @@ let run ?(profile = Spec_gen.default) ?max_stored ?engines ?(shrink = true) ?log
     obs_spec_result report;
     (match log with Some f -> f index spec report | None -> ());
     (match class_verdict report with
-    | Some (Differ.Feasible _) -> incr feasible
-    | Some Differ.Infeasible -> incr infeasible
-    | Some (Differ.Unknown _) | None -> incr unknown);
+    | Some (Pipeline.Certified _) -> incr feasible
+    | Some (Pipeline.Infeasible _) -> incr infeasible
+    | Some (Pipeline.Timed_out | Pipeline.Undecided _) | None -> incr unknown);
     if report.Differ.divergences <> [] then begin
       Ezrt_obs.Trace.instant ~cat:"fuzz" "divergence"
         ~args:[ ("index", Ezrt_obs.Trace.Int index) ];

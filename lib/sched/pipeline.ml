@@ -10,17 +10,39 @@ type _ engine =
   | Classes : { subsume : bool; max_stored : int } -> Search.metrics engine
   | Portfolio : { analysis : bool; max_stored : int } -> Portfolio.t engine
 
+type reason = Budget_exhausted | Extraction_failed
+
 type verdict =
   | Certified of { schedule : Schedule.t; segments : Timeline.segment list }
   | Infeasible of Ezrt_analysis.Schedulability.witness option
   | Timed_out
-  | Undecided of string
+  | Undecided of reason
 
 type 'run t = { model : Translate.t; verdict : verdict; run : 'run }
 
 type error =
   | Invalid_spec of Validate.error list
   | Not_certified of Validator.violation list
+
+let verdict_to_string : type run. run engine -> verdict -> string =
+ fun engine verdict ->
+  let failure search classes =
+    match engine with
+    | Classes _ -> Class_search.failure_to_string classes
+    | Discrete _ | Portfolio _ -> Search.failure_to_string search
+  in
+  match verdict with
+  | Certified { schedule; _ } ->
+    Printf.sprintf "feasible (%d firings)" (Schedule.length schedule)
+  | Infeasible (Some w) ->
+    "analysis pre-pass decided: infeasible — "
+    ^ Ezrt_analysis.Schedulability.witness_to_string w
+  | Infeasible None -> failure Search.Infeasible Class_search.Infeasible
+  | Timed_out -> "timed out"
+  | Undecided Budget_exhausted ->
+    failure Search.Budget_exhausted Class_search.Budget_exhausted
+  | Undecided Extraction_failed ->
+    Class_search.failure_to_string Class_search.Extraction_failed
 
 let error_to_string = function
   | Invalid_spec errors ->
@@ -41,7 +63,7 @@ let gave_up ~cancel reason = if cancel () then Timed_out else Undecided reason
 
 let search_verdict ~cancel witness = function
   | Search.Infeasible -> Infeasible witness
-  | f -> gave_up ~cancel (Search.failure_to_string f)
+  | Search.Budget_exhausted -> gave_up ~cancel Budget_exhausted
 
 let run_engine :
     type run.
@@ -59,7 +81,9 @@ let run_engine :
     ( Result.map_error
         (function
           | Class_search.Infeasible -> Infeasible None
-          | f -> gave_up ~cancel (Class_search.failure_to_string f))
+          | Class_search.Budget_exhausted -> gave_up ~cancel Budget_exhausted
+          | Class_search.Extraction_failed ->
+            gave_up ~cancel Extraction_failed)
         outcome,
       metrics )
   | Portfolio { analysis; max_stored } ->

@@ -2,9 +2,11 @@
     validate, translate to a time Petri net, run the engine the caller
     picks, and certify every schedule with {!Validator.check}.
 
-    [ezrt schedule] (every [--engine]), [Ezrealtime.synthesize] and the
-    service's [Server.solve] all go through it, so a schedule reaches a
-    user, a C program or the result cache only after certification.
+    [ezrt schedule] (every [--engine]), [Ezrealtime.synthesize], the
+    service's [Server.solve], the differential fuzzer's search rows and
+    the bench harness all go through it, so a schedule reaches a user,
+    a C program, the result cache or a cross-check only after
+    certification.
     The service runs {!translate} and {!solve} apart to consult its
     cache on the translated model in between. *)
 
@@ -19,6 +21,13 @@ type _ engine =
       (** {!Portfolio.find_schedule}: the analytic pre-pass (unless
           [analysis] is false), then its members *)
 
+(** Why an engine gave up without a verdict of its own. *)
+type reason =
+  | Budget_exhausted  (** its stored-state or stored-class budget ran out *)
+  | Extraction_failed
+      (** the class engine found a class path it could not realize at
+          integer times *)
+
 type verdict =
   | Certified of { schedule : Schedule.t; segments : Timeline.segment list }
       (** the engine's schedule and the timeline that passed
@@ -27,8 +36,7 @@ type verdict =
       (** proved infeasible: by the portfolio's analytic pre-pass, with
           its witness, or by an engine's exhaustive search, with none *)
   | Timed_out  (** the engine gave up and [cancel ()] holds *)
-  | Undecided of string
-      (** the engine gave up on its own; its reason, e.g. a budget *)
+  | Undecided of reason  (** the engine gave up on its own *)
 
 type 'run t = {
   model : Ezrt_blocks.Translate.t;
@@ -42,6 +50,12 @@ type error =
       (** an engine returned a schedule the independent validator
           rejects: a library bug, surfaced rather than reported as
           feasible *)
+
+val verdict_to_string : 'run engine -> verdict -> string
+(** The verdict in the engine's own words: a verdict without a schedule
+    reads as the engine's failure text ({!Search.failure_to_string} or
+    {!Class_search.failure_to_string}), or as the pre-pass's witness;
+    [Certified] reads ["feasible (N firings)"]. *)
 
 val error_to_string : error -> string
 

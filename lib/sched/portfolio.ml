@@ -133,9 +133,9 @@ let run_prepass model =
   | A.Feasible actions -> (
     let schedule = Schedule.of_actions actions in
     match Validator.certify model schedule with
-    | Ok _ ->
+    | Ok segments ->
       count_prepass "accept";
-      (Prepass_accepted, Some schedule)
+      (Prepass_accepted, Some (schedule, segments))
     | Error f ->
       count_prepass "uncertified";
       ( Prepass_uncertified (Validator.certification_failure_to_string f),
@@ -157,7 +157,7 @@ let find_schedule ?(max_stored = 500_000) ?domains:_ ?(analysis = true)
   let decided =
     match (prepass, certificate) with
     | Prepass_rejected _, _ -> Some (Error Search.Infeasible)
-    | _, Some schedule -> Some (Ok schedule)
+    | _, Some (schedule, _) -> Some (Ok schedule)
     | _, None -> None
   in
   let finish outcome winner attempts =

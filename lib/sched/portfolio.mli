@@ -48,11 +48,14 @@ type prepass =
 
 val prepass_to_string : prepass -> string
 
-val run_prepass : Ezrt_blocks.Translate.t -> prepass * Schedule.t option
+val run_prepass :
+  Ezrt_blocks.Translate.t ->
+  prepass * (Schedule.t * Timeline.segment list) option
 (** The analytic pre-pass alone: {!Ezrt_analysis.Schedulability.analyze},
     with a feasible claim kept only if its EDF schedule passes
     {!Validator.certify}.  Never [Prepass_off]; the schedule is that
-    certified certificate, [Some] exactly on [Prepass_accepted].
+    certified certificate, with its timeline, [Some] exactly on
+    [Prepass_accepted].
     Counts the outcome in [ezrt_analysis_prepass_total]. *)
 
 type t = {

@@ -35,8 +35,6 @@ let mine_pump =
   in
   Spec.make ~name:"mine-pump" ~tasks ()
 
-let mine_pump_expected_instances = 782
-
 let fig3_precedence =
   let t1 = Task.make ~name:"T1" ~wcet:15 ~deadline:100 ~period:250 () in
   let t2 = Task.make ~name:"T2" ~wcet:20 ~deadline:150 ~period:250 () in

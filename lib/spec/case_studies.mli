@@ -5,9 +5,6 @@ val mine_pump : Spec.t
     Wellings HRT-HOOD).  10 non-preemptive tasks, hyper-period 30000,
     782 task instances. *)
 
-val mine_pump_expected_instances : int
-(** 782, the instance count reported in §5. *)
-
 val fig3_precedence : Spec.t
 (** The two tasks of Fig 3: T1 (c=15, d=100) PRECEDES T2 (c=20, d=150),
     both with period 250. *)

@@ -234,11 +234,6 @@ let of_string s =
     Error { context = "XML"; message = Ezrt_xml.Parser.error_to_string e }
   | Ok node -> of_xml node
 
-let of_string_exn s =
-  match of_string s with
-  | Ok spec -> spec
-  | Error e -> failwith (error_to_string e)
-
 let load_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | contents -> of_string contents

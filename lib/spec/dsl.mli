@@ -17,7 +17,6 @@ type error = { context : string; message : string }
 val error_to_string : error -> string
 
 val of_string : string -> (Spec.t, error) result
-val of_string_exn : string -> Spec.t
 
 val load_file : string -> (Spec.t, error) result
 val save_file : string -> Spec.t -> unit

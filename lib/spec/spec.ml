@@ -25,11 +25,6 @@ let make ?(disp_overhead = 0) ?processors ?(messages = [])
 let find_task spec id =
   List.find_opt (fun (t : Task.t) -> String.equal t.Task.id id) spec.tasks
 
-let find_task_by_name spec name =
-  List.find_opt (fun (t : Task.t) -> String.equal t.Task.name name) spec.tasks
-
-let task_ids spec = List.map (fun (t : Task.t) -> t.Task.id) spec.tasks
-
 (* Saturating arithmetic on non-negative operands: adversarial period
    sets (large coprime periods) make the hyper-period and the derived
    instance counts exceed [max_int], and a silently wrapped negative

@@ -37,9 +37,6 @@ val normalize_exclusion : string * string -> string * string
 val find_task : t -> string -> Task.t option
 (** Lookup by task identifier. *)
 
-val find_task_by_name : t -> string -> Task.t option
-val task_ids : t -> string list
-
 val sat_add : int -> int -> int
 (** Saturating addition on non-negative operands: [max_int] instead of
     wrapping.  Shared by the workload arithmetic ({!hyperperiod},

@@ -13,7 +13,6 @@ let create dim =
   done;
   { size; m }
 
-let dim t = t.size - 1
 let copy t = { size = t.size; m = Array.map Array.copy t.m }
 let get t i j = t.m.(i).(j)
 

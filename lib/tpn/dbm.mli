@@ -18,7 +18,6 @@ val create : int -> t
 (** [create dim] is the universe over [dim] variables ([x_i >= 0] is
     NOT implied; callers add the bounds they mean). *)
 
-val dim : t -> int
 val copy : t -> t
 
 val get : t -> int -> int -> int

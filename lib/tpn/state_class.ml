@@ -186,7 +186,3 @@ let compare_reachable_markings ?(max_states = 50_000) net =
     markings_of_states;
   { common = !common; classes_only = !classes_only;
     discrete_only = !discrete_only }
-
-let reachable_markings_agree ?max_states net =
-  let cmp = compare_reachable_markings ?max_states net in
-  cmp.classes_only = 0 && cmp.discrete_only = 0

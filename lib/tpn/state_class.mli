@@ -82,7 +82,3 @@ val compare_reachable_markings :
 (** Cross-validation of the two semantics on the same net: the exact
     class graph against {!Tlts.explore}, both walks truncated at
     [max_states] admitted nodes (default 50_000). *)
-
-val reachable_markings_agree : ?max_states:int -> Pnet.t -> bool
-(** [classes_only = 0 && discrete_only = 0] — holds for nets whose
-    timing windows cannot branch into distinct markings. *)

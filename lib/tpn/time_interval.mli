@@ -42,7 +42,6 @@ val shift : t -> int -> t
 
 val bound_min : bound -> bound -> bound
 val bound_le : bound -> bound -> bool
-val bound_add : bound -> int -> bound
 val bound_sub : bound -> int -> bound
 (** [bound_sub b q] clamps at [Finite 0] from below for finite bounds
     only in the sense that the caller interprets negative values; no

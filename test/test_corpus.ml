@@ -39,7 +39,9 @@ let test_corpus_roundtrips () =
       check_string
         (path ^ " survives a DSL round-trip")
         (Dsl.to_string spec)
-        (Dsl.to_string (Dsl.of_string_exn (Dsl.to_string spec))))
+        (match Dsl.of_string (Dsl.to_string spec) with
+        | Ok spec' -> Dsl.to_string spec'
+        | Error e -> Alcotest.fail (Dsl.error_to_string e)))
     (corpus_files ())
 
 let suite =

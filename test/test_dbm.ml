@@ -5,7 +5,8 @@ let test_universe_nonempty () =
   let d = Dbm.create 2 in
   Dbm.canonicalize d;
   check_bool "nonempty" false (Dbm.is_empty d);
-  check_int "dim" 2 (Dbm.dim d)
+  (* sized for two variables: x_2 exists and is unbounded *)
+  check_int "x_2 unbounded" Dbm.infinity (Dbm.get d 2 0)
 
 let test_constrain_and_bounds () =
   let d = Dbm.create 1 in
@@ -96,9 +97,9 @@ let prop_subset_partial_order =
 (* The reference the closed forms replace: the fires-first domain as
    the constraints x_f - x_j <= 0, one per other variable j, added to
    a copy and closed by Floyd-Warshall. *)
-let tighten_chain d f =
+let tighten_chain dim d f =
   let r = Dbm.copy d in
-  for j = 1 to Dbm.dim r do
+  for j = 1 to dim do
     if j <> f then Dbm.constrain r f j 0
   done;
   Dbm.canonicalize r;
@@ -163,7 +164,7 @@ let prop_fires_first_closed_form =
       Dbm.is_empty d
       ||
       let f = 1 + (next () mod dim) in
-      let chain = tighten_chain d f in
+      let chain = tighten_chain dim d f in
       let firable = not (Dbm.is_empty chain) in
       Dbm.can_fire_first d f = firable
       && ((not firable)
@@ -182,7 +183,7 @@ let prop_successor_projects_closed_form =
     (fun (dim, seed) ->
       let d, next = random_domain dim seed in
       let f = 1 + (next () mod dim) in
-      let chain = tighten_chain d f in
+      let chain = tighten_chain dim d f in
       Dbm.is_empty chain
       ||
       let vars =
@@ -226,7 +227,7 @@ let fresh_closed_form ~f d next dim =
         | _ -> lo.(i) + (next () mod 8))
   in
   let s = Dbm.successor d f vars ~lo ~hi in
-  successor_matches (tighten_chain d f) d f vars
+  successor_matches (tighten_chain dim d f) d f vars
   &&
   let ulo, uhi = unbounded k in
   let reference = Dbm.successor d f vars ~lo:ulo ~hi:uhi in

@@ -8,6 +8,7 @@ open Test_util
 module Rng = Ezrt_gen.Rng
 module Spec_gen = Ezrt_gen.Spec_gen
 module Differ = Ezrt_gen.Differ
+module Pipeline = Ezrt_sched.Pipeline
 module Shrink = Ezrt_gen.Shrink
 module Fuzz = Ezrt_gen.Fuzz
 module Spec = Ezrt_spec.Spec
@@ -123,7 +124,8 @@ let test_campaign_deterministic () =
   in
   check_bool "tallies reproducible" true (run () = run ())
 
-let lying_engine = ("liar", fun ~max_stored:_ _model -> Differ.Infeasible)
+let lying_engine =
+  ("liar", fun ~max_stored:_ _model -> Pipeline.Infeasible None)
 
 let test_injected_bug_caught_and_shrunk () =
   (* an engine that always answers infeasible must trip the differ on
@@ -157,26 +159,54 @@ let test_uncertified_schedule_caught () =
     ( "truncator",
       fun ~max_stored model ->
         match
-          fst
-            (Ezrt_sched.Search.find_schedule
-               ~options:{ Ezrt_sched.Search.default_options with max_stored }
-               model)
+          Pipeline.solve
+            ~engine:
+              (Pipeline.Discrete
+                 { Ezrt_sched.Search.default_options with max_stored })
+            model
         with
-        | Ok s ->
-          Differ.Feasible
+        | Ok { Pipeline.verdict = Pipeline.Certified c; _ } ->
+          Pipeline.Certified
             {
-              Ezrt_sched.Schedule.entries =
-                (match s.Ezrt_sched.Schedule.entries with
-                | _ :: rest -> rest
-                | [] -> []);
+              c with
+              schedule =
+                {
+                  Ezrt_sched.Schedule.entries =
+                    (match c.schedule.Ezrt_sched.Schedule.entries with
+                    | _ :: rest -> rest
+                    | [] -> []);
+                };
             }
-        | Error _ -> Differ.Infeasible )
+        | Ok { Pipeline.verdict; _ } -> verdict
+        | Error e -> failwith (Pipeline.error_to_string e) )
   in
   let report = Differ.check ~extra:[ truncating ] spec in
   check_bool "truncated schedule flagged" true
     (List.exists
        (function Differ.Uncertified _ -> true | _ -> false)
        report.Differ.divergences)
+
+let test_crashing_engine_reported () =
+  (* an engine that raises must surface as a divergence naming it, with
+     no row of its own, while the healthy rows still report *)
+  let crashing = ("crasher", fun ~max_stored:_ _model -> failwith "boom") in
+  let report = Differ.check ~extra:[ crashing ] Case_studies.quickstart in
+  check_bool "crash reported" true
+    (List.exists
+       (function
+         | Differ.Engine_crash { engine = "crasher"; exn } ->
+           exn = Printexc.to_string (Failure "boom")
+         | _ -> false)
+       report.Differ.divergences);
+  check_int "no other divergence" 1 (List.length report.Differ.divergences);
+  check_bool "no row for the crashed engine" true
+    (List.for_all
+       (fun r -> r.Differ.engine <> "crasher")
+       report.Differ.results);
+  check_bool "the reference engine still reports" true
+    (List.exists
+       (fun r -> r.Differ.engine = "reference")
+       report.Differ.results)
 
 (* --- the shrinker --------------------------------------------------- *)
 
@@ -266,6 +296,7 @@ let suite =
     slow_case "campaign deterministic" test_campaign_deterministic;
     slow_case "injected bug caught and shrunk" test_injected_bug_caught_and_shrunk;
     case "uncertified schedule caught" test_uncertified_schedule_caught;
+    case "crashing engine reported" test_crashing_engine_reported;
     case "shrink minimal on synthetic predicate"
       test_shrink_minimal_on_synthetic_predicate;
     case "shrink preserves failure" test_shrink_preserves_failure;

@@ -45,8 +45,9 @@ let test_bound_ops () =
   check_bool "le inf" true (bound_le (Finite 1000) Infinity);
   check_bool "inf not le" false (bound_le Infinity (Finite 1000));
   check_bool "inf le inf" true (bound_le Infinity Infinity);
-  check_bool "add" true (bound_add (Finite 3) 4 = Finite 7);
-  check_bool "add inf" true (bound_add Infinity 4 = Infinity);
+  (* [shift] adds to the latest firing time, saturating at infinity *)
+  check_bool "add" true (lft (shift (make 1 3) 4) = Finite 7);
+  check_bool "add inf" true (lft (shift (make_unbounded 1) 4) = Infinity);
   check_bool "sub" true (bound_sub (Finite 3) 4 = Finite (-1));
   check_bool "sub inf" true (bound_sub Infinity 4 = Infinity)
 

@@ -59,8 +59,43 @@ let matrix_case (engine_name, engine) (spec_name, spec) () =
   | Some schedule -> stages (spec_name ^ "/" ^ engine_name) model schedule
   | None -> Alcotest.failf "%s/%s: infeasible" spec_name engine_name
 
+(* Verdicts without a schedule: a tiny budget stops every engine with
+   the typed [Budget_exhausted] reason, worded as each engine words it,
+   and a cancel hook that always holds turns the same stop into
+   [Timed_out]. *)
+let test_budget_and_cancel () =
+  let model = Translate.translate Case_studies.mine_pump in
+  let check_engine :
+      type r. string -> r Pipeline.engine -> string -> unit =
+   fun name engine text ->
+    (match Pipeline.solve ~engine model with
+    | Ok { verdict = Undecided Budget_exhausted as v; _ } ->
+      check_string (name ^ ": engine's own words") text
+        (Pipeline.verdict_to_string engine v)
+    | Ok { verdict; _ } ->
+      Alcotest.failf "%s: %s, not a budget stop" name
+        (Pipeline.verdict_to_string engine verdict)
+    | Error e -> Alcotest.fail (Pipeline.error_to_string e));
+    match Pipeline.solve ~engine ~cancel:(fun () -> true) model with
+    | Ok { verdict = Timed_out; _ } -> ()
+    | Ok { verdict; _ } ->
+      Alcotest.failf "%s cancelled: %s, not timed out" name
+        (Pipeline.verdict_to_string engine verdict)
+    | Error e -> Alcotest.fail (Pipeline.error_to_string e)
+  in
+  check_engine "discrete"
+    (Pipeline.Discrete { Search.default_options with max_stored = 2 })
+    "stored-state budget exhausted";
+  check_engine "classes"
+    (Pipeline.Classes { subsume = true; max_stored = 2 })
+    "stored-class budget exhausted";
+  check_engine "portfolio"
+    (Pipeline.Portfolio { analysis = true; max_stored = 2 })
+    "stored-state budget exhausted"
+
 let suite =
-  List.concat_map
+  case "budget and cancel verdicts" test_budget_and_cancel
+  :: List.concat_map
     (fun ((engine_name, _) as engine) ->
       List.map
         (fun ((spec_name, _) as spec) ->

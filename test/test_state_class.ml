@@ -115,7 +115,7 @@ let test_markings_agree_on_case_studies () =
     (fun (name, spec) ->
       let net = (Translate.translate spec).Translate.net in
       check_bool (name ^ " markings agree") true
-        (State_class.reachable_markings_agree ~max_states:20_000 net))
+        (reachable_markings_agree ~max_states:20_000 net))
     [
       ("fig3", Case_studies.fig3_precedence);
       ("quickstart", Case_studies.quickstart);
@@ -211,7 +211,7 @@ let prop_rings_agree =
   qcheck ~count:40 "class and discrete markings agree on rings"
     QCheck.(pair (int_range 2 5) (int_range 0 60))
     (fun (n, seed) ->
-      State_class.reachable_markings_agree ~max_states:5_000 (ring_net n seed))
+      reachable_markings_agree ~max_states:5_000 (ring_net n seed))
 
 let suite =
   [

@@ -23,6 +23,12 @@ let load_corpus () =
          | Ok spec -> (f, spec)
          | Error e -> Alcotest.fail (Dsl.error_to_string e))
 
+(* The two semantics reach the same markings: true for nets whose
+   timing windows cannot branch into distinct markings. *)
+let reachable_markings_agree ?max_states net =
+  let cmp = State_class.compare_reachable_markings ?max_states net in
+  cmp.State_class.classes_only = 0 && cmp.State_class.discrete_only = 0
+
 (* Structural conflict: two transitions sharing an input place can
    disable each other. *)
 let in_structural_conflict (net : Pnet.t) t1 t2 =
