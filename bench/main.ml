@@ -48,19 +48,10 @@ let ms metrics = metrics.Search.elapsed_s *. 1000.
 (* Besides the pretty tables, those experiments append a record here,
    for tools that read the numbers instead of the tables. *)
 
-let json_entries : (string * string) list ref = ref []
+module Json = Obs_json
 
-let add_json key fields =
-  let body =
-    String.concat ",\n    "
-      (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields)
-  in
-  json_entries := (key, Printf.sprintf "{\n    %s\n  }" body) :: !json_entries
-
-let jint = string_of_int
-let jfloat f = Printf.sprintf "%.3f" f
-let jbool = string_of_bool
-let jstr s = Printf.sprintf "%S" s
+let records : (string * Json.t) list ref = ref []
+let add_record key fields = records := (key, Json.Obj fields) :: !records
 
 (* Run metadata, first entry in the file: the schema revision and the
    machine and compiler that produced the numbers. *)
@@ -71,13 +62,13 @@ let record_meta () =
       (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
       tm.Unix.tm_sec
   in
-  add_json "meta"
+  add_record "meta"
     [
-      ("schema_version", jint 2);
-      ("generated_utc", jstr generated_utc);
-      ("hostname", jstr (Unix.gethostname ()));
-      ("ocaml_version", jstr Sys.ocaml_version);
-      ("ezrt_version", jstr version);
+      ("schema_version", Json.Num 2.);
+      ("generated_utc", Json.Str generated_utc);
+      ("hostname", Json.Str (Unix.gethostname ()));
+      ("ocaml_version", Json.Str Sys.ocaml_version);
+      ("ezrt_version", Json.Str version);
     ]
 
 let states_per_s metrics =
@@ -86,27 +77,15 @@ let states_per_s metrics =
 let record_search exp ?options (name, spec) =
   let r = solve ?options spec in
   let metrics = r.Pipeline.run in
-  add_json exp
+  add_record exp
     [
-      ("spec", jstr name);
-      ("feasible", jbool (feasible r));
-      ("stored_states", jint metrics.Search.stored);
-      ("visited_states", jint metrics.Search.visited);
-      ("elapsed_ms", jfloat (ms metrics));
-      ("states_per_s", jfloat (states_per_s metrics));
+      ("spec", Json.Str name);
+      ("feasible", Json.Bool (feasible r));
+      ("stored_states", Json.Num (float_of_int metrics.Search.stored));
+      ("visited_states", Json.Num (float_of_int metrics.Search.visited));
+      ("elapsed_ms", Json.Num (ms metrics));
+      ("states_per_s", Json.Num (states_per_s metrics));
     ]
-
-let write_json path =
-  let oc = open_out path in
-  output_string oc "{\n";
-  let entries = List.rev !json_entries in
-  List.iteri
-    (fun i (key, value) ->
-      Printf.fprintf oc "  %S: %s%s\n" key value
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  output_string oc "}\n";
-  close_out oc
 
 (* --- E1: Table 1 + the quantitative case-study paragraph ----------- *)
 
@@ -171,18 +150,18 @@ let e1 () =
   Format.printf "%-34s %14d %14d@." "firings" seed_fires incr_fires;
   Format.printf "write reduction: %.1fx   speedup: %.2fx   schedules identical: %b@."
     (seed_wpf /. max 1e-9 incr_wpf) speedup identical;
-  add_json "E1_engine_comparison"
+  add_record "E1_engine_comparison"
     [
-      ("spec", jstr "mine-pump");
-      ("seed_elapsed_ms", jfloat (seed_t *. 1000.));
-      ("incremental_elapsed_ms", jfloat (incr_t *. 1000.));
-      ("seed_states_per_s", jfloat (states_per_s seed_m));
-      ("incremental_states_per_s", jfloat (states_per_s incr_m));
-      ("seed_writes_per_fire", jfloat seed_wpf);
-      ("incremental_writes_per_fire", jfloat incr_wpf);
-      ("write_reduction", jfloat (seed_wpf /. max 1e-9 incr_wpf));
-      ("speedup", jfloat speedup);
-      ("schedules_identical", jbool identical);
+      ("spec", Json.Str "mine-pump");
+      ("seed_elapsed_ms", Json.Num (seed_t *. 1000.));
+      ("incremental_elapsed_ms", Json.Num (incr_t *. 1000.));
+      ("seed_states_per_s", Json.Num (states_per_s seed_m));
+      ("incremental_states_per_s", Json.Num (states_per_s incr_m));
+      ("seed_writes_per_fire", Json.Num seed_wpf);
+      ("incremental_writes_per_fire", Json.Num incr_wpf);
+      ("write_reduction", Json.Num (seed_wpf /. max 1e-9 incr_wpf));
+      ("speedup", Json.Num speedup);
+      ("schedules_identical", Json.Bool identical);
     ]
 
 (* --- E2: the Fig 8 schedule table ----------------------------------- *)
@@ -899,6 +878,8 @@ let () =
   a11 ();
   a12 ();
   a13 ();
-  write_json "BENCH_search.json";
+  Out_channel.with_open_text "BENCH_search.json" (fun oc ->
+      Out_channel.output_string oc
+        (Json.to_string (Json.Obj (List.rev !records)) ^ "\n"));
   Format.printf "@.wrote BENCH_search.json@.";
   Format.printf "done.@."

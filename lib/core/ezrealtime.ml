@@ -57,7 +57,7 @@ module Fuzz = Ezrt_gen.Fuzz
 module Obs_trace = Ezrt_obs.Trace
 module Obs_metrics = Ezrt_obs.Metrics
 module Obs_progress = Ezrt_obs.Progress
-module Service_json = Ezrt_service.Json
+module Obs_json = Ezrt_obs.Json
 module Spec_digest = Ezrt_service.Spec_digest
 module Result_cache = Ezrt_service.Cache
 module Server = Ezrt_service.Server

@@ -83,17 +83,18 @@ module Fuzz = Ezrt_gen.Fuzz
     {!Obs_trace} sink before synthesizing to capture Chrome-trace
     spans of every pipeline phase, dump {!Obs_metrics} counters after
     a run, or install an {!Obs_progress} reporter for a throttled
-    status line on stderr. *)
+    status line on stderr.  {!Obs_json} is the JSON codec behind the
+    trace, lint reports, the service protocol and cache entries. *)
 
 module Obs_trace = Ezrt_obs.Trace
 module Obs_metrics = Ezrt_obs.Metrics
 module Obs_progress = Ezrt_obs.Progress
+module Obs_json = Ezrt_obs.Json
 
 (** The synthesis service (see [docs/SERVICE.md]): content-addressed
     result caching with re-validation on every hit, and the concurrent
     job server behind [ezrt serve] / [ezrt batch]. *)
 
-module Service_json = Ezrt_service.Json
 module Spec_digest = Ezrt_service.Spec_digest
 module Result_cache = Ezrt_service.Cache
 module Server = Ezrt_service.Server

@@ -1,7 +1,7 @@
 open Ezrt_tpn
 module Translate = Ezrt_blocks.Translate
 module Class_search = Ezrt_sched.Class_search
-module Json = Ezrt_service.Json
+module Json = Ezrt_obs.Json
 
 type severity = Info | Warning | Error
 

@@ -1,7 +1,9 @@
-(* Minimal JSON: just enough for newline-delimited request/response
-   lines and nothing more.  Both directions are total over the subset
-   the protocol uses; the parser rejects anything it does not
-   understand with a positioned error message. *)
+(* Minimal JSON: just enough for the repository's interchange records
+   (NDJSON requests and responses, lint reports, Chrome traces, the
+   bench report, result-cache entries) and nothing more.  Both
+   directions are total over the subset those records use; the parser
+   rejects anything it does not understand with a positioned error
+   message. *)
 
 type t =
   | Null
@@ -31,10 +33,17 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The shortest of 15, 16 or 17 significant digits that reads back to
+   the same float; JSON has no spelling for nan or the infinities. *)
 let number_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else if not (Float.is_finite f) then "null"
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s
+    else
+      let s = Printf.sprintf "%.16g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
 let to_string v =
   let buf = Buffer.create 256 in
@@ -265,6 +274,12 @@ let member key = function
 
 let to_str = function Str s -> Some s | _ -> None
 
+(* [Float.of_int min_int] is exact; the int range ends just below its
+   negation *)
 let to_int = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
+  | Num f
+    when Float.is_integer f
+         && f >= Float.of_int min_int
+         && f < -.Float.of_int min_int ->
+    Some (int_of_float f)
   | _ -> None

@@ -100,63 +100,57 @@ let events t =
 
 (* --- Chrome trace-event JSON ---------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let arg_to_json = function
-  | Int i -> string_of_int i
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Float f -> Printf.sprintf "%.6g" f
-
-let event_to_json ev =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\""
-       (json_escape ev.name) (json_escape ev.cat)
-       (match ev.phase with Begin -> "B" | End -> "E" | Instant -> "i"));
-  (* instant events need a scope; "t" = this thread *)
-  if ev.phase = Instant then Buffer.add_string b ",\"s\":\"t\"";
-  Buffer.add_string b
-    (Printf.sprintf ",\"ts\":%d,\"pid\":1,\"tid\":%d" ev.ts_us ev.tid);
-  (match ev.args with
-  | [] -> ()
-  | args ->
-    Buffer.add_string b ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf "\"%s\":%s" (json_escape k) (arg_to_json v)))
-      args;
-    Buffer.add_char b '}');
-  Buffer.add_char b '}';
-  Buffer.contents b
-
 let to_chrome_json t =
+  let num i = Json.Num (float_of_int i) in
+  let event ev =
+    let ph, scope =
+      match ev.phase with
+      | Begin -> ("B", [])
+      | End -> ("E", [])
+      (* instant events need a scope; "t" = this thread *)
+      | Instant -> ("i", [ ("s", Json.Str "t") ])
+    in
+    let args =
+      match ev.args with
+      | [] -> []
+      | args ->
+        [
+          ( "args",
+            Json.Obj
+              (List.map
+                 (fun (k, v) ->
+                   ( k,
+                     match v with
+                     | Int i -> num i
+                     | Str s -> Json.Str s
+                     | Float f -> Json.Num f ))
+                 args) );
+        ]
+    in
+    Json.Obj
+      ([
+         ("name", Json.Str ev.name);
+         ("cat", Json.Str ev.cat);
+         ("ph", Json.Str ph);
+       ]
+      @ scope
+      @ [ ("ts", num ev.ts_us); ("pid", num 1); ("tid", num ev.tid) ]
+      @ args)
+  in
+  (* one event per line, so a trace diffs and greps line by line *)
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"traceEvents\":[\n";
   List.iteri
     (fun i ev ->
       if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b (event_to_json ev))
+      Buffer.add_string b (Json.to_string (event ev)))
     (events t);
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\",";
+  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\",\"otherData\":";
   Buffer.add_string b
-    (Printf.sprintf "\"otherData\":{\"producer\":\"ezrt\",\"dropped\":%d}}\n"
-       (dropped t));
+    (Json.to_string
+       (Json.Obj
+          [ ("producer", Json.Str "ezrt"); ("dropped", num (dropped t)) ]));
+  Buffer.add_string b "}\n";
   Buffer.contents b
 
 let save_file path t =

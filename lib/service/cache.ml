@@ -16,6 +16,7 @@ module Translate = Ezrt_blocks.Translate
 module Schedule = Ezrt_sched.Schedule
 module Validator = Ezrt_sched.Validator
 module Metrics = Ezrt_obs.Metrics
+module Json = Ezrt_obs.Json
 
 type verdict =
   | Feasible of (string * int) list
@@ -97,203 +98,182 @@ let counters t =
 
 (* --- wire format ------------------------------------------------------ *)
 
-let format_version = 1
+(* One JSON object per entry.  The tag changes whenever the entry's
+   shape does, so an entry of another shape fails to decode. *)
+let format_tag = "ezrt-cache/2"
 
-(* Strings (task and transition names) are percent-escaped so every
-   record stays one space-separated line regardless of content. *)
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | ' ' | '%' | '\n' | '\r' | '\t' ->
-        Buffer.add_string buf (Printf.sprintf "%%%02x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let num i = Json.Num (float_of_int i)
 
-let unescape s =
-  let n = String.length s in
-  let buf = Buffer.create n in
-  let rec go i =
-    if i < n then
-      if s.[i] = '%' then
-        if i + 2 < n then begin
-          match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-          | Some code ->
-            Buffer.add_char buf (Char.chr (code land 0xff));
-            go (i + 3)
-          | None -> failwith "bad escape"
-        end
-        else failwith "truncated escape"
-      else begin
-        Buffer.add_char buf s.[i];
-        go (i + 1)
-      end
+let witness_to_json (w : Schedulability.witness) =
+  let fields =
+    match w with
+    | Negative_laxity { task; instance; ready; wcet; deadline } ->
+      [
+        ("task", Json.Str task);
+        ("instance", num instance);
+        ("ready", num ready);
+        ("wcet", num wcet);
+        ("deadline", num deadline);
+      ]
+    | Demand_overload { t1; t2; demand; capacity } ->
+      [
+        ("t1", num t1);
+        ("t2", num t2);
+        ("demand", num demand);
+        ("capacity", num capacity);
+      ]
+    | Chain_overrun { task; instance; chain; earliest_finish; deadline } ->
+      [
+        ("task", Json.Str task);
+        ("instance", num instance);
+        ("chain", Json.List (List.map (fun s -> Json.Str s) chain));
+        ("earliest_finish", num earliest_finish);
+        ("deadline", num deadline);
+      ]
+    | Exclusion_conflict
+        {
+          task_a;
+          instance_a;
+          task_b;
+          instance_b;
+          forward_finish;
+          deadline_b;
+          backward_finish;
+          deadline_a;
+        } ->
+      [
+        ("task_a", Json.Str task_a);
+        ("instance_a", num instance_a);
+        ("task_b", Json.Str task_b);
+        ("instance_b", num instance_b);
+        ("forward_finish", num forward_finish);
+        ("deadline_b", num deadline_b);
+        ("backward_finish", num backward_finish);
+        ("deadline_a", num deadline_a);
+      ]
+    | Edf_overload { task; instance; time } ->
+      [
+        ("task", Json.Str task); ("instance", num instance); ("time", num time);
+      ]
   in
-  go 0;
-  Buffer.contents buf
-
-let witness_to_line (w : Schedulability.witness) =
-  match w with
-  | Schedulability.Negative_laxity { task; instance; ready; wcet; deadline } ->
-    Printf.sprintf "witness negative-laxity %s %d %d %d %d" (escape task)
-      instance ready wcet deadline
-  | Schedulability.Demand_overload { t1; t2; demand; capacity } ->
-    Printf.sprintf "witness demand-overload %d %d %d %d" t1 t2 demand capacity
-  | Schedulability.Chain_overrun
-      { task; instance; chain; earliest_finish; deadline } ->
-    (* the chain words go last so decoding is unambiguous; an empty
-       chain must not leave a trailing separator *)
-    String.concat " "
-      ("witness" :: "chain-overrun" :: escape task :: string_of_int instance
-      :: string_of_int earliest_finish :: string_of_int deadline
-      :: List.map escape chain)
-  | Schedulability.Exclusion_conflict
-      {
-        task_a;
-        instance_a;
-        task_b;
-        instance_b;
-        forward_finish;
-        deadline_b;
-        backward_finish;
-        deadline_a;
-      } ->
-    Printf.sprintf "witness exclusion-conflict %s %d %s %d %d %d %d %d"
-      (escape task_a) instance_a (escape task_b) instance_b forward_finish
-      deadline_b backward_finish deadline_a
-  | Schedulability.Edf_overload { task; instance; time } ->
-    Printf.sprintf "witness edf-overload %s %d %d" (escape task) instance time
-
-let witness_of_words = function
-  | [ "negative-laxity"; task; instance; ready; wcet; deadline ] ->
-    Schedulability.Negative_laxity
-      {
-        task = unescape task;
-        instance = int_of_string instance;
-        ready = int_of_string ready;
-        wcet = int_of_string wcet;
-        deadline = int_of_string deadline;
-      }
-  | [ "demand-overload"; t1; t2; demand; capacity ] ->
-    Schedulability.Demand_overload
-      {
-        t1 = int_of_string t1;
-        t2 = int_of_string t2;
-        demand = int_of_string demand;
-        capacity = int_of_string capacity;
-      }
-  | "chain-overrun" :: task :: instance :: finish :: deadline :: chain ->
-    Schedulability.Chain_overrun
-      {
-        task = unescape task;
-        instance = int_of_string instance;
-        earliest_finish = int_of_string finish;
-        deadline = int_of_string deadline;
-        chain = List.map unescape chain;
-      }
-  | [
-      "exclusion-conflict"; task_a; ia; task_b; ib; ff; db; bf; da;
-    ] ->
-    Schedulability.Exclusion_conflict
-      {
-        task_a = unescape task_a;
-        instance_a = int_of_string ia;
-        task_b = unescape task_b;
-        instance_b = int_of_string ib;
-        forward_finish = int_of_string ff;
-        deadline_b = int_of_string db;
-        backward_finish = int_of_string bf;
-        deadline_a = int_of_string da;
-      }
-  | [ "edf-overload"; task; instance; time ] ->
-    Schedulability.Edf_overload
-      {
-        task = unescape task;
-        instance = int_of_string instance;
-        time = int_of_string time;
-      }
-  | _ -> failwith "unknown witness"
+  Json.Obj (("kind", Json.Str (Schedulability.witness_kind w)) :: fields)
 
 let encode ~digest entry =
-  let buf = Buffer.create 512 in
-  Printf.bprintf buf "ezrt-cache %d\n" format_version;
-  Printf.bprintf buf "digest %s\n" digest;
-  Printf.bprintf buf "engine %s\n" (escape entry.engine);
-  Printf.bprintf buf "elapsed_ms %.3f\n" entry.elapsed_ms;
-  Printf.bprintf buf "stored %d\n" entry.stored_states;
-  (match entry.verdict with
-  | Feasible actions ->
-    Printf.bprintf buf "verdict feasible %d\n" (List.length actions);
-    List.iter
-      (fun (name, delay) ->
-        Printf.bprintf buf "a %s %d\n" (escape name) delay)
-      actions
-  | Infeasible w ->
-    Buffer.add_string buf "verdict infeasible\n";
-    Buffer.add_string buf (witness_to_line w);
-    Buffer.add_char buf '\n');
-  Buffer.add_string buf "end\n";
-  Buffer.contents buf
+  let verdict =
+    match entry.verdict with
+    | Feasible actions ->
+      ( "actions",
+        Json.List
+          (List.map
+             (fun (name, delay) -> Json.List [ Json.Str name; num delay ])
+             actions) )
+    | Infeasible w -> ("witness", witness_to_json w)
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("format", Json.Str format_tag);
+         ("digest", Json.Str digest);
+         ("engine", Json.Str entry.engine);
+         ("elapsed_ms", Json.Num entry.elapsed_ms);
+         ("stored", num entry.stored_states);
+         verdict;
+       ])
+  ^ "\n"
+
+(* Field [key] of object [j], read by [conv]: a missing or mistyped
+   field fails the decode. *)
+let get conv key j =
+  match Option.bind (Json.member key j) conv with
+  | Some v -> v
+  | None -> failwith ("missing or mistyped field " ^ key)
+
+let get_str = get Json.to_str
+let get_int = get Json.to_int
+let get_float = get (function Json.Num f -> Some f | _ -> None)
+let get_list = get (function Json.List l -> Some l | _ -> None)
+
+let witness_of_json j : Schedulability.witness =
+  match get_str "kind" j with
+  | "negative-laxity" ->
+    Negative_laxity
+      {
+        task = get_str "task" j;
+        instance = get_int "instance" j;
+        ready = get_int "ready" j;
+        wcet = get_int "wcet" j;
+        deadline = get_int "deadline" j;
+      }
+  | "demand-overload" ->
+    Demand_overload
+      {
+        t1 = get_int "t1" j;
+        t2 = get_int "t2" j;
+        demand = get_int "demand" j;
+        capacity = get_int "capacity" j;
+      }
+  | "chain-overrun" ->
+    Chain_overrun
+      {
+        task = get_str "task" j;
+        instance = get_int "instance" j;
+        chain =
+          List.map
+            (function Json.Str s -> s | _ -> failwith "malformed chain")
+            (get_list "chain" j);
+        earliest_finish = get_int "earliest_finish" j;
+        deadline = get_int "deadline" j;
+      }
+  | "exclusion-conflict" ->
+    Exclusion_conflict
+      {
+        task_a = get_str "task_a" j;
+        instance_a = get_int "instance_a" j;
+        task_b = get_str "task_b" j;
+        instance_b = get_int "instance_b" j;
+        forward_finish = get_int "forward_finish" j;
+        deadline_b = get_int "deadline_b" j;
+        backward_finish = get_int "backward_finish" j;
+        deadline_a = get_int "deadline_a" j;
+      }
+  | "edf-overload" ->
+    Edf_overload
+      {
+        task = get_str "task" j;
+        instance = get_int "instance" j;
+        time = get_int "time" j;
+      }
+  | kind -> failwith ("unknown witness kind " ^ kind)
+
+let action_of_json = function
+  | Json.List [ Json.Str name; delay ] -> (
+    match Json.to_int delay with
+    | Some delay -> (name, delay)
+    | None -> failwith "malformed action")
+  | _ -> failwith "malformed action"
 
 let decode text =
-  try
-    let lines = String.split_on_char '\n' text in
-    (* [end] must terminate the payload: a truncated write is missing
-       it, and bytes after it are garbage *)
-    let rec split_payload acc = function
-      | [ "end"; "" ] | [ "end" ] -> List.rev acc
-      | "end" :: _ -> failwith "garbage after end marker"
-      | [] -> failwith "missing end marker"
-      | line :: rest -> split_payload (line :: acc) rest
-    in
-    match split_payload [] lines with
-    | header :: rest -> (
-      (match String.split_on_char ' ' header with
-      | [ "ezrt-cache"; v ] when int_of_string v = format_version -> ()
-      | [ "ezrt-cache"; _ ] -> failwith "format version mismatch"
-      | _ -> failwith "bad header");
-      let field name line =
-        match String.split_on_char ' ' line with
-        | key :: words when key = name -> words
-        | _ -> failwith ("expected field " ^ name)
+  match Json.of_string text with
+  | Error msg -> Error msg
+  | Ok j -> (
+    try
+      if get_str "format" j <> format_tag then failwith "format mismatch";
+      let verdict =
+        match (Json.member "actions" j, Json.member "witness" j) with
+        | Some (Json.List actions), None ->
+          Feasible (List.map action_of_json actions)
+        | None, Some w -> Infeasible (witness_of_json w)
+        | _ -> failwith "malformed verdict"
       in
-      let one name line =
-        match field name line with
-        | [ v ] -> v
-        | _ -> failwith ("malformed field " ^ name)
-      in
-      match rest with
-      | dg :: eng :: el :: st :: verdict :: body ->
-        let digest = one "digest" dg in
-        let engine = unescape (one "engine" eng) in
-        let elapsed_ms = float_of_string (one "elapsed_ms" el) in
-        let stored_states = int_of_string (one "stored" st) in
-        let verdict =
-          match field "verdict" verdict with
-          | [ "feasible"; n ] ->
-            let n = int_of_string n in
-            if List.length body <> n then failwith "action count mismatch";
-            Feasible
-              (List.map
-                 (fun line ->
-                   match field "a" line with
-                   | [ name; delay ] -> (unescape name, int_of_string delay)
-                   | _ -> failwith "malformed action")
-                 body)
-          | [ "infeasible" ] -> (
-            match body with
-            | [ w ] -> Infeasible (witness_of_words (field "witness" w))
-            | _ -> failwith "malformed witness body")
-          | _ -> failwith "malformed verdict"
-        in
-        Ok (digest, { verdict; engine; elapsed_ms; stored_states })
-      | _ -> failwith "truncated header")
-    | [] -> failwith "empty entry"
-  with
-  | Failure msg -> Error msg
-  | _ -> Error "malformed entry"
+      Ok
+        ( get_str "digest" j,
+          {
+            verdict;
+            engine = get_str "engine" j;
+            elapsed_ms = get_float "elapsed_ms" j;
+            stored_states = get_int "stored" j;
+          } )
+    with Failure msg -> Error msg)
 
 (* --- disk tier -------------------------------------------------------- *)
 

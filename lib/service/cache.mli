@@ -58,13 +58,18 @@ val dir : t -> string option
 (** {1 Wire format} *)
 
 val encode : digest:string -> entry -> string
-(** Self-describing text: a versioned header, the embedded digest (so
-    a renamed file cannot impersonate another spec), the verdict body
-    and a terminating [end] line (so truncation is detectable). *)
+(** One JSON object ({!Ezrt_obs.Json}) on one line: a format tag, the
+    embedded digest (so a renamed file cannot impersonate another
+    spec), [engine], [elapsed_ms] and [stored], then either the
+    feasible verdict's [actions] as [[name, delay]] pairs or the
+    infeasible verdict's [witness] object, whose [kind] is
+    {!Schedulability.witness_kind}.  A truncated write is not a
+    complete JSON value, so it cannot decode. *)
 
 val decode : string -> (string * entry, string) result
 (** Returns [(digest, entry)]; any malformed, truncated or
-    version-mismatched input is an [Error]. *)
+    format-mismatched input (including an entry in an earlier
+    format) is an [Error]. *)
 
 (** {1 Operations} *)
 

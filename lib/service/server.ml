@@ -18,6 +18,7 @@ module Portfolio = Ezrt_sched.Portfolio
 module Pipeline = Ezrt_sched.Pipeline
 module Metrics = Ezrt_obs.Metrics
 module Trace = Ezrt_obs.Trace
+module Json = Ezrt_obs.Json
 
 type verdict =
   | Feasible of { firings : int; makespan : int }
@@ -329,7 +330,17 @@ let response_to_json (r : response) =
       ]
 
 let str_member key j = Option.bind (Json.member key j) Json.to_str
-let int_member key j = Option.bind (Json.member key j) Json.to_int
+
+(* An optional count field: absent is [None]; present, it must be a
+   non-negative integer the int range holds *)
+let count_member key j =
+  match Json.member key j with
+  | None -> Ok None
+  | Some v -> (
+    match Json.to_int v with
+    | Some n when n >= 0 -> Ok (Some n)
+    | Some _ | None ->
+      Error (Printf.sprintf "%S must be a non-negative integer" key))
 
 let spec_of_request j =
   match (str_member "spec" j, str_member "case" j) with
@@ -368,17 +379,15 @@ let serve_channels t ic oc =
   in
   let handle_request j =
     let id = Option.value (str_member "id" j) ~default:"?" in
-    match spec_of_request j with
-    | Error msg -> error_response ~id msg
-    | Ok spec -> (
-      let req =
-        {
-          id;
-          spec;
-          timeout_ms = int_member "timeout_ms" j;
-          max_states = int_member "max_states" j;
-        }
-      in
+    match
+      ( spec_of_request j,
+        count_member "timeout_ms" j,
+        count_member "max_states" j )
+    with
+    | Error msg, _, _ | _, Error msg, _ | _, _, Error msg ->
+      error_response ~id msg
+    | Ok spec, Ok timeout_ms, Ok max_states -> (
+      let req = { id; spec; timeout_ms; max_states } in
       Atomic.incr pending;
       match
         submit t req ~on_done:(fun r ->

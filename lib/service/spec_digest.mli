@@ -9,10 +9,12 @@
     its address, while changing any parameter does.
 
     The hash is salted with {!version}: whenever the synthesis
-    engines' observable verdicts or the cache entry format change
-    incompatibly, bumping the salt invalidates every previously
-    written cache entry at the address level — stale results are
-    unreachable rather than merely rejected. *)
+    engines' observable verdicts change incompatibly, bumping the salt
+    invalidates every previously written cache entry at the address
+    level — stale results are unreachable rather than merely
+    rejected.  A change of the cache entry format needs no bump: the
+    entry's own format tag makes an old entry fail to decode, which
+    the cache counts as an invalid miss and overwrites. *)
 
 val version : string
 (** The engine/format version salt mixed into every digest

@@ -5,18 +5,12 @@
    arrays on every lookup.  Here a state is serialized once into a
    [Bytes.t] of fixed-width little-endian cells (the narrowest of
    16/32/64 bits that fits every cell, chosen per state so equal states
-   encode identically) with the full-width Zobrist hash memoized next
-   to it, so a memo of claimed states shrinks by ~4x.
+   encode identically), so a memo of claimed states shrinks by ~4x.
 
    [Memo] is the incremental search's memo.  It takes the engine's
    maintained Zobrist word and its cells as an unpacked vector, and
    answers a lookup by decoding the stored keys with that hash in
    place, so a revisited state is never packed; only an added one is. *)
-
-type t = {
-  data : bytes;
-  hash : int;
-}
 
 (* The narrowest of 16/32/64-bit little-endian cells that holds every
    cell; the byte count [1 + width * cells] then fixes the encoding. *)
@@ -54,41 +48,6 @@ let serialize cells =
   let data = Bytes.create (1 + (w * Array.length cells)) in
   encode data w cells;
   data
-
-let pack ~n_places ~n_transitions ~tokens ~clock =
-  let cells = n_places + n_transitions in
-  let cell i = if i < n_places then tokens i else clock (i - n_places) in
-  (* same fold as [State.Zobrist.of_cells], driven by [cell] so
-     degenerate shapes (zero cells) never index the accessors *)
-  let hash = ref 0 in
-  for i = 0 to cells - 1 do
-    let v = cell i in
-    if i < n_places then hash := !hash lxor State.Zobrist.place i v
-    else if v >= 0 then hash := !hash lxor State.Zobrist.clock (i - n_places) v
-  done;
-  { data = serialize (Array.init cells cell); hash = !hash }
-
-let of_state (s : State.t) =
-  pack
-    ~n_places:(Array.length s.State.marking)
-    ~n_transitions:(Array.length s.State.clocks)
-    ~tokens:(fun p -> s.State.marking.(p))
-    ~clock:(fun t -> s.State.clocks.(t))
-
-let unpack p =
-  let data = p.data in
-  let width = Char.code (Bytes.get data 0) in
-  let cells = (Bytes.length data - 1) / width in
-  Array.init cells (fun i ->
-      match width with
-      | 2 -> Bytes.get_int16_le data (1 + (2 * i))
-      | 4 -> Int32.to_int (Bytes.get_int32_le data (1 + (4 * i)))
-      | 8 -> Int64.to_int (Bytes.get_int64_le data (1 + (8 * i)))
-      | w -> invalid_arg (Printf.sprintf "Packed_state.unpack: width tag %d" w))
-
-let equal a b = a.hash = b.hash && Bytes.equal a.data b.data
-let hash p = p.hash
-let byte_size p = Bytes.length p.data
 
 external get_uint16_unsafe : bytes -> int -> int = "%caml_bytes_get16u"
 external swap16 : int -> int = "%bswap16"

@@ -1,38 +1,8 @@
-(** Packed TLTS states: a state serialized into a compact [Bytes.t]
-    with its full-width Zobrist hash memoized, and {!Memo}, the
-    discrete search's memo of such states.  The encoding picks the
-    narrowest cell width (16, 32 or 64-bit little-endian) that fits
-    every marking/clock cell of the state, so equal states always
-    encode to equal bytes, and the hash agrees with {!State.hash} on
-    the same logical state. *)
-
-type t = private {
-  data : bytes;
-  hash : int;
-}
-
-val pack :
-  n_places:int ->
-  n_transitions:int ->
-  tokens:(Pnet.place_id -> int) ->
-  clock:(Pnet.transition_id -> int) ->
-  t
-(** Serialize from accessors ([clock] returning [-1] for disabled
-    transitions, as in {!State.t}). *)
-
-val of_state : State.t -> t
-
-val unpack : t -> int array
-(** Decode every cell back, in pack order: the [n_places] marking cells
-    followed by the [n_transitions] clock cells.  Inverse of {!pack}
-    for any cell width. *)
-
-val equal : t -> t -> bool
-
-val hash : t -> int
-(** Memoized; equals [State.hash] of the corresponding state. *)
-
-val byte_size : t -> int
+(** Packed TLTS states: {!Memo}, the discrete search's memo, stores
+    each state's cell vector serialized into a compact [Bytes.t].  The
+    encoding picks the narrowest cell width (16, 32 or 64-bit
+    little-endian) that fits every marking/clock cell of the state, so
+    equal vectors always encode to equal bytes. *)
 
 (** A set of cell vectors (a state's marking cells then its clock
     cells, as {!State.Incremental.write_cells} writes them), each

@@ -49,33 +49,10 @@ val fire : Pnet.t -> t -> Pnet.transition_id -> int -> t
 val equal : t -> t -> bool
 
 val hash : t -> int
-(** Zobrist hash: the XOR of one {!Zobrist.place} contribution per
-    marking cell and one {!Zobrist.clock} contribution per enabled
-    clock cell.  Every bit of every cell perturbs the hash, and the
+(** Zobrist hash: the XOR of one contribution per marking cell and
+    one per enabled clock cell.  Every bit of every cell perturbs the hash, and the
     XOR structure is what lets {!Incremental} maintain it across
     fire/undo without rehashing the state. *)
-
-(** Per-cell hash contributions, exposed so packed encodings can hash
-    identically to {!hash}.  The "table" is virtual — contributions
-    are computed by a splitmix-style finalizer because cell values are
-    unbounded. *)
-module Zobrist : sig
-  val place : Pnet.place_id -> int -> int
-  (** [place p v] — contribution of marking cell [p] holding [v]. *)
-
-  val clock : Pnet.transition_id -> int -> int
-  (** [clock t c] — contribution of enabled transition [t] at clock
-      [c].  Disabled transitions (clock -1) contribute nothing. *)
-
-  val of_cells :
-    n_places:int ->
-    n_transitions:int ->
-    tokens:(Pnet.place_id -> int) ->
-    clocks:(Pnet.transition_id -> int) ->
-    int
-  (** Full fold over a state's cells; [clocks] returns -1 for disabled
-      transitions.  [hash s] is exactly this over [s]'s arrays. *)
-end
 
 (** Hash tables keyed by states. *)
 module Table : Hashtbl.S with type key = t

@@ -34,24 +34,3 @@ val explore :
 (** Breadth-first reachability from the initial state, a {!Reach.bfs}
     walk: [max_states] (default 100_000) bounds the admitted states and
     [on_state] sees each of them once. *)
-
-type graph = {
-  nodes : State.t array;  (** index 0 is the initial state *)
-  transitions : (int * action * int) list;  (** (source, action, target) *)
-}
-
-val graph : ?mode:mode -> ?max_states:int -> Pnet.t -> graph
-(** Materialized reachability graph ([max_states] defaults to 10_000 —
-    this is for small nets and debugging; use {!explore} for counting).
-    Edges into states the budget refused are dropped. *)
-
-val graph_to_dot : Pnet.t -> graph -> string
-(** Graphviz rendering of the reachability graph: nodes show the
-    marked places, edges the fired transition and its delay. *)
-
-val run : Pnet.t -> (State.t -> Pnet.transition_id option) -> int -> action list
-(** [run net pick n] executes up to [n] steps, letting [pick] choose
-    among the fireable transitions (earliest firing); stops early when
-    [pick] returns [None] or nothing is fireable.  Returns the actions
-    taken, in order.  Raises [Invalid_argument] if [pick] returns a
-    transition outside the fireable set. *)

@@ -67,18 +67,20 @@ let rec equal a b =
     && List.for_all2 equal ea.children eb.children
   | Text _, Element _ | Element _, Text _ -> false
 
+let add_escaped buf s =
+  for i = 0 to String.length s - 1 do
+    match s.[i] with
+    | '&' -> Buffer.add_string buf "&amp;"
+    | '<' -> Buffer.add_string buf "&lt;"
+    | '>' -> Buffer.add_string buf "&gt;"
+    | '"' -> Buffer.add_string buf "&quot;"
+    | '\'' -> Buffer.add_string buf "&apos;"
+    | c -> Buffer.add_char buf c
+  done
+
 let escape s =
   let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | '\'' -> Buffer.add_string buf "&apos;"
-      | c -> Buffer.add_char buf c)
-    s;
+  add_escaped buf s;
   Buffer.contents buf
 
 let xml_decl = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
@@ -89,76 +91,53 @@ let add_attrs buf attrs =
       Buffer.add_char buf ' ';
       Buffer.add_string buf k;
       Buffer.add_string buf "=\"";
-      Buffer.add_string buf (escape v);
+      add_escaped buf v;
       Buffer.add_char buf '"')
     attrs
-
-let to_string ?(decl = false) n =
-  let buf = Buffer.create 256 in
-  if decl then Buffer.add_string buf xml_decl;
-  let rec go = function
-    | Text s -> Buffer.add_string buf (escape s)
-    | Element e ->
-      Buffer.add_char buf '<';
-      Buffer.add_string buf e.tag;
-      add_attrs buf e.attrs;
-      (match e.children with
-      | [] -> Buffer.add_string buf "/>"
-      | children ->
-        Buffer.add_char buf '>';
-        List.iter go children;
-        Buffer.add_string buf "</";
-        Buffer.add_string buf e.tag;
-        Buffer.add_char buf '>')
-  in
-  go n;
-  Buffer.contents buf
 
 (* An element is printed inline when any child is text: indenting would
    inject whitespace into its text content. *)
 let has_text_child e =
   List.exists (function Text _ -> true | Element _ -> false) e.children
 
-let to_string_pretty ?(decl = false) n =
+(* The one element printer.  [depth >= 0] indents the element at that
+   depth and ends it with a newline; [depth < 0] prints it inline, with
+   no inserted whitespace, as compact mode does everywhere. *)
+let print ~decl ~pretty n =
   let buf = Buffer.create 256 in
   if decl then Buffer.add_string buf xml_decl;
-  let indent depth = Buffer.add_string buf (String.make (2 * depth) ' ') in
+  let indent depth =
+    for _ = 1 to 2 * depth do
+      Buffer.add_char buf ' '
+    done
+  in
   let rec go depth = function
-    | Text s -> Buffer.add_string buf (escape s)
+    | Text s -> add_escaped buf s
     | Element e ->
       indent depth;
       Buffer.add_char buf '<';
       Buffer.add_string buf e.tag;
       add_attrs buf e.attrs;
       (match e.children with
-      | [] -> Buffer.add_string buf "/>\n"
-      | children when has_text_child e ->
-        Buffer.add_char buf '>';
-        List.iter (go_inline) children;
-        Buffer.add_string buf "</";
-        Buffer.add_string buf e.tag;
-        Buffer.add_string buf ">\n"
-      | children ->
-        Buffer.add_string buf ">\n";
-        List.iter (go (depth + 1)) children;
-        indent depth;
-        Buffer.add_string buf "</";
-        Buffer.add_string buf e.tag;
-        Buffer.add_string buf ">\n")
-  and go_inline = function
-    | Text s -> Buffer.add_string buf (escape s)
-    | Element e ->
-      Buffer.add_char buf '<';
-      Buffer.add_string buf e.tag;
-      add_attrs buf e.attrs;
-      (match e.children with
       | [] -> Buffer.add_string buf "/>"
       | children ->
+        let inner = if depth < 0 || has_text_child e then -1 else depth + 1 in
         Buffer.add_char buf '>';
-        List.iter go_inline children;
+        if inner >= 0 then Buffer.add_char buf '\n';
+        go_list inner children;
+        if inner >= 0 then indent depth;
         Buffer.add_string buf "</";
         Buffer.add_string buf e.tag;
-        Buffer.add_char buf '>')
+        Buffer.add_char buf '>');
+      if depth >= 0 then Buffer.add_char buf '\n'
+  and go_list depth = function
+    | [] -> ()
+    | n :: rest ->
+      go depth n;
+      go_list depth rest
   in
-  go 0 n;
+  go (if pretty then 0 else -1) n;
   Buffer.contents buf
+
+let to_string ?(decl = false) n = print ~decl ~pretty:false n
+let to_string_pretty ?(decl = false) n = print ~decl ~pretty:true n

@@ -15,10 +15,18 @@ let peek cur =
 
 let advance cur = cur.pos <- cur.pos + 1
 
-let looking_at cur prefix =
-  let n = String.length prefix in
-  cur.pos + n <= String.length cur.src
-  && String.sub cur.src cur.pos n = prefix
+(* [s] occurs in [src] at byte [i]; compared in place *)
+let occurs_at src i s =
+  let n = String.length s in
+  i + n <= String.length src
+  &&
+  let k = ref 0 in
+  while !k < n && src.[i + !k] = s.[!k] do
+    incr k
+  done;
+  !k = n
+
+let looking_at cur prefix = occurs_at cur.src cur.pos prefix
 
 let expect cur prefix =
   if looking_at cur prefix then cur.pos <- cur.pos + String.length prefix
@@ -113,41 +121,35 @@ let read_attr_value cur =
   go ();
   Buffer.contents buf
 
+(* Index of the first [close] at or after the cursor, which stays put
+   so that an unterminated [what] is reported where its body starts. *)
+let find_close cur close what =
+  let rec find i =
+    if i + String.length close > String.length cur.src then
+      fail cur ("unterminated " ^ what)
+    else if occurs_at cur.src i close then i
+    else find (i + 1)
+  in
+  find cur.pos
+
 let skip_comment cur =
   expect cur "<!--";
-  let close =
-    let rec find i =
-      if i + 3 > String.length cur.src then fail cur "unterminated comment"
-      else if String.sub cur.src i 3 = "-->" then i
-      else find (i + 1)
-    in
-    find cur.pos
-  in
-  cur.pos <- close + 3
+  cur.pos <- find_close cur "-->" "comment" + 3
 
 let skip_pi cur =
   expect cur "<?";
-  match String.index_from_opt cur.src cur.pos '>' with
-  | Some i when i > 0 && cur.src.[i - 1] = '?' -> cur.pos <- i + 1
-  | Some _ | None -> fail cur "unterminated processing instruction"
+  let i = find_close cur ">" "processing instruction" in
+  if cur.src.[i - 1] <> '?' then fail cur "unterminated processing instruction";
+  cur.pos <- i + 1
 
+(* No internal-subset support: scan to the first '>'. *)
 let skip_doctype cur =
   expect cur "<!DOCTYPE";
-  (* No internal-subset support: scan to the first '>'. *)
-  match String.index_from_opt cur.src cur.pos '>' with
-  | Some i -> cur.pos <- i + 1
-  | None -> fail cur "unterminated DOCTYPE"
+  cur.pos <- find_close cur ">" "DOCTYPE" + 1
 
 let read_cdata cur =
   expect cur "<![CDATA[";
-  let close =
-    let rec find i =
-      if i + 3 > String.length cur.src then fail cur "unterminated CDATA"
-      else if String.sub cur.src i 3 = "]]>" then i
-      else find (i + 1)
-    in
-    find cur.pos
-  in
+  let close = find_close cur "]]>" "CDATA" in
   let body = String.sub cur.src cur.pos (close - cur.pos) in
   cur.pos <- close + 3;
   body

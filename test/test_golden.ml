@@ -260,7 +260,7 @@ let reach_lines name net budget =
         Printf.sprintf "states=%d edges=%d deadlocks=%d truncated=%b"
           s.Tlts.states s.Tlts.edges s.Tlts.deadlocks s.Tlts.truncated);
     row "tlts-graph" (fun () ->
-        let dot = Tlts.graph_to_dot net (Tlts.graph ~max_states:budget net) in
+        let dot = tlts_graph_to_dot net (tlts_graph ~max_states:budget net) in
         "md5=" ^ Digest.to_hex (Digest.string dot));
     row "classes" (class_stats false);
     row "classes-inclusion" (class_stats true);

@@ -226,6 +226,53 @@ let test_chrome_golden () =
   else check_string "chrome export matches the golden file" (read_file path)
       actual
 
+(* Every byte 0x01-0x7f, UTF-8 text and floats that [%.6g] used to
+   mangle (0.1 stays, 1e300 stays, nan becomes null) read back from
+   the export with [Obs_json] as the values that were recorded. *)
+let test_chrome_values_roundtrip () =
+  let ascii = String.init 0x7f (fun i -> Char.chr (i + 1)) in
+  let utf8 = "caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x98\x80" in
+  let sink = Obs_trace.create ~capacity:16 ~clock:(fake_clock ()) () in
+  Obs_trace.install sink;
+  Fun.protect ~finally:Obs_trace.uninstall (fun () ->
+      Obs_trace.instant ~cat:utf8 ascii
+        ~args:
+          [
+            ("ascii", Obs_trace.Str ascii);
+            ("utf8", Obs_trace.Str utf8);
+            ("tenth", Obs_trace.Float 0.1);
+            ("huge", Obs_trace.Float 1e300);
+            ("nan", Obs_trace.Float Float.nan);
+          ]);
+  let text = Obs_trace.to_chrome_json sink in
+  check_bool "well-formed JSON" true (json_well_formed text);
+  let event =
+    match Obs_json.of_string text with
+    | Ok j -> (
+      match Obs_json.member "traceEvents" j with
+      | Some (Obs_json.List [ e ]) -> e
+      | _ -> Alcotest.fail "expected one trace event")
+    | Error msg -> Alcotest.failf "export does not parse: %s" msg
+  in
+  let get path =
+    List.fold_left
+      (fun j key ->
+        match Option.bind j (Obs_json.member key) with
+        | Some v -> Some v
+        | None -> Alcotest.failf "missing %s" key)
+      (Some event) path
+  in
+  let expect what want path =
+    check_bool what true (get path = Some want)
+  in
+  expect "name" (Obs_json.Str ascii) [ "name" ];
+  expect "cat" (Obs_json.Str utf8) [ "cat" ];
+  expect "ascii arg" (Obs_json.Str ascii) [ "args"; "ascii" ];
+  expect "utf8 arg" (Obs_json.Str utf8) [ "args"; "utf8" ];
+  expect "0.1" (Obs_json.Num 0.1) [ "args"; "tenth" ];
+  expect "1e300" (Obs_json.Num 1e300) [ "args"; "huge" ];
+  expect "nan as null" Obs_json.Null [ "args"; "nan" ]
+
 let test_trace_of_fuzz_campaign () =
   (* A real seeded campaign: every begin must LIFO-match an end on its
      own domain, nothing may be dropped, and the acceptance spans
@@ -451,6 +498,7 @@ let suite =
     case "no sink is a no-op" test_no_sink_is_noop;
     case "with_span closes on exception" test_with_span_closes_on_exception;
     case "chrome trace golden" test_chrome_golden;
+    case "chrome export values round-trip" test_chrome_values_roundtrip;
     slow_case "fuzz campaign trace is balanced" test_trace_of_fuzz_campaign;
     test_counter_monotonic;
     case "counter rejects negative" test_counter_rejects_negative;

@@ -2,7 +2,7 @@
    job server. *)
 
 open Test_util
-module Json = Ezrt_service.Json
+module Json = Ezrt_obs.Json
 module Spec_digest = Ezrt_service.Spec_digest
 module Cache = Ezrt_service.Cache
 module Server = Ezrt_service.Server
@@ -159,7 +159,14 @@ let test_digest_shape () =
 let entry_gen =
   let open QCheck.Gen in
   let str =
-    string_size ~gen:(oneof [ char_range 'a' 'z'; oneofl [ ' '; '%'; '\n' ] ])
+    string_size
+      ~gen:
+        (oneof
+           [
+             char_range 'a' 'z';
+             oneofl [ ' '; '%'; '\n'; '"'; '\\'; '\x01'; '\x7f' ];
+             char_range '\x80' '\xff';
+           ])
       (int_range 1 12)
   in
   let witness =
@@ -212,9 +219,13 @@ let entry_gen =
   in
   let* verdict = verdict
   and* engine = str
-  (* the wire format prints elapsed with millisecond precision, so the
-     roundtrip property quantifies over exactly-representable values *)
-  and* elapsed_ms = map (fun n -> float_of_int n /. 8.) nat
+  (* any finite float: random bit patterns reach every exponent *)
+  and* elapsed_ms =
+    map
+      (fun bits ->
+        let f = Int64.float_of_bits bits in
+        if Float.is_finite f then f else 0.)
+      ui64
   and* stored_states = nat in
   return { Cache.verdict; engine; elapsed_ms; stored_states }
 
@@ -316,7 +327,8 @@ let test_cache_bitflip_degrades_to_miss () =
      no longer addresses this spec *)
   corrupt_file path (fun text ->
       let b = Bytes.of_string text in
-      let i = substring_index text "digest " + String.length "digest " in
+      let key = {|"digest":"|} in
+      let i = substring_index text key + String.length key in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
       Bytes.to_string b);
   let warm = Cache.create ~dir () in
@@ -534,15 +546,15 @@ let test_server_rejects_after_shutdown () =
   | `Overloaded -> ()
   | `Accepted -> Alcotest.fail "accepted a job after shutdown"
 
-let test_serve_channels_protocol () =
+(* Runs [requests] (one NDJSON line each) through [serve_channels] on
+   a fresh two-worker server; the stream's end reason and the
+   response lines. *)
+let serve_lines requests =
   let dir = tmp_dir () in
   let in_path = Filename.concat dir "requests" in
   let out_path = Filename.concat dir "responses" in
   Out_channel.with_open_text in_path (fun oc ->
-      output_string oc "{\"op\":\"ping\"}\n";
-      output_string oc "not json\n";
-      output_string oc "{\"id\":\"j1\",\"case\":\"quickstart\"}\n";
-      output_string oc "{\"id\":\"j2\",\"case\":\"no-such-case\"}\n");
+      List.iter (fun r -> output_string oc (r ^ "\n")) requests);
   let server = Server.create ~workers:2 () in
   let reason =
     In_channel.with_open_text in_path (fun ic ->
@@ -550,8 +562,19 @@ let test_serve_channels_protocol () =
             Server.serve_channels server ic oc))
   in
   Server.shutdown server;
+  (reason, In_channel.with_open_text out_path In_channel.input_lines)
+
+let test_serve_channels_protocol () =
+  let reason, lines =
+    serve_lines
+      [
+        {|{"op":"ping"}|};
+        "not json";
+        {|{"id":"j1","case":"quickstart"}|};
+        {|{"id":"j2","case":"no-such-case"}|};
+      ]
+  in
   check_bool "stream ended at EOF" true (reason = `Eof);
-  let lines = In_channel.with_open_text out_path In_channel.input_lines in
   check_int "four responses" 4 (List.length lines);
   let statuses =
     List.filter_map
@@ -573,6 +596,47 @@ let test_serve_channels_protocol () =
     (List.exists (fun (id, s, _) -> id = Some "j1" && s = Some "ok") statuses);
   check_bool "unknown case errors" true
     (List.exists (fun (id, s, _) -> id = Some "j2" && s = Some "error") statuses)
+
+(* The one response to a quickstart job carrying [field: raw]. *)
+let count_field_response field raw =
+  match
+    serve_lines
+      [ Printf.sprintf {|{"id":"c","case":"quickstart","%s":%s}|} field raw ]
+  with
+  | _, [ line ] -> (
+    match Json.of_string line with
+    | Ok j -> j
+    | Error msg -> Alcotest.failf "unparseable response %S: %s" line msg)
+  | _, lines -> Alcotest.failf "expected one response, got %d" (List.length lines)
+
+(* A count field the int range cannot hold, a negative one or one of
+   the wrong type is an error naming the field, not a job. *)
+let test_bad_count_field (field, raw) =
+  case (Printf.sprintf "ndjson rejects %s %s" field raw) (fun () ->
+      let j = count_field_response field raw in
+      let member key = Option.bind (Json.member key j) Json.to_str in
+      check_bool "status error" true (member "status" = Some "error");
+      match member "error" with
+      | Some msg -> ignore (substring_index msg field)
+      | None -> Alcotest.fail "error response without a message")
+
+let bad_count_fields =
+  List.map test_bad_count_field
+    [
+      ("max_states", "1e19");
+      ("max_states", "-5");
+      ("max_states", {|"100"|});
+      ("timeout_ms", "1e19");
+      ("timeout_ms", "-1");
+      ("timeout_ms", "true");
+    ]
+
+(* [timeout_ms: 0] is a valid (already expired) deadline, as
+   [--timeout 0] is. *)
+let test_zero_timeout_accepted () =
+  let j = count_field_response "timeout_ms" "0" in
+  check_bool "status ok" true
+    (Option.bind (Json.member "status" j) Json.to_str = Some "ok")
 
 let test_serve_socket_roundtrip () =
   let dir = tmp_dir () in
@@ -695,7 +759,9 @@ let suite =
     case "submissions after shutdown are rejected"
       test_server_rejects_after_shutdown;
     case "ndjson protocol over channels" test_serve_channels_protocol;
+    case "ndjson accepts timeout_ms 0" test_zero_timeout_accepted;
     slow_case "socket mode roundtrip" test_serve_socket_roundtrip;
     slow_case "service-path fuzz: cold/warm vs direct, 0 divergences"
       test_service_fuzz_no_divergence;
   ]
+  @ bad_count_fields

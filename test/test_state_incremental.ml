@@ -100,13 +100,10 @@ let agree ctx net (s : State.t) eng =
   let snap = State.Incremental.snapshot eng in
   check_bool (ctx ^ " snapshot equal") true (State.equal s snap);
   check_int (ctx ^ " snapshot hash") (State.hash s) (State.hash snap);
-  let ps = Packed_state.of_state s in
   let cells = Array.make (Array.length s.State.marking + Array.length s.State.clocks) 0 in
   State.Incremental.write_cells eng cells;
-  check_bool (ctx ^ " written cells = packed cells") true
-    (Packed_state.unpack ps = cells);
-  check_int (ctx ^ " packed hash = State.hash") (State.hash s)
-    (Packed_state.hash ps);
+  check_bool (ctx ^ " written cells = state cells") true
+    (Array.append s.State.marking s.State.clocks = cells);
   check_int (ctx ^ " zhash = State.hash") (State.hash s)
     (State.Incremental.zhash eng)
 
@@ -210,61 +207,55 @@ let test_fire_validation () =
       State.Incremental.write_cells eng
         (Array.make (Pnet.place_count net + Pnet.transition_count net - 1) 0))
 
-(* Packed encoding picks a cell width from the extreme cells; wide
-   cells must round-trip through the 32- and 64-bit layouts and still
-   hash like State.hash would. *)
+(* The memo picks a cell width from the extreme cells; wide cells must
+   round-trip through the 32- and 64-bit layouts, and the engine's
+   Zobrist word must still be State.hash when a clock forces a wider
+   layout. *)
 let test_packed_widths () =
   let widths = [ 100; 40_000; 30_000_000; 5_000_000_000 ] in
   List.iter
     (fun big ->
-      let tokens p = if p = 0 then big else p in
-      let clock t = if t = 0 then -1 else t * 7 in
-      let a = Packed_state.pack ~n_places:3 ~n_transitions:3 ~tokens ~clock in
-      let b = Packed_state.pack ~n_places:3 ~n_transitions:3 ~tokens ~clock in
-      check_bool "same cells, equal" true (Packed_state.equal a b);
-      check_int "same cells, same hash" (Packed_state.hash a)
-        (Packed_state.hash b);
-      let c =
-        Packed_state.pack ~n_places:3 ~n_transitions:3
-          ~tokens:(fun p -> if p = 1 then big else tokens p)
-          ~clock
-      in
-      check_bool "different cells, not equal" false (Packed_state.equal a c))
+      let a = [| big; 1; 2; -1; 7; 14 |] in
+      let memo = Packed_state.Memo.create () in
+      Packed_state.Memo.add memo ~hash:big a;
+      check_bool "same cells, found" true
+        (Packed_state.Memo.mem memo ~hash:big (Array.copy a));
+      let c = Array.copy a in
+      c.(1) <- big;
+      check_bool "different cells, not found" false
+        (Packed_state.Memo.mem memo ~hash:big c))
     widths;
-  (* the reference hash on a real state matches the packed hash even
-     when the clock forces a wider layout *)
   let b = Pnet.Builder.create "wide" in
   let p0 = Pnet.Builder.add_place b ~tokens:1 "p0" in
   let p1 = Pnet.Builder.add_place b "p1" in
-  let p2 = Pnet.Builder.add_place b "p2" in
   let slow =
     Pnet.Builder.add_transition b "slow"
       (Time_interval.make 30_000_000 30_000_000)
   in
-  let fast = Pnet.Builder.add_transition b "fast" Time_interval.zero in
+  (* [late] fires on its own token at 20 000 000, leaving [slow]
+     enabled with a clock past 16 bits *)
+  let p2 = Pnet.Builder.add_place b ~tokens:1 "p2" in
+  let p3 = Pnet.Builder.add_place b "p3" in
+  let late =
+    Pnet.Builder.add_transition b "late"
+      (Time_interval.make 20_000_000 20_000_000)
+  in
   Pnet.Builder.arc_pt b p0 slow;
   Pnet.Builder.arc_tp b slow p1;
-  Pnet.Builder.arc_pt b p0 fast;
-  Pnet.Builder.arc_tp b fast p2;
+  Pnet.Builder.arc_pt b p2 late;
+  Pnet.Builder.arc_tp b late p3;
   let net = Pnet.Builder.build b in
-  let s = State.initial net in
-  check_int "point-width hash agrees" (State.hash s)
-    (Packed_state.hash (Packed_state.of_state s))
-
-let test_packed_smaller () =
-  List.iter
-    (fun (_, spec) ->
-      let model = Translate.translate spec in
-      let s = State.initial model.Translate.net in
-      let packed = Packed_state.of_state s in
-      let cells =
-        Array.length s.State.marking + Array.length s.State.clocks
-      in
-      (* boxed arrays cost >= 8 bytes per cell plus two headers; the
-         16-bit packing must stay well under that *)
-      check_bool "packed under 8 bytes/cell" true
-        (Packed_state.byte_size packed < cells * 8))
-    Case_studies.all
+  let eng = State.Incremental.create net in
+  let agrees what =
+    check_int what
+      (State.hash (State.Incremental.snapshot eng))
+      (State.Incremental.zhash eng)
+  in
+  agrees "point-width hash agrees";
+  State.Incremental.fire eng late 20_000_000;
+  check_int "slow's clock is past 16 bits" 20_000_000
+    (State.Incremental.clock eng slow);
+  agrees "wide-clock hash agrees"
 
 (* The acceptance bar for the engine swap: both search engines produce
    action-for-action identical schedules and identical node counts on
@@ -382,7 +373,6 @@ let suite =
     case "commit makes the current state the root" test_commit;
     case "fire validates like the oracle" test_fire_validation;
     case "packed states: widths round-trip" test_packed_widths;
-    case "packed states: smaller than boxed arrays" test_packed_smaller;
     case "zobrist fire/undo round-trips bit-for-bit" test_zobrist_roundtrip;
     slow_case "case studies: engine parity" test_search_parity;
     test_search_parity_random_specs;

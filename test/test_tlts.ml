@@ -49,7 +49,7 @@ let test_ring_cycles () =
 
 let test_run_picks () =
   let net = sequential_net () in
-  let actions = Tlts.run net (fun s -> List.nth_opt (State.fireable net s) 0) 10 in
+  let actions = tlts_run net (fun s -> List.nth_opt (State.fireable net s) 0) 10 in
   check_int "both transitions fired" 2 (List.length actions);
   match actions with
   | [ a0; a1 ] ->
@@ -61,31 +61,31 @@ let test_run_picks () =
 let test_run_rejects_unfireable () =
   let net = sequential_net () in
   Alcotest.check_raises "not fireable"
-    (Invalid_argument "Tlts.run: t1 is not fireable") (fun () ->
-      ignore (Tlts.run net (fun _ -> Some 1) 1))
+    (Invalid_argument "tlts_run: t1 is not fireable") (fun () ->
+      ignore (tlts_run net (fun _ -> Some 1) 1))
 
 let test_run_stops_on_none () =
   let net = sequential_net () in
-  check_int "no steps" 0 (List.length (Tlts.run net (fun _ -> None) 10))
+  check_int "no steps" 0 (List.length (tlts_run net (fun _ -> None) 10))
 
 let test_graph_materialization () =
   let net = sequential_net () in
-  let g = Tlts.graph net in
-  check_int "three nodes" 3 (Array.length g.Tlts.nodes);
-  check_int "two edges" 2 (List.length g.Tlts.transitions);
+  let g = tlts_graph net in
+  check_int "three nodes" 3 (Array.length g.nodes);
+  check_int "two edges" 2 (List.length g.transitions);
   check_bool "initial first" true
-    (State.equal g.Tlts.nodes.(0) (State.initial net));
+    (State.equal g.nodes.(0) (State.initial net));
   (* edges reference valid nodes in firing order *)
   List.iter
     (fun (src, action, dst) ->
       check_bool "src in range" true (src >= 0 && src < 3);
       check_bool "dst in range" true (dst >= 0 && dst < 3);
       check_bool "action delay nonnegative" true (action.Tlts.delay >= 0))
-    g.Tlts.transitions
+    g.transitions
 
 let test_graph_dot () =
   let net = sequential_net () in
-  let dot = Tlts.graph_to_dot net (Tlts.graph net) in
+  let dot = tlts_graph_to_dot net (tlts_graph net) in
   let contains needle =
     let rec go i =
       i + String.length needle <= String.length dot
@@ -100,8 +100,8 @@ let test_graph_dot () =
 
 let test_graph_truncation () =
   let net = ring_net 4 2 in
-  let g = Tlts.graph ~max_states:2 net in
-  check_int "bounded" 2 (Array.length g.Tlts.nodes)
+  let g = tlts_graph ~max_states:2 net in
+  check_int "bounded" 2 (Array.length g.nodes)
 
 let suite =
   [
